@@ -11,14 +11,12 @@ resulting discrepancies into allow/warn/deny verdicts.
 
 from .mime_db import (
     ExtensionMap,
-    HandlerRegistry,
     MimeType,
     RegistrationClass,
     classify_registration,
     db_stats,
     load_extension_map,
     parse_mime_type,
-    register_handler,
 )
 from .sniffer import Signature, SignatureDb, SniffReport, is_text, load_signatures, sniff
 from .name_analyzer import NameAnomaly, NameReport, analyze_name
@@ -51,9 +49,7 @@ from .policy_engine import (
     Verdict,
     decide,
     get_allowed_handlers,
-    is_active,
     load_active_registry,
-    set_allowed_handlers,
     set_handler_policy,
 )
 from .browser_model import (
@@ -65,7 +61,7 @@ from .browser_model import (
     load_tree,
     run,
 )
-from .ingest import FetchRecord, assess, fetch
+from .ingest import FetchRecord, fetch
 from .config import Config, load_config
 from .runtime import Runtime, assess_path, build_evidence
 

@@ -2,7 +2,8 @@
 
 Exit-code contract: for ``check`` and ``fetch`` the code is a function of
 the verdict alone (0 allow, 1 warn, 2 deny); ``scan`` reports the worst
-verdict seen. Usage errors exit 64, I/O errors 74, config errors 78.
+verdict seen. Usage errors exit 64, internal errors 70, I/O errors 74,
+config errors 78.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ import base64
 import json
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from . import ingest
@@ -25,7 +25,7 @@ from .browser_model import (
     load_tree,
     run as run_tree,
 )
-from .config import Config, load_config
+from .config import load_config
 from .discrepancy_engine import DiscrepancyReport, Evidence, evaluate
 from .errors import (
     ConfigError,
@@ -52,6 +52,7 @@ from .view_registry import (
     ContentView,
     FlaggedView,
     Provenance,
+    _view_to_obj,
     content_identity,
     get_trust,
     read_views,
@@ -61,6 +62,7 @@ from .view_registry import (
 
 EX_OK = 0
 EX_USAGE = 64
+EX_SOFTWARE = 70
 EX_IOERR = 74
 EX_CONFIG = 78
 
@@ -158,18 +160,7 @@ def _sniff_obj(report: SniffReport) -> dict:
 
 
 def _view_obj(flagged: FlaggedView) -> dict:
-    view = flagged.view
-    obj = {
-        "app": view.app_id,
-        "mime": view.mime.format(),
-        "active": view.active,
-        "hash": view.content_hash.hex(),
-        "t": view.recorded_at,
-        "stale": flagged.stale,
-    }
-    if view.note is not None:
-        obj["note"] = view.note
-    return obj
+    return {**_view_to_obj(flagged.view), "stale": flagged.stale}
 
 
 def _provenance_obj(prov: Provenance) -> dict:
@@ -218,10 +209,6 @@ def _emit(obj, compact: bool = False) -> None:
         print(json.dumps(obj, sort_keys=True, indent=2))
 
 
-def _now(args) -> int | None:
-    return args.now
-
-
 def _load_model(name: str, runtime: Runtime) -> DecisionTree:
     candidate = Path(name)
     if not candidate.is_file():
@@ -265,46 +252,32 @@ def _context_obj(ctx: RequestContext) -> dict:
 # --- subcommands -----------------------------------------------------------
 
 
-def cmd_identify(args, config: Config) -> int:
-    runtime = Runtime.load(config)
+def cmd_identify(args, runtime: Runtime) -> int:
     evidence = build_evidence(runtime, args.path)
     report = evaluate(evidence, runtime.active)
     _emit(build_report(Path(args.path), evidence, report, decision=None))
     return EX_OK
 
 
-def cmd_check(args, config: Config) -> int:
-    runtime = Runtime.load(config)
+def cmd_check(args, runtime: Runtime) -> int:
     evidence, report, decision = assess_path(runtime, args.path, handler=args.handler)
     _emit(build_report(Path(args.path), evidence, report, decision))
     return _VERDICT_CODE[decision.verdict]
 
 
-def cmd_scan(args, config: Config) -> int:
-    runtime = Runtime.load(config)
+def cmd_scan(args, runtime: Runtime) -> int:
     root = Path(args.dir)
     if not root.is_dir():
         raise FileNotFoundError(f"not a directory: {root}")
-    paths = sorted(p for p in root.rglob("*") if p.is_file())
-
-    def one(path: Path) -> tuple[dict, int]:
-        evidence, report, decision = assess_path(runtime, path)
-        return build_report(path, evidence, report, decision), _VERDICT_CODE[decision.verdict]
-
-    if args.parallel and args.parallel > 1:
-        with ThreadPoolExecutor(max_workers=args.parallel) as pool:
-            results = list(pool.map(one, paths))
-    else:
-        results = [one(p) for p in paths]
     worst = EX_OK
-    for doc, code in results:  # already path-sorted: map preserves input order
-        _emit(doc, compact=True)
-        worst = max(worst, code)
+    for path in sorted(p for p in root.rglob("*") if p.is_file()):
+        evidence, report, decision = assess_path(runtime, path)
+        _emit(build_report(path, evidence, report, decision), compact=True)
+        worst = max(worst, _VERDICT_CODE[decision.verdict])
     return worst
 
 
-def cmd_view_record(args, config: Config) -> int:
-    runtime = Runtime.load(config)
+def cmd_view_record(args, runtime: Runtime) -> int:
     view = ContentView(
         app_id=args.app,
         mime=parse_mime_type(args.mime),
@@ -318,27 +291,23 @@ def cmd_view_record(args, config: Config) -> int:
     return EX_OK
 
 
-def cmd_view_list(args, config: Config) -> int:
-    runtime = Runtime.load(config)
+def cmd_view_list(args, runtime: Runtime) -> int:
     _emit({"views": [_view_obj(fv) for fv in read_views(runtime.store, args.path)]})
     return EX_OK
 
 
-def cmd_trust_set(args, config: Config) -> int:
-    runtime = Runtime.load(config)
-    set_trust(runtime.store, args.path, args.state == "trusted", now=_now(args))
+def cmd_trust_set(args, runtime: Runtime) -> int:
+    set_trust(runtime.store, args.path, args.state == "trusted", now=args.now)
     _emit({"trust": get_trust(runtime.store, args.path).value})
     return EX_OK
 
 
-def cmd_trust_get(args, config: Config) -> int:
-    runtime = Runtime.load(config)
+def cmd_trust_get(args, runtime: Runtime) -> int:
     _emit({"trust": get_trust(runtime.store, args.path).value})
     return EX_OK
 
 
-def cmd_policy_set(args, config: Config) -> int:
-    runtime = Runtime.load(config)
+def cmd_policy_set(args, runtime: Runtime) -> int:
     if args.deny_all:
         policy = DENY_ALL
     else:
@@ -349,24 +318,21 @@ def cmd_policy_set(args, config: Config) -> int:
     return EX_OK
 
 
-def cmd_policy_get(args, config: Config) -> int:
-    runtime = Runtime.load(config)
+def cmd_policy_get(args, runtime: Runtime) -> int:
     policy = get_allowed_handlers(runtime.store, args.path)
     _emit({"deny_all": policy.deny_all, "handlers": list(policy.allowed),
            "restricts": policy.restricts})
     return EX_OK
 
 
-def cmd_browser_run(args, config: Config) -> int:
-    runtime = Runtime.load(config)
+def cmd_browser_run(args, runtime: Runtime) -> int:
     tree = _load_model(args.model, runtime)
     ctx = _context_from_obj(json.loads(args.ctx))
     _emit({"model": tree.name, "action": run_tree(tree, ctx).value})
     return EX_OK
 
 
-def cmd_browser_diff(args, config: Config) -> int:
-    runtime = Runtime.load(config)
+def cmd_browser_diff(args, runtime: Runtime) -> int:
     tree_a = _load_model(args.model_a, runtime)
     tree_b = _load_model(args.model_b, runtime)
     grid = enumerate_grid()
@@ -384,12 +350,11 @@ def cmd_browser_diff(args, config: Config) -> int:
     return EX_OK
 
 
-def cmd_fetch(args, config: Config) -> int:
-    runtime = Runtime.load(config)
+def cmd_fetch(args, runtime: Runtime) -> int:
     record = ingest.fetch(
-        args.url, args.out, runtime.store, referrer=args.referrer, now=_now(args)
+        args.url, args.out, runtime.store, referrer=args.referrer, now=args.now
     )
-    ingest.assess_record(record, runtime, now=_now(args))
+    ingest.assess_record(record, runtime, now=args.now)
     # the auto-check: re-assess with the captured header context so the
     # emitted report reflects the just-recorded ingest view
     evidence, report, decision = assess_path(
@@ -401,7 +366,7 @@ def cmd_fetch(args, config: Config) -> int:
     return _VERDICT_CODE[decision.verdict]
 
 
-def cmd_db_stats(args, config: Config) -> int:
+def cmd_db_stats(args, runtime: Runtime) -> int:
     ext_map, errors = load_extension_map(Path(args.file).read_text("utf-8"))
     stats = db_stats(ext_map)
     _emit({
@@ -439,7 +404,6 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("scan", help="newline-delimited reports for a directory tree")
     p.add_argument("dir")
-    p.add_argument("--parallel", type=int, default=1, metavar="N")
     p.set_defaults(func=cmd_scan)
 
     p = sub.add_parser("view", help="record or list per-application content views")
@@ -511,8 +475,8 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # argparse exits; keep main() returning an int
         return int(exc.code or 0)
     try:
-        config = load_config(args.config)
-        return args.func(args, config)
+        runtime = Runtime.load(load_config(args.config))
+        return args.func(args, runtime)
     except ConfigError as exc:
         print(f"contentoracle: config error: {exc}", file=sys.stderr)
         return EX_CONFIG
@@ -528,6 +492,9 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"contentoracle: {exc}", file=sys.stderr)
         return EX_IOERR
+    except Exception as exc:  # a crash must not read as a verdict
+        print(f"contentoracle: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EX_SOFTWARE
 
 
 def run() -> None:

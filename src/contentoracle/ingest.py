@@ -8,7 +8,9 @@ the saved artifact exactly like any local file.
 
 from __future__ import annotations
 
+import os
 import shutil
+import tempfile
 import time
 import urllib.error
 import urllib.request
@@ -128,10 +130,16 @@ def fetch(
         dest = dest_dir / name
         if dest.resolve().parent != dest_dir.resolve():  # pragma: no cover - sanitizer guarantees this
             raise NetworkError(f"refusing to write outside {dest_dir}")
-        partial = dest_dir / f".{name}.part"
-        with open(partial, "wb") as out:
-            shutil.copyfileobj(response, out)
-        partial.replace(dest)
+        # A fresh O_EXCL name: never follows a planted symlink, and concurrent
+        # fetches of one name do not share a partial file.
+        fd, partial = tempfile.mkstemp(dir=dest_dir, prefix=f".{name}.", suffix=".part")
+        try:
+            with os.fdopen(fd, "wb") as out:
+                shutil.copyfileobj(response, out)
+            os.replace(partial, dest)
+        except BaseException:
+            os.unlink(partial)
+            raise
 
     store.set(dest, ORIGIN_KEY, final_url.encode("utf-8"))
     if referrer:
@@ -192,12 +200,3 @@ def assess_record(
     )
     record_view(runtime.store, record.body_path, view)
     return evidence, report, decision
-
-
-def assess(
-    record: FetchRecord,
-    runtime: Runtime,
-    now: int | None = None,
-) -> tuple[DiscrepancyReport, PolicyDecision]:
-    _, report, decision = assess_record(record, runtime, now=now)
-    return report, decision

@@ -1,8 +1,7 @@
-"""MIME type parsing, the extension<->type database, and handler registration.
+"""MIME type parsing and the extension<->type database.
 
 Everything in here is immutable after construction: loading returns fresh
-values and registration returns a modified copy, so shared instances are safe
-for unsynchronized concurrent reads.
+values, so shared instances are safe for unsynchronized concurrent reads.
 """
 
 from __future__ import annotations
@@ -68,9 +67,6 @@ class MimeType:
     def key(self) -> tuple[str, str]:
         """(family, subtype) pair, the identity used when parameters are irrelevant."""
         return (self.family, self.subtype)
-
-    def same_type(self, other: "MimeType") -> bool:
-        return self.key == other.key
 
     def format(self) -> str:
         parts = [f"{self.family}/{self.subtype}"]
@@ -262,48 +258,3 @@ def db_stats(ext_map: ExtensionMap) -> dict[str, FamilyStats]:
         )
         for family, per_class in sorted(buckets.items())
     }
-
-
-@dataclass(frozen=True)
-class HandlerRegistry:
-    """Applications registered per type, with an optional per-type default.
-
-    The default, when set, is always a member of the entry list.
-    """
-
-    entries: Mapping[MimeType, tuple[str, ...]] = field(default_factory=dict)
-    defaults: Mapping[MimeType, str] = field(default_factory=dict)
-
-    def handlers_for(self, mime: MimeType) -> tuple[str, ...]:
-        return self.entries.get(mime, ())
-
-    def default_for(self, mime: MimeType) -> str | None:
-        return self.defaults.get(mime)
-
-
-def register_handler(
-    registry: HandlerRegistry,
-    app_id: str,
-    types: Iterable[MimeType],
-    make_default: bool = False,
-) -> HandlerRegistry:
-    """Return a new registry with ``app_id`` registered for ``types``.
-
-    Registration is idempotent per (app, type). With ``make_default`` the app
-    displaces any previous default for each listed type, mirroring the
-    newest-user-registration-wins precedence of desktop handler databases.
-    """
-    if not app_id:
-        raise ValueError("app_id must be non-empty")
-    entries = {k: list(v) for k, v in registry.entries.items()}
-    defaults = dict(registry.defaults)
-    for mime in types:
-        bucket = entries.setdefault(mime, [])
-        if app_id not in bucket:
-            bucket.append(app_id)
-        if make_default:
-            defaults[mime] = app_id
-    return HandlerRegistry(
-        entries={k: tuple(v) for k, v in entries.items()},
-        defaults=defaults,
-    )

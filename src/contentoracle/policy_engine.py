@@ -1,18 +1,13 @@
-"""Active-content registry, trust-aware decisions, per-file handler lists.
-
-Activity uses union semantics: a type is active when the shipped base set
-or any application's claim says so, because one application's knowledge
-should protect every other one.
-"""
+"""Active-content registry, trust-aware decisions, per-file handler lists."""
 
 from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from .discrepancy_engine import DiscrepancyReport, Severity
 from .mime_db import MimeType, parse_mime_type
@@ -23,28 +18,14 @@ from .view_registry import AttributeStore, POLICY_KEY, TrustState, _canonical_js
 class ActiveRegistry:
     """Which types count as active (executable) content.
 
-    ``base_active`` ships with the package; ``app_claims`` collects what
-    individual applications have declared active. Parameters are irrelevant
-    to activity, so membership is by (family, subtype).
+    ``base_active`` ships with the package. Parameters are irrelevant to
+    activity, so membership is by (family, subtype).
     """
 
     base_active: frozenset[tuple[str, str]] = frozenset()
-    app_claims: Mapping[str, frozenset[tuple[str, str]]] = field(default_factory=dict)
 
     def is_active(self, mime: MimeType) -> bool:
-        if mime.key in self.base_active:
-            return True
-        return any(mime.key in claimed for claimed in self.app_claims.values())
-
-    def with_claim(self, app_id: str, types: Iterable[MimeType]) -> "ActiveRegistry":
-        claims = {k: v for k, v in self.app_claims.items()}
-        merged = claims.get(app_id, frozenset()) | {m.key for m in types}
-        claims[app_id] = merged
-        return ActiveRegistry(self.base_active, claims)
-
-
-def is_active(mime: MimeType, registry: ActiveRegistry) -> bool:
-    return registry.is_active(mime)
+        return mime.key in self.base_active
 
 
 def load_active_registry(source: str | Iterable[str]) -> ActiveRegistry:
@@ -95,10 +76,6 @@ def set_handler_policy(store: AttributeStore, path: str | Path, policy: HandlerP
     })
     with store.lock(path):
         store.set(path, POLICY_KEY, payload)
-
-
-def set_allowed_handlers(store: AttributeStore, path: str | Path, apps: Iterable[str]) -> None:
-    set_handler_policy(store, path, HandlerPolicy(allowed=tuple(apps)))
 
 
 def get_allowed_handlers(store: AttributeStore, path: str | Path) -> HandlerPolicy:

@@ -62,12 +62,6 @@ class SignatureDb:
     def __len__(self) -> int:
         return len(self.signatures)
 
-    def by_name(self, name: str) -> Signature | None:
-        for sig in self.signatures:
-            if sig.name == name:
-                return sig
-        return None
-
 
 def _parse_hex(token: str, line_no: int, what: str) -> bytes:
     try:

@@ -328,25 +328,13 @@ class TrustState(Enum):
     UNSET = "unset"
 
 
-@dataclass(frozen=True)
-class TrustRecord:
-    trusted: bool
-    content_hash: bytes
-    decided_at: int
-
-
 def set_trust(store: AttributeStore, path: str | Path, trusted: bool, now: int | None = None) -> None:
     """Record a trust decision bound to the file's current content hash."""
-    record = TrustRecord(
-        trusted=trusted,
-        content_hash=content_identity(path),
-        decided_at=int(time.time()) if now is None else now,
-    )
     payload = _canonical_json({
         "v": 1,
-        "trusted": record.trusted,
-        "hash": record.content_hash.hex(),
-        "t": record.decided_at,
+        "trusted": trusted,
+        "hash": content_identity(path).hex(),
+        "t": int(time.time()) if now is None else now,
     })
     with store.lock(path):
         store.set(path, TRUST_KEY, payload)

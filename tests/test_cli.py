@@ -9,8 +9,25 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from contentoracle.cli import EX_CONFIG, EX_IOERR, EX_USAGE, REPORT_SCHEMA, main
+from contentoracle.cli import (
+    EX_CONFIG,
+    EX_IOERR,
+    EX_SOFTWARE,
+    EX_USAGE,
+    REPORT_SCHEMA,
+    main,
+)
+from contentoracle.config import load_config
+from contentoracle.runtime import Runtime
+from contentoracle.view_registry import POLICY_KEY, TRUST_KEY, VIEWS_KEY
 from tests.conftest import zip_with_script
+
+#: Attribute values that decode as JSON but not as the expected record.
+CORRUPT_ATTRIBUTES = [
+    (TRUST_KEY, b'{"v":1}'),
+    (VIEWS_KEY, b'{"v":2}'),
+    (POLICY_KEY, b"[]"),
+]
 
 
 @pytest.fixture
@@ -27,6 +44,10 @@ def run_cli(capsys, *argv: str) -> tuple[int, str]:
     code = main(list(argv))
     out = capsys.readouterr().out
     return code, out
+
+
+def set_raw(config_file: str, path: Path, key: str, value: bytes) -> None:
+    Runtime.load(load_config(config_file)).store.set(path, key, value)
 
 
 def report_of(out: str) -> dict:
@@ -117,16 +138,6 @@ class TestScan:
         for doc in lines:
             jsonschema.validate(doc, REPORT_SCHEMA)
         assert code == 0
-
-    def test_parallel_output_identical(self, capsys, config_file, tmp_path):
-        inbox = tmp_path / "inbox"
-        inbox.mkdir()
-        for i in range(6):
-            (inbox / f"f{i}.pdf").write_bytes(b"%PDF-1.4 " + bytes([65 + i]))
-        _, serial = run_cli(capsys, "--config", config_file, "scan", str(inbox))
-        _, parallel = run_cli(capsys, "--config", config_file,
-                              "scan", str(inbox), "--parallel", "4")
-        assert serial == parallel
 
     def test_worst_verdict_wins(self, capsys, config_file, tmp_path):
         inbox = tmp_path / "inbox"
@@ -282,3 +293,28 @@ class TestExitCodes:
         bad = tmp_path / "extra.json"
         bad.write_text(json.dumps({"surprise": 1}))
         assert main(["--config", str(bad), "trust", "get", "x"]) == EX_CONFIG
+
+    def test_parallel_is_unknown_option(self, capsys, config_file, tmp_path):
+        assert main(["--config", config_file, "scan", str(tmp_path), "--parallel", "2"]) \
+            == EX_USAGE
+
+    @pytest.mark.parametrize("key,value", CORRUPT_ATTRIBUTES)
+    def test_corrupt_attribute_is_internal_error(self, capsys, config_file, tmp_path,
+                                                 key, value):
+        target = tmp_path / "doc.pdf"
+        target.write_bytes(b"%PDF-1.4 body")
+        set_raw(config_file, target, key, value)
+        code = main(["--config", config_file, "check", str(target)])
+        assert code == EX_SOFTWARE
+        assert "internal error" in capsys.readouterr().err
+
+    def test_scan_emits_reports_before_internal_error(self, capsys, config_file, tmp_path):
+        inbox = tmp_path / "inbox"
+        inbox.mkdir()
+        (inbox / "a.pdf").write_bytes(b"%PDF-1.4 ok")
+        corrupt = inbox / "b.pdf"
+        corrupt.write_bytes(b"%PDF-1.4 ok")
+        set_raw(config_file, corrupt, TRUST_KEY, b'{"v":1}')
+        code, out = run_cli(capsys, "--config", config_file, "scan", str(inbox))
+        assert code == EX_SOFTWARE
+        assert [Path(report_of(line)["path"]).name for line in out.splitlines()] == ["a.pdf"]

@@ -11,7 +11,6 @@ from contentoracle.discrepancy_engine import DiscrepancyKind, evaluate
 from contentoracle.errors import HttpError, NetworkError
 from contentoracle.ingest import (
     INGEST_APP_ID,
-    assess,
     assess_record,
     fetch,
     sanitize_url_filename,
@@ -86,6 +85,19 @@ class TestFetch:
         with pytest.raises(NetworkError):
             fetch("http://127.0.0.1:9/nothing", tmp_path, runtime.store, timeout=2)
 
+    def test_planted_partial_symlink_not_followed(self, http_server, runtime, tmp_path):
+        url = http_server.add("/plant/r.pdf", b"%PDF-1.4 downloaded")
+        victim = tmp_path / "victim.txt"
+        victim.write_bytes(b"precious")
+        dest_dir = tmp_path / "inbox"
+        dest_dir.mkdir()
+        (dest_dir / ".r.pdf.part").symlink_to(victim)
+        record = fetch(url, dest_dir, runtime.store)
+        assert victim.read_bytes() == b"precious"
+        assert record.body_path == dest_dir / "r.pdf"
+        assert not record.body_path.is_symlink()
+        assert record.body_path.read_bytes() == b"%PDF-1.4 downloaded"
+
     def test_bidi_stripped_from_saved_name(self, http_server, runtime, tmp_path):
         http_server.add("/files/gadget%E2%80%AEfdp.exe", b"MZ\x90\x00")
         record = fetch(http_server.url("/files/gadget%E2%80%AEfdp.exe"),
@@ -145,7 +157,7 @@ class TestAssess:
             headers=[("Content-Type", "application/pdf")],
         )
         record = fetch(url, tmp_path, runtime.store)
-        report, decision = assess(record, runtime, now=50)
+        _, report, decision = assess_record(record, runtime, now=50)
         assert report.consistent is True
         assert decision.verdict is Verdict.ALLOW
 
@@ -155,7 +167,7 @@ class TestAssess:
             headers=[("Content-Type", "application/pdf")],
         )
         record = fetch(url, tmp_path, runtime.store)
-        assess(record, runtime, now=50)
+        assess_record(record, runtime, now=50)
         views = read_views(runtime.store, record.body_path)
         assert [fv.view.app_id for fv in views] == [INGEST_APP_ID]
         assert views[0].view.mime.format() == "application/pdf"
@@ -168,7 +180,7 @@ class TestAssess:
                      ("Content-Disposition", "attachment")],
         )
         record = fetch(url, tmp_path, runtime.store)
-        report, decision = assess(record, runtime, now=60)
+        _, report, decision = assess_record(record, runtime, now=60)
         kinds = {d.kind for d in report.discrepancies}
         assert DiscrepancyKind.DECLARED_SNIFF_MISMATCH in kinds
         assert decision.verdict is not Verdict.ALLOW
@@ -183,7 +195,7 @@ class TestAssess:
             build_evidence(runtime, record.body_path), runtime.active
         )
         assert any(d.kind is DiscrepancyKind.POLYGLOT for d in direct.discrepancies)
-        report, _ = assess(record, runtime, now=70)
+        _, report, _ = assess_record(record, runtime, now=70)
         assert any(d.kind is DiscrepancyKind.POLYGLOT for d in report.discrepancies)
 
     def test_nosniff_suppresses_sniff_evidence(self, http_server, runtime, tmp_path):
@@ -193,7 +205,7 @@ class TestAssess:
                      ("X-Content-Type-Options", "nosniff")],
         )
         record = fetch(url, tmp_path, runtime.store)
-        report, _ = assess(record, runtime, now=80)
+        _, report, _ = assess_record(record, runtime, now=80)
         kinds = {d.kind for d in report.discrepancies}
         assert DiscrepancyKind.DECLARED_SNIFF_MISMATCH not in kinds
         assert DiscrepancyKind.POLYGLOT not in kinds

@@ -1,4 +1,4 @@
-"""Tests for MIME parsing, classification, extension maps, and handlers."""
+"""Tests for MIME parsing, classification, and extension maps."""
 
 from __future__ import annotations
 
@@ -8,7 +8,6 @@ from hypothesis import given, strategies as st
 from contentoracle.errors import MalformedMime
 from contentoracle.mime_db import (
     ExtensionMap,
-    HandlerRegistry,
     IANA_FAMILIES,
     MimeType,
     RegistrationClass,
@@ -16,7 +15,6 @@ from contentoracle.mime_db import (
     db_stats,
     load_extension_map,
     parse_mime_type,
-    register_handler,
 )
 
 
@@ -201,37 +199,3 @@ class TestDbStats:
         ext_map, _ = load_extension_map(TEN_LINE_FIXTURE)
         stats = db_stats(ext_map)
         assert sum(s.total for s in stats.values()) == len(ext_map.types())
-
-
-class TestHandlerRegistry:
-    pdf = parse_mime_type("application/pdf")
-
-    def test_register_with_default(self):
-        reg = register_handler(HandlerRegistry(), "viewer", [self.pdf], make_default=True)
-        assert reg.default_for(self.pdf) == "viewer"
-        assert reg.handlers_for(self.pdf) == ("viewer",)
-
-    def test_idempotent(self):
-        reg = register_handler(HandlerRegistry(), "viewer", [self.pdf])
-        reg = register_handler(reg, "viewer", [self.pdf])
-        assert reg.handlers_for(self.pdf) == ("viewer",)
-
-    def test_newest_default_displaces(self):
-        reg = register_handler(HandlerRegistry(), "first", [self.pdf], make_default=True)
-        reg = register_handler(reg, "second", [self.pdf], make_default=True)
-        assert reg.default_for(self.pdf) == "second"
-        assert reg.handlers_for(self.pdf) == ("first", "second")
-
-    def test_default_is_member_of_entries(self):
-        reg = register_handler(HandlerRegistry(), "a", [self.pdf], make_default=True)
-        reg = register_handler(reg, "b", [self.pdf])
-        assert reg.default_for(self.pdf) in reg.handlers_for(self.pdf)
-
-    def test_copy_on_write(self):
-        base = HandlerRegistry()
-        register_handler(base, "viewer", [self.pdf])
-        assert base.handlers_for(self.pdf) == ()
-
-    def test_empty_app_id_rejected(self):
-        with pytest.raises(ValueError):
-            register_handler(HandlerRegistry(), "", [self.pdf])

@@ -20,9 +20,7 @@ from contentoracle.policy_engine import (
     Verdict,
     decide,
     get_allowed_handlers,
-    is_active,
     load_active_registry,
-    set_allowed_handlers,
     set_handler_policy,
 )
 from contentoracle.view_registry import TrustState
@@ -33,25 +31,13 @@ GIF = MimeType("image", "gif")
 
 class TestActiveRegistry:
     def test_javascript_active_by_default(self, runtime):
-        assert is_active(JS, runtime.active) is True
+        assert runtime.active.is_active(JS) is True
 
     def test_gif_inactive_by_default(self, runtime):
-        assert is_active(GIF, runtime.active) is False
-
-    def test_union_rule(self, runtime):
-        widened = runtime.active.with_claim("imageapp", [GIF])
-        assert is_active(GIF, widened) is True
-        # claims only ever widen the set
-        assert is_active(JS, widened) is True
-
-    def test_claims_monotone(self, runtime):
-        base = runtime.active
-        widened = base.with_claim("x", [GIF]).with_claim("y", [MimeType("image", "png")])
-        for m in (JS, GIF, MimeType("application", "pdf")):
-            assert not (is_active(m, base) and not is_active(m, widened))
+        assert runtime.active.is_active(GIF) is False
 
     def test_parameters_irrelevant(self, runtime):
-        assert is_active(parse_mime_type("text/javascript; charset=utf-8"), runtime.active)
+        assert runtime.active.is_active(parse_mime_type("text/javascript; charset=utf-8"))
 
     def test_loader_ignores_comments(self):
         reg = load_active_registry("# c\n\ntext/javascript\n")
@@ -60,7 +46,7 @@ class TestActiveRegistry:
     def test_default_set_covers_spec_families(self, runtime):
         for text in ("text/javascript", "application/x-executable",
                      "application/x-shellscript", "application/x-bat"):
-            assert is_active(parse_mime_type(text), runtime.active), text
+            assert runtime.active.is_active(parse_mime_type(text)), text
 
 
 def report_with(severity: Severity | None) -> DiscrepancyReport:
@@ -160,7 +146,7 @@ class TestHandlerPersistence:
     def test_set_get_round_trip(self, backend):
         path = backend.workdir / "f.bin"
         path.write_bytes(b"x")
-        set_allowed_handlers(backend.store, path, ["viewerA"])
+        set_handler_policy(backend.store, path, HandlerPolicy(allowed=("viewerA",)))
         policy = get_allowed_handlers(backend.store, path)
         assert policy.allowed == ("viewerA",)
         assert policy.restricts
@@ -182,7 +168,7 @@ class TestHandlerPersistence:
     def test_empty_list_means_no_restriction(self, backend):
         path = backend.workdir / "f.bin"
         path.write_bytes(b"x")
-        set_allowed_handlers(backend.store, path, [])
+        set_handler_policy(backend.store, path, HandlerPolicy(allowed=()))
         policy = get_allowed_handlers(backend.store, path)
         assert not policy.restricts
         assert policy.permits("anything")

@@ -24,7 +24,7 @@ GIF_LINE = "gif89a | image/gif | 0 | 474946383961 | - | - | 0"
 class TestLoadSignatures:
     def test_gif_line(self):
         db = load_signatures(GIF_LINE)
-        sig = db.by_name("gif89a")
+        sig = db.signatures[0]
         assert sig is not None
         assert sig.mime == MimeType("image", "gif")
         assert sig.offset == 0
@@ -58,7 +58,7 @@ class TestLoadSignatures:
 
     def test_explicit_weight_override(self):
         db = load_signatures("x | image/gif | 0 | 47 | - | 99 | 0")
-        assert db.by_name("x").weight == 99
+        assert db.signatures[0].weight == 99
 
 
 class TestIsText:
