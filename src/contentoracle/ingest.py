@@ -17,7 +17,7 @@ import urllib.request
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping
-from urllib.parse import unquote, urlsplit
+from urllib.parse import quote, unquote, urlsplit, urlunsplit
 
 from .discrepancy_engine import DiscrepancyReport, Evidence
 from .errors import HttpError, NetworkError
@@ -43,6 +43,13 @@ MAX_REDIRECTS = 5
 
 _FALLBACK_NAME = "download"
 
+#: Longest file name, in bytes, that common filesystems accept.
+NAME_MAX = 255
+
+#: Printable ASCII, left as is when a URL is made sendable; an existing
+#: percent-escape therefore stays one escape.
+_URI_SAFE = "".join(map(chr, range(0x21, 0x7F)))
+
 
 @dataclass(frozen=True)
 class FetchRecord:
@@ -66,7 +73,8 @@ def sanitize_url_filename(url: str) -> tuple[str, tuple[str, ...]]:
 
     Traversal and display tricks are neutralized: percent-encoding is
     decoded first so smuggled separators cannot survive, directional
-    override characters are stripped (and reported), and dot-only names
+    override characters are stripped (and reported), names longer than
+    :data:`NAME_MAX` bytes are cut between characters, and dot-only names
     fall back to a fixed placeholder.
     """
     notes: list[str] = []
@@ -80,13 +88,27 @@ def sanitize_url_filename(url: str) -> tuple[str, tuple[str, ...]]:
     if stripped != segment:
         notes.append("stripped directional-override characters")
     segment = "".join(c for c in stripped if ord(c) >= 0x20)
-    if len(segment) > 255:
-        segment = segment[:255]
+    if len(segment.encode("utf-8", "surrogatepass")) > NAME_MAX:
+        segment = segment[:NAME_MAX]
+        while len(segment.encode("utf-8", "surrogatepass")) > NAME_MAX:
+            segment = segment[:-1]  # cut whole characters, never a UTF-8 sequence
         notes.append("truncated overlong name")
     if segment in ("", ".", ".."):
         segment = _FALLBACK_NAME
         notes.append("empty or dot-only name replaced")
     return segment, tuple(notes)
+
+
+def _request_uri(url: str) -> str:
+    """``url`` with its path and query percent-encoded wherever a character
+    cannot go on an HTTP request line (IRI to URI); the host is left for
+    the resolver, which handles international names itself."""
+    parts = urlsplit(url)
+    path = quote(parts.path, safe=_URI_SAFE, errors="surrogateescape")
+    query = quote(parts.query, safe=_URI_SAFE, errors="surrogateescape")
+    if (path, query) == (parts.path, parts.query):
+        return url
+    return urlunsplit(parts._replace(path=path, query=query))
 
 
 def fetch(
@@ -105,7 +127,7 @@ def fetch(
     """
     dest_dir = Path(dest_dir)
     opener = urllib.request.build_opener(_BoundedRedirects())
-    request = urllib.request.Request(url)
+    request = urllib.request.Request(_request_uri(url))
     if referrer:
         request.add_header("Referer", referrer)
     try:
@@ -131,8 +153,9 @@ def fetch(
         if dest.resolve().parent != dest_dir.resolve():  # pragma: no cover - sanitizer guarantees this
             raise NetworkError(f"refusing to write outside {dest_dir}")
         # A fresh O_EXCL name: never follows a planted symlink, and concurrent
-        # fetches of one name do not share a partial file.
-        fd, partial = tempfile.mkstemp(dir=dest_dir, prefix=f".{name}.", suffix=".part")
+        # fetches of one name do not share a partial file. The prefix is
+        # fixed so a name of NAME_MAX bytes still leaves room for it.
+        fd, partial = tempfile.mkstemp(dir=dest_dir, prefix=".contentoracle-", suffix=".part")
         try:
             with os.fdopen(fd, "wb") as out:
                 shutil.copyfileobj(response, out)

@@ -4,11 +4,13 @@ Views, trust state, and handler policy are persisted per file in the
 ``user.contentoracle.*`` extended-attribute namespace. On filesystems
 without xattr support (or when a value outgrows the per-attribute budget)
 an append-only sidecar journal stands in; both backends satisfy the same
-black-box contract.
+black-box contract. Each sidecar store indexes the journal in memory and
+on every read decodes only the lines appended since its previous read.
 
 Writers take an advisory lock per target (or on the journal); a write in
 progress is never observable as a torn value because xattr updates are a
-single syscall and journal appends are a single write of one record.
+single syscall and journal appends are a single write of one record, and
+readers of the journal ignore a last line that has no newline yet.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import fcntl
 import hashlib
 import json
 import os
+import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -41,6 +44,10 @@ XATTR_VALUE_LIMIT = 4096
 
 #: Stub stored in place of an oversized attribute value.
 OVERFLOW_STUB = b'{"redirect":"contentoracle-sidecar","v":1}'
+
+#: Journal lines decoded by one ``json.loads``; bounds the memory a cold
+#: read of a large journal holds at once.
+_DECODE_BATCH = 128
 
 _ABSENT_ERRNOS = {errno.ENODATA, errno.ENOTSUP, errno.EOPNOTSUPP}
 if hasattr(errno, "ENOATTR"):
@@ -83,10 +90,25 @@ class SidecarStore(AttributeStore):
     path where stat is unavailable, which mirrors the way real xattrs stay
     with the inode rather than the name. Values are base64 so arbitrary
     bytes survive the JSON encoding.
+
+    Each instance keeps an index from (identity, key) to the latest base64
+    value, plus the journal's (device, inode) and the byte offset read so
+    far. A get reads only the bytes appended since the previous one and
+    decodes only complete lines, so a record still being written waits for
+    its newline. The index starts over when the journal's inode changes or
+    its size falls below the offset (replaced, recreated or truncated); a
+    journal truncated and refilled past the offset between two reads goes
+    unnoticed, so rewrite it by renaming a new file over it. Lines that
+    do not decode to an object with string ``path``, ``key`` and ``value``
+    are skipped, like a torn record.
     """
 
     def __init__(self, journal_path: str | Path):
         self.journal_path = Path(journal_path)
+        self._index: dict[tuple[str, str], str] = {}
+        self._journal_id: tuple[int, int] | None = None
+        self._offset = 0
+        self._mutex = threading.Lock()  # the index is read-modify-write
 
     @staticmethod
     def identity(path: str | Path) -> str:
@@ -99,19 +121,63 @@ class SidecarStore(AttributeStore):
     def get(self, path: str | Path, key: str) -> bytes | None:
         os.stat(path)  # same file-must-exist contract as the xattr backend
         ident = self.identity(path)
-        value: bytes | None = None
+        with self._mutex:
+            self._catch_up()
+            value = self._index.get((ident, key))
+        return None if value is None else base64.b64decode(value)
+
+    def _catch_up(self) -> None:
+        """Fold the journal's complete lines past the offset into the index."""
         try:
-            with open(self.journal_path, "rb") as fh:
-                for raw in fh:
-                    try:
-                        record = json.loads(raw)
-                    except ValueError:
-                        continue  # tolerate a torn trailing record
-                    if record.get("path") == ident and record.get("key") == key:
-                        value = base64.b64decode(record["value"])
+            fh = open(self.journal_path, "rb")
         except FileNotFoundError:
-            return None
-        return value
+            self._reset(None)
+            return
+        with fh:
+            st = os.fstat(fh.fileno())
+            if (st.st_dev, st.st_ino) != self._journal_id or st.st_size < self._offset:
+                self._reset((st.st_dev, st.st_ino))
+            if st.st_size == self._offset:
+                return
+            fh.seek(self._offset)
+            batch: list[bytes] = []
+            for line in fh:
+                if not line.endswith(b"\n"):
+                    break  # an unfinished append; read again once it ends
+                self._offset += len(line)
+                batch.append(line)
+                if len(batch) == _DECODE_BATCH:
+                    self._index_lines(batch)
+                    batch = []
+            self._index_lines(batch)
+
+    def _reset(self, journal_id: tuple[int, int] | None) -> None:
+        self._index = {}
+        self._journal_id = journal_id
+        self._offset = 0
+
+    def _index_lines(self, lines: list[bytes]) -> None:
+        if not lines:
+            return
+        try:
+            records = json.loads(b"[" + b",".join(lines) + b"]")
+        except (ValueError, RecursionError):
+            records = None
+        if records is None or len(records) != len(lines):
+            # some line is torn or malformed: decode one by one to skip it
+            records = []
+            for line in lines:
+                try:
+                    records.append(json.loads(line))
+                except (ValueError, RecursionError):  # torn, or nested too deep
+                    continue
+        index = self._index
+        for record in records:
+            if not isinstance(record, dict):
+                continue
+            ident, key, value = record.get("path"), record.get("key"), record.get("value")
+            if isinstance(ident, str) and isinstance(key, str) and isinstance(value, str):
+                index[ident, key] = value
 
     def set(self, path: str | Path, key: str, value: bytes) -> None:
         os.stat(path)
@@ -123,8 +189,14 @@ class SidecarStore(AttributeStore):
         }
         line = _canonical_json(record) + b"\n"
         self.journal_path.parent.mkdir(parents=True, exist_ok=True)
-        with open(self.journal_path, "ab") as fh:
-            fcntl.flock(fh.fileno(), fcntl.LOCK_EX)
+        with open(self.journal_path, "a+b") as fh:
+            fd = fh.fileno()
+            fcntl.flock(fd, fcntl.LOCK_EX)
+            # A writer that died mid-append left a fragment with no newline;
+            # end it, or it would swallow this record into one bad line.
+            size = os.fstat(fd).st_size
+            if size and os.pread(fd, 1, size - 1) != b"\n":
+                line = b"\n" + line
             fh.write(line)
             fh.flush()
 

@@ -226,6 +226,16 @@ class TestFetchCommand:
         assert doc["provenance"]["origin_url"] == url
         assert doc["views"][0]["app"] == "contentoracle.ingest"
 
+    def test_fetch_raw_non_ascii_url(self, capsys, config_file, tmp_path, http_server):
+        http_server.add("/cli/%C3%A9%C3%A9%C3%A9", b"%PDF-1.4 accents")
+        url = http_server.url("/cli/\u00e9\u00e9\u00e9")
+        code, out = run_cli(capsys, "--config", config_file,
+                            "fetch", url, "--out", str(tmp_path / "d"))
+        doc = report_of(out)
+        assert code == 0
+        assert doc["url"] == url
+        assert Path(doc["path"]).name == "\u00e9\u00e9\u00e9"
+
     def test_fetch_error_exit(self, capsys, config_file, tmp_path, http_server):
         code, _ = run_cli(capsys, "--config", config_file,
                           "fetch", http_server.url("/cli/absent"),

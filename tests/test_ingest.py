@@ -105,6 +105,21 @@ class TestFetch:
         assert "‮" not in record.body_path.name
         assert record.sanitizations
 
+    def test_overlong_multibyte_name_fits_the_filesystem(self, http_server, runtime, tmp_path):
+        url = http_server.add("/long/" + "%C3%A9" * 200, b"%PDF-1.4 long")  # 400 bytes decoded
+        record = fetch(url, tmp_path, runtime.store)
+        assert record.body_path.name == "\u00e9" * 127  # 254 bytes: no split character
+        assert record.body_path.read_bytes() == b"%PDF-1.4 long"
+        assert "truncated overlong name" in record.sanitizations
+
+    def test_raw_non_ascii_url_is_percent_encoded(self, http_server, runtime, tmp_path):
+        http_server.add("/iri/%C3%A9t%C3%A9.pdf?q=%C3%A9%20x", b"%PDF-1.4 iri")
+        url = http_server.url("/iri/\u00e9t\u00e9.pdf?q=\u00e9 x")
+        record = fetch(url, tmp_path, runtime.store)
+        assert record.url == url
+        assert record.body_path.name == "\u00e9t\u00e9.pdf"
+        assert record.body_path.read_bytes() == b"%PDF-1.4 iri"
+
 
 class TestFilenameSanitizer:
     def test_traversal_segments_neutralized(self):
@@ -120,6 +135,14 @@ class TestFilenameSanitizer:
     def test_dot_dot_replaced(self):
         name, _ = sanitize_url_filename("http://x.example/%2e%2e")
         assert name == "download"
+
+    @pytest.mark.parametrize("char", ["a", "\u00e9", "\u20ac", "\U0001f600"])
+    def test_overlong_name_capped_in_bytes(self, char):
+        name, notes = sanitize_url_filename("http://x.example/" + char * 300)
+        encoded = name.encode("utf-8")
+        assert 255 - len(char.encode("utf-8")) < len(encoded) <= 255
+        assert name == char * len(name)
+        assert "truncated overlong name" in notes
 
     def test_empty_segment_replaced(self):
         name, _ = sanitize_url_filename("http://x.example/dir/")

@@ -3,12 +3,17 @@ plus canonical-encoding and overflow behavior."""
 
 from __future__ import annotations
 
+import json
 import os
 import random
+import sys
 import threading
+import time
+from types import SimpleNamespace
 
 import pytest
 
+from contentoracle import view_registry
 from contentoracle.mime_db import MimeType
 from contentoracle.view_registry import (
     AutoStore,
@@ -329,3 +334,159 @@ class TestSidecarJournal:
         b.write_bytes(b"y")
         store.set(a, "user.test", b"for-a")
         assert store.get(b, "user.test") is None
+
+    def test_malformed_records_skipped(self, tmp_path):
+        journal = tmp_path / "journal.jsonl"
+        store = SidecarStore(journal)
+        a, b = tmp_path / "a", tmp_path / "b"
+        a.write_bytes(b"x")
+        b.write_bytes(b"y")
+        for i in range(150):  # the bad lines land past the first decode batch
+            store.set(a, "user.test", b"a%d" % i)
+        with open(journal, "ab") as fh:
+            fh.write(b'[]\n5\n{"path":"x"}\n{"path":1,"key":"k","value":"dg=="}\n\n')
+            fh.write(b"[" * 100_000 + b"\n")
+        store.set(b, "user.test", b"for-b")
+        assert store.get(a, "user.test") == b"a149"
+        two_values = json.dumps({"key": "user.test", "path": SidecarStore.identity(b),
+                                 "value": "YmFk"}) + ",5\n"  # not one JSON document
+        with open(journal, "ab") as fh:
+            fh.write(two_values.encode())
+        for reader in (store, SidecarStore(journal)):
+            assert reader.get(a, "user.test") == b"a149"
+            assert reader.get(b, "user.test") == b"for-b"
+
+    def test_torn_tail_does_not_swallow_next_record(self, tmp_path):
+        journal = tmp_path / "journal.jsonl"
+        store = SidecarStore(journal)
+        path = tmp_path / "f"
+        path.write_bytes(b"x")
+        store.set(path, "user.test", b"one")
+        with open(journal, "ab") as fh:
+            fh.write(b'{"key":"user.test","pa')
+        store.set(path, "user.test", b"two")
+        assert store.get(path, "user.test") == b"two"
+        assert SidecarStore(journal).get(path, "user.test") == b"two"
+
+    def test_second_store_sees_later_appends(self, tmp_path):
+        journal = tmp_path / "journal.jsonl"
+        writer, reader = SidecarStore(journal), SidecarStore(journal)
+        a, b = tmp_path / "a", tmp_path / "b"
+        a.write_bytes(b"x")
+        b.write_bytes(b"y")
+        writer.set(a, "user.test", b"one")
+        assert reader.get(a, "user.test") == b"one"
+        writer.set(a, "user.test", b"two")
+        writer.set(b, "user.test", b"for-b")
+        assert reader.get(a, "user.test") == b"two"
+        assert reader.get(b, "user.test") == b"for-b"
+
+    def test_recreated_journal_resets_index(self, tmp_path):
+        journal = tmp_path / "journal.jsonl"
+        store = SidecarStore(journal)
+        a, b = tmp_path / "a", tmp_path / "b"
+        a.write_bytes(b"x")
+        b.write_bytes(b"y")
+        store.set(a, "user.test", b"old")
+        assert store.get(a, "user.test") == b"old"
+        with open(journal, "rb"):  # held open, so the new journal gets a new inode
+            journal.unlink()
+            other = SidecarStore(journal)
+            for _ in range(3):  # longer than the old journal: only the inode differs
+                other.set(b, "user.test", b"new")
+        assert store.get(a, "user.test") is None
+        assert store.get(b, "user.test") == b"new"
+
+    def test_truncated_journal_resets_index(self, tmp_path):
+        journal = tmp_path / "journal.jsonl"
+        store = SidecarStore(journal)
+        path = tmp_path / "f"
+        path.write_bytes(b"x")
+        store.set(path, "user.test", b"old")
+        assert store.get(path, "user.test") == b"old"
+        journal.write_bytes(b"")
+        assert store.get(path, "user.test") is None
+        store.set(path, "user.test", b"new")
+        assert store.get(path, "user.test") == b"new"
+
+    def test_unchanged_journal_decodes_nothing(self, tmp_path, monkeypatch):
+        store = SidecarStore(tmp_path / "journal.jsonl")
+        path = tmp_path / "f"
+        path.write_bytes(b"x")
+        for i in range(3):
+            store.set(path, f"user.k{i}", b"v")
+        store.get(path, "user.k0")
+        decoded = []
+
+        def spy(s, *args, **kwargs):
+            decoded.append(s)
+            return json.loads(s, *args, **kwargs)
+
+        monkeypatch.setattr(view_registry, "json", SimpleNamespace(loads=spy, dumps=json.dumps))
+        for i in range(3):
+            assert store.get(path, f"user.k{i}") == b"v"
+        assert store.get(path, "user.absent") is None
+        assert decoded == []
+        store.set(path, "user.k0", b"w")
+        assert store.get(path, "user.k0") == b"w"
+        assert len(decoded) == 1  # only the appended record
+
+    def test_record_completed_after_a_read_is_seen(self, tmp_path):
+        journal = tmp_path / "journal.jsonl"
+        store = SidecarStore(journal)
+        path = tmp_path / "f"
+        path.write_bytes(b"x")
+        store.set(path, "user.test", b"one")
+        line = journal.read_bytes()
+        journal.write_bytes(line + line[:10])  # a second writer, part way through
+        assert store.get(path, "user.test") == b"one"
+        with open(journal, "ab") as fh:
+            fh.write(line[10:].replace(b'"b25l"', b'"dHdv"'))
+        assert store.get(path, "user.test") == b"two"
+
+    def test_threads_sharing_a_store_never_read_backwards(self, tmp_path, monkeypatch):
+        def slow_loads(s, *args, **kwargs):
+            time.sleep(1e-4)  # widen the window in which readers interleave
+            return json.loads(s, *args, **kwargs)
+
+        monkeypatch.setattr(view_registry, "json", SimpleNamespace(loads=slow_loads, dumps=json.dumps))
+        journal = tmp_path / "journal.jsonl"
+        shared, writer = SidecarStore(journal), SidecarStore(journal)
+        paths = [tmp_path / "a", tmp_path / "b"]
+        for path in paths:
+            path.write_bytes(path.name.encode())
+        done = threading.Event()
+        backwards = []
+
+        def write():
+            try:
+                for n in range(1000):
+                    for path in paths:
+                        writer.set(path, "user.test", b"%d" % n)
+            finally:
+                done.set()
+
+        def read():
+            seen = dict.fromkeys(paths, -1)
+            while not done.is_set():
+                for path in paths:
+                    raw = shared.get(path, "user.test")
+                    value = -1 if raw is None else int(raw)
+                    if value < seen[path]:
+                        backwards.append((path.name, seen[path], value))
+                    seen[path] = value
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=write)]
+            threads += [threading.Thread(target=read) for _ in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        assert backwards == []
+        assert all(shared.get(path, "user.test") == b"999" for path in paths)
