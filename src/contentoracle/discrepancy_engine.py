@@ -46,7 +46,11 @@ class Discrepancy:
 
 @dataclass(frozen=True)
 class Evidence:
-    """Everything known about one file, gathered from independent sources."""
+    """Everything known about one file, gathered from independent sources.
+
+    ``content_hash`` is the SHA-256 of the bytes the sniff report judged and
+    the views were checked against; reports do not emit it.
+    """
 
     extension_mime: MimeType | None
     sniff: SniffReport
@@ -54,6 +58,7 @@ class Evidence:
     views: tuple[FlaggedView, ...]
     name_report: NameReport
     provenance: Provenance
+    content_hash: bytes | None = None
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,6 @@ the saved artifact exactly like any local file.
 from __future__ import annotations
 
 import os
-import shutil
 import tempfile
 import time
 import urllib.error
@@ -24,13 +23,12 @@ from .errors import HttpError, NetworkError
 from .mime_db import MimeType, parse_mime_type
 from .name_analyzer import strip_bidi_controls
 from .policy_engine import PolicyDecision
-from .runtime import Runtime, assess_path
+from .runtime import CHUNK_SIZE, Runtime, assess_path
 from .view_registry import (
     AttributeStore,
     ContentView,
     ORIGIN_KEY,
     REFERRER_KEY,
-    content_identity,
     record_view,
 )
 
@@ -40,6 +38,10 @@ INGEST_APP_ID = "contentoracle.ingest"
 CAPTURED_HEADERS = ("Content-Type", "Content-Disposition", "X-Content-Type-Options")
 
 MAX_REDIRECTS = 5
+
+#: Largest response body saved, in bytes; a longer one is a network error
+#: and leaves no file behind.
+MAX_BODY = 1 << 30
 
 _FALLBACK_NAME = "download"
 
@@ -123,7 +125,8 @@ def fetch(
 
     Redirects are followed to depth 5 and the final URL is what gets
     recorded as the origin. Non-success statuses raise
-    :class:`HttpError` and persist nothing.
+    :class:`HttpError`, and a body over :data:`MAX_BODY` bytes raises
+    :class:`NetworkError`; both persist nothing.
     """
     dest_dir = Path(dest_dir)
     opener = urllib.request.build_opener(_BoundedRedirects())
@@ -158,7 +161,12 @@ def fetch(
         fd, partial = tempfile.mkstemp(dir=dest_dir, prefix=".contentoracle-", suffix=".part")
         try:
             with os.fdopen(fd, "wb") as out:
-                shutil.copyfileobj(response, out)
+                size = 0
+                while chunk := response.read(CHUNK_SIZE):
+                    size += len(chunk)
+                    if size > MAX_BODY:
+                        raise NetworkError(f"response from {url} exceeds {MAX_BODY} bytes")
+                    out.write(chunk)
             os.replace(partial, dest)
         except BaseException:
             os.unlink(partial)
@@ -205,7 +213,8 @@ def assess_record(
     evidence, mirroring the browser models. The resulting opinion is
     written back as a content view under the ingest application id; the
     returned evidence is the pre-recording snapshot the report was
-    computed from.
+    computed from, and the view is bound to the digest of the bytes that
+    were assessed, not to whatever the file holds by the time it is written.
     """
     evidence, report, decision = assess_path(
         runtime,
@@ -218,7 +227,7 @@ def assess_record(
         app_id=INGEST_APP_ID,
         mime=resolved,
         active=runtime.active.is_active(resolved),
-        content_hash=content_identity(record.body_path),
+        content_hash=evidence.content_hash,
         recorded_at=int(time.time()) if now is None else now,
     )
     record_view(runtime.store, record.body_path, view)

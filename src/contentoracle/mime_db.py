@@ -9,6 +9,7 @@ from __future__ import annotations
 import unicodedata
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from typing import Iterable, Mapping
 
 from .errors import MalformedMime
@@ -184,6 +185,11 @@ class ExtensionMap:
         return frozenset(self.reverse)
 
     def known_extensions(self) -> frozenset[str]:
+        return self._known_extensions
+
+    @cached_property
+    def _known_extensions(self) -> frozenset[str]:
+        # built on first use, not at load
         return frozenset(self.entries)
 
 

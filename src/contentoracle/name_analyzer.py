@@ -117,7 +117,6 @@ def analyze_name(filename: str, known_exts: frozenset[str] | set[str]) -> NameRe
     if not filename:
         raise ValueError("filename must be non-empty")
     name = unicodedata.normalize("NFC", filename)
-    known = {e.lower() for e in known_exts}
     anomalies: set[NameAnomaly] = set()
 
     if name != name.rstrip():
@@ -139,7 +138,7 @@ def analyze_name(filename: str, known_exts: frozenset[str] | set[str]) -> NameRe
     else:
         anomalies.add(NameAnomaly.MISSING_EXTENSION)
 
-    if len(chain) >= 2 and chain[-1] in known and chain[-2] in known:
+    if len(chain) >= 2 and chain[-1] in known_exts and chain[-2] in known_exts:
         anomalies.add(NameAnomaly.DOUBLE_EXTENSION)
 
     if len(segments) >= 2:

@@ -1,8 +1,16 @@
 """Loaded registries plus the evidence-building step shared by the CLI and
-the ingest pipeline."""
+the ingest pipeline.
+
+Evidence comes from one streamed pass per file: the file is opened and
+read once, in chunks that both update one SHA-256 and feed the sniffer's
+scan. Views, trust and the sniff report are all judged against that one
+digest, so a file rewritten while it is assessed cannot yield evidence
+about two different contents.
+"""
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -17,7 +25,7 @@ from .policy_engine import (
     get_allowed_handlers,
     load_active_registry,
 )
-from .sniffer import EMPTY_REPORT, SignatureDb, load_signatures, sniff
+from .sniffer import EMPTY_REPORT, SignatureDb, SniffScan, load_signatures
 from .view_registry import (
     AttributeStore,
     AutoStore,
@@ -27,6 +35,10 @@ from .view_registry import (
     read_provenance,
     read_views,
 )
+
+
+#: Bytes read from a file at a time while it is hashed and sniffed.
+CHUNK_SIZE = 1 << 20
 
 
 def make_store(config: Config) -> AttributeStore:
@@ -72,8 +84,10 @@ def build_evidence(
 ) -> Evidence:
     """Gather every evidence source for one on-disk file.
 
+    The file is read once; its digest becomes ``Evidence.content_hash``.
     ``nosniff`` suppresses the sniffer's contribution the same way the
-    browser models treat the corresponding response header.
+    browser models treat the corresponding response header; the content
+    is still hashed.
     """
     path = Path(path)
     name_report = analyze_name(path.name, runtime.ext_map.known_extensions())
@@ -82,17 +96,22 @@ def build_evidence(
         if name_report.logical_extension
         else None
     )
-    if nosniff:
-        sniff_report = EMPTY_REPORT
-    else:
-        sniff_report = sniff(path.read_bytes(), runtime.sig_db)
+    digest = hashlib.sha256()
+    scan = None if nosniff else SniffScan(runtime.sig_db)
+    with open(path, "rb") as fh:
+        while chunk := fh.read(CHUNK_SIZE):
+            digest.update(chunk)
+            if scan is not None:
+                scan.feed(chunk)
+    content_hash = digest.digest()
     return Evidence(
         extension_mime=extension_mime,
-        sniff=sniff_report,
+        sniff=EMPTY_REPORT if scan is None else scan.report(),
         declared_mime=declared_mime,
-        views=tuple(read_views(runtime.store, path)),
+        views=tuple(read_views(runtime.store, path, content_hash)),
         name_report=name_report,
         provenance=read_provenance(runtime.store, path),
+        content_hash=content_hash,
     )
 
 
@@ -108,7 +127,7 @@ def assess_path(
     report = evaluate(evidence, runtime.active)
     decision = decide(
         report,
-        trust=get_trust(runtime.store, path),
+        trust=get_trust(runtime.store, path, evidence.content_hash),
         handler=handler,
         policy=get_allowed_handlers(runtime.store, path),
     )

@@ -2,12 +2,21 @@
 
 A loaded :class:`SignatureDb` is immutable and may be shared across threads;
 :func:`sniff` is a pure function of (data, db).
+
+Content is scanned incrementally (:class:`SniffScan`), so a file can be
+sniffed chunk by chunk in the same pass that hashes it, in memory bounded
+by the chunk size. The full-content polyglot tier searches the patterns
+that share a first byte with one regex each, and a lone pattern with
+``bytes.find``; a pattern stops being searched once found, and a signature
+that already matched at offset 0 is not searched at all.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property, lru_cache
 from typing import Iterable, Iterator
 
 from .errors import DuplicateName, MalformedSignature
@@ -61,6 +70,54 @@ class SignatureDb:
 
     def __len__(self) -> int:
         return len(self.signatures)
+
+    @cached_property
+    def _plan(self) -> _ScanPlan:
+        # built on the first scan, so loading costs no more than parsing
+        return _ScanPlan.build(self.signatures)
+
+
+@dataclass(frozen=True)
+class _ScanPlan:
+    """What every scan over one :class:`SignatureDb` checks.
+
+    ``groups`` holds the unmasked polyglot patterns, one tuple per first
+    byte, longest first; ``carry`` is how many trailing bytes a scan keeps
+    across a chunk edge.
+    """
+
+    primary: tuple[Signature, ...]
+    polyglot: tuple[Signature, ...]
+    groups: tuple[tuple[bytes, ...], ...]
+    carry: int
+
+    @classmethod
+    def build(cls, signatures: tuple[Signature, ...]) -> "_ScanPlan":
+        primary = tuple(s for s in signatures if s.offset + len(s.pattern) <= PRIMARY_WINDOW)
+        polyglot = tuple(s for s in signatures if s.polyglot_relevant)
+        by_first: dict[int, set[bytes]] = {}
+        for sig in polyglot:
+            if sig.mask is None:
+                by_first.setdefault(sig.pattern[0], set()).add(sig.pattern)
+        groups = tuple(
+            tuple(sorted(patterns, key=lambda p: (-len(p), p)))
+            for _, patterns in sorted(by_first.items())
+        )
+        carry = max((len(s.pattern) - 1 for s in polyglot), default=0)
+        return cls(primary, polyglot, groups, carry)
+
+
+@lru_cache(maxsize=256)
+def _alternation(patterns: tuple[bytes, ...]) -> re.Pattern[bytes]:
+    """One regex for patterns that share a first byte, longest first.
+
+    CPython's matcher skips to a literal first byte in C, so this searches
+    several patterns about as fast as one ``bytes.find``. An alternation
+    whose branches start with different bytes gets no such skip and is
+    slower than one ``find`` per pattern, so groups never mix first bytes.
+    """
+    rest = b"|".join(re.escape(p[1:]) for p in patterns)
+    return re.compile(re.escape(patterns[0][:1]) + b"(?:" + rest + b")")
 
 
 def _parse_hex(token: str, line_no: int, what: str) -> bytes:
@@ -155,19 +212,15 @@ class SniffReport:
 EMPTY_REPORT = SniffReport((), False, TextVerdict.NOT_APPLIED, 0)
 
 
-def _masked_equal(data: bytes, start: int, pattern: bytes, mask: bytes | None) -> bool:
+def _masked_equal(data: bytes, start: int, pattern: bytes, mask: bytes) -> bool:
     end = start + len(pattern)
     if start < 0 or end > len(data):
         return False
-    if mask is None:
-        return data[start:end] == pattern
     segment = data[start:end]
     return all((segment[i] & mask[i]) == (pattern[i] & mask[i]) for i in range(len(pattern)))
 
 
-def _masked_find(data: bytes, pattern: bytes, mask: bytes | None) -> int:
-    if mask is None:
-        return data.find(pattern)
+def _masked_find(data: bytes, pattern: bytes, mask: bytes) -> int:
     for i in range(len(data) - len(pattern) + 1):
         if _masked_equal(data, i, pattern, mask):
             return i
@@ -216,8 +269,130 @@ def is_text(data: bytes) -> bool:
     return printable * 20 >= n * 19
 
 
+class SniffScan:
+    """One incremental sniff: feed the content in chunks, then take the report.
+
+    The scan keeps the first :data:`PRIMARY_WINDOW` bytes for the header
+    tier and the text heuristic, plus the last ``max(len(pattern)) - 1``
+    bytes of what it has seen, so a polyglot pattern that straddles two
+    chunks is still found at its true offset. Memory is bounded by the
+    chunk size whatever the content length. The report does not depend on
+    how the content was split into chunks.
+    """
+
+    def __init__(self, db: SignatureDb):
+        self._plan = db._plan
+        self._found: dict[str, tuple[Signature, int]] = {}
+        self._pending = b""  # content seen before the primary window filled
+        self._head: bytes | None = None
+        self._size = 0  # bytes searched so far
+        self._tail = b""
+        self._waiting: dict[bytes, list[Signature]] = {}
+        self._groups: list[tuple[bytes, ...]] = []
+        self._masked: list[Signature] = []
+
+    def feed(self, chunk: bytes) -> None:
+        """Scan the next ``chunk`` of the content."""
+        if self._head is None:
+            self._pending += chunk
+            if len(self._pending) < PRIMARY_WINDOW:
+                return
+            chunk, self._pending = self._pending, b""
+            self._start(chunk[:PRIMARY_WINDOW])
+        self._search(chunk)
+
+    def _start(self, head: bytes) -> None:
+        """Header tier over the leading window; then pick the polyglot
+        searches still needed."""
+        self._head = head
+        found = self._found
+        for sig in self._plan.primary:
+            if sig.mask is None:
+                hit = head.startswith(sig.pattern, sig.offset)
+            else:
+                hit = _masked_equal(head, sig.offset, sig.pattern, sig.mask)
+            if hit:
+                found[sig.name] = (sig, sig.offset)
+        for sig in self._plan.polyglot:
+            if sig.offset == 0 and sig.name in found:
+                continue  # no later match can be earlier
+            if sig.mask is None:
+                self._waiting.setdefault(sig.pattern, []).append(sig)
+            else:
+                self._masked.append(sig)
+        for group in self._plan.groups:
+            group = tuple(p for p in group if p in self._waiting)
+            if group:
+                self._groups.append(group)
+
+    def _search(self, chunk: bytes) -> None:
+        if self._groups or self._masked:
+            buf = self._tail + chunk
+            base = self._size - len(self._tail)
+            self._groups = [g for g in (self._search_group(buf, base, g) for g in self._groups) if g]
+            masked = []
+            for sig in self._masked:
+                pos = _masked_find(buf, sig.pattern, sig.mask)
+                if pos < 0:
+                    masked.append(sig)
+                else:
+                    self._credit(sig, base + pos)
+            self._masked = masked
+            carry = self._plan.carry
+            self._tail = buf[-carry:] if carry else b""
+        self._size += len(chunk)
+
+    def _search_group(self, buf: bytes, base: int, group: tuple[bytes, ...]) -> tuple[bytes, ...]:
+        """Find each pattern of ``group`` (one first byte, longest first) in
+        ``buf``; return the patterns not found. A found pattern is dropped and
+        the search resumes where it hit, so a pattern that is a prefix of a
+        longer one found there is still found at its earliest offset."""
+        pos = 0
+        while group:
+            if len(group) == 1:
+                hit = group[0]
+                pos = buf.find(hit, pos)
+                if pos < 0:
+                    break
+            else:
+                match = _alternation(group).search(buf, pos)
+                if match is None:
+                    break
+                pos, hit = match.start(), match.group()
+            for sig in self._waiting.pop(hit):
+                self._credit(sig, base + pos)
+            group = tuple(p for p in group if p != hit)
+        return group
+
+    def _credit(self, sig: Signature, pos: int) -> None:
+        prev = self._found.get(sig.name)
+        self._found[sig.name] = (sig, pos if prev is None else min(prev[1], pos))
+
+    def report(self) -> SniffReport:
+        """The report over everything fed so far."""
+        if self._head is None:  # the whole content fits in the primary window
+            chunk, self._pending = self._pending, b""
+            self._start(chunk)
+            self._search(chunk)
+        candidates = tuple(
+            Candidate(sig.mime, sig.name, sig.weight, pos)
+            for sig, pos in sorted(
+                self._found.values(), key=lambda item: (-item[0].weight, item[1], item[0].name)
+            )
+        )
+        distinct_types = {c.mime.key for c in candidates}
+        is_polyglot = len(distinct_types) >= 2
+        if candidates:
+            text_fallback = TextVerdict.NOT_APPLIED
+        else:
+            text_fallback = TextVerdict.LOOKS_TEXT if is_text(self._head) else TextVerdict.LOOKS_BINARY
+        bytes_examined = self._size if self._plan.polyglot else min(self._size, PRIMARY_WINDOW)
+        return SniffReport(candidates, is_polyglot, text_fallback, bytes_examined)
+
+
 def sniff(data: bytes, db: SignatureDb) -> SniffReport:
-    """Match ``data`` against every signature in ``db``.
+    """Match ``data`` against every signature in ``db``: a :class:`SniffScan`
+    fed ``data`` as one chunk.
 
     Two tiers: signatures are first checked at their declared offset within
     the leading :data:`PRIMARY_WINDOW` bytes; polyglot-relevant signatures
@@ -227,35 +402,6 @@ def sniff(data: bytes, db: SignatureDb) -> SniffReport:
     are strictly ordered by (weight desc, offset asc, name asc); the polyglot
     flag is set exactly when two or more distinct types are present.
     """
-    found: dict[str, tuple[Signature, int]] = {}
-    for sig in db:
-        end = sig.offset + len(sig.pattern)
-        if end <= PRIMARY_WINDOW and _masked_equal(data, sig.offset, sig.pattern, sig.mask):
-            found[sig.name] = (sig, sig.offset)
-    any_polyglot_pass = False
-    for sig in db:
-        if not sig.polyglot_relevant:
-            continue
-        any_polyglot_pass = True
-        pos = _masked_find(data, sig.pattern, sig.mask)
-        if pos < 0:
-            continue
-        if sig.name in found:
-            prev_sig, prev_pos = found[sig.name]
-            found[sig.name] = (prev_sig, min(prev_pos, pos))
-        else:
-            found[sig.name] = (sig, pos)
-    candidates = tuple(
-        Candidate(sig.mime, sig.name, sig.weight, pos)
-        for sig, pos in sorted(
-            found.values(), key=lambda item: (-item[0].weight, item[1], item[0].name)
-        )
-    )
-    distinct_types = {c.mime.key for c in candidates}
-    is_polyglot = len(distinct_types) >= 2
-    if candidates:
-        text_fallback = TextVerdict.NOT_APPLIED
-    else:
-        text_fallback = TextVerdict.LOOKS_TEXT if is_text(data) else TextVerdict.LOOKS_BINARY
-    bytes_examined = len(data) if any_polyglot_pass else min(len(data), PRIMARY_WINDOW)
-    return SniffReport(candidates, is_polyglot, text_fallback, bytes_examined)
+    scan = SniffScan(db)
+    scan.feed(data)
+    return scan.report()

@@ -382,9 +382,15 @@ def record_view(store: AttributeStore, path: str | Path, view: ContentView) -> N
         store.set(path, VIEWS_KEY, encode_views(views))
 
 
-def read_views(store: AttributeStore, path: str | Path) -> list[FlaggedView]:
-    """All recorded views, sorted by app id, with computed staleness flags."""
-    current = content_identity(path)
+def read_views(
+    store: AttributeStore, path: str | Path, content_hash: bytes | None = None
+) -> list[FlaggedView]:
+    """All recorded views, sorted by app id, with computed staleness flags.
+
+    Staleness is judged against ``content_hash`` when given (the digest of
+    bytes already read), otherwise against the file's current contents.
+    """
+    current = content_identity(path) if content_hash is None else content_hash
     raw = store.get(path, VIEWS_KEY)
     views = decode_views(raw) if raw else []
     return [
@@ -412,18 +418,22 @@ def set_trust(store: AttributeStore, path: str | Path, trusted: bool, now: int |
         store.set(path, TRUST_KEY, payload)
 
 
-def get_trust(store: AttributeStore, path: str | Path) -> TrustState:
-    """Trust state for the file's *current* contents.
+def get_trust(
+    store: AttributeStore, path: str | Path, content_hash: bytes | None = None
+) -> TrustState:
+    """Trust state for the file's *current* contents, or for the contents
+    whose digest is ``content_hash`` when given.
 
-    A stored decision whose hash no longer matches the file reports
-    ``INVALIDATED`` rather than the stale verdict.
+    A stored decision whose hash no longer matches reports ``INVALIDATED``
+    rather than the stale verdict.
     """
     os.stat(path)
     raw = store.get(path, TRUST_KEY)
     if raw is None:
         return TrustState.UNSET
     doc = json.loads(raw)
-    if bytes.fromhex(doc["hash"]) != content_identity(path):
+    current = content_identity(path) if content_hash is None else content_hash
+    if bytes.fromhex(doc["hash"]) != current:
         return TrustState.INVALIDATED
     return TrustState.TRUSTED if doc["trusted"] else TrustState.UNTRUSTED
 

@@ -4,9 +4,12 @@ server; no external network is touched."""
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 from hypothesis import given, strategies as st
 
+from contentoracle import ingest
 from contentoracle.discrepancy_engine import DiscrepancyKind, evaluate
 from contentoracle.errors import HttpError, NetworkError
 from contentoracle.ingest import (
@@ -22,7 +25,7 @@ from contentoracle.view_registry import (
     get_trust,
     read_views,
 )
-from contentoracle.runtime import build_evidence
+from contentoracle.runtime import assess_path, build_evidence
 from tests.conftest import zip_with_script
 
 
@@ -112,6 +115,16 @@ class TestFetch:
         assert record.body_path.read_bytes() == b"%PDF-1.4 long"
         assert "truncated overlong name" in record.sanitizations
 
+    def test_body_over_the_cap_is_refused_and_removed(self, http_server, runtime, tmp_path,
+                                                      monkeypatch):
+        monkeypatch.setattr(ingest, "MAX_BODY", 16)
+        fits = http_server.add("/cap/fits.bin", b"x" * 16)
+        assert fetch(fits, tmp_path / "a", runtime.store).body_path.read_bytes() == b"x" * 16
+        over = http_server.add("/cap/over.bin", b"x" * 17)
+        with pytest.raises(NetworkError, match="exceeds 16 bytes"):
+            fetch(over, tmp_path / "b", runtime.store)
+        assert list((tmp_path / "b").iterdir()) == []
+
     def test_raw_non_ascii_url_is_percent_encoded(self, http_server, runtime, tmp_path):
         http_server.add("/iri/%C3%A9t%C3%A9.pdf?q=%C3%A9%20x", b"%PDF-1.4 iri")
         url = http_server.url("/iri/\u00e9t\u00e9.pdf?q=\u00e9 x")
@@ -195,6 +208,23 @@ class TestAssess:
         assert [fv.view.app_id for fv in views] == [INGEST_APP_ID]
         assert views[0].view.mime.format() == "application/pdf"
         assert views[0].stale is False
+
+    def test_ingest_view_binds_the_assessed_bytes(self, http_server, runtime, tmp_path,
+                                                  monkeypatch):
+        body = b"%PDF-1.5 assessed"
+        url = http_server.add("/ok/bound.pdf", body,
+                              headers=[("Content-Type", "application/pdf")])
+        record = fetch(url, tmp_path, runtime.store)
+
+        def assess_then_rewrite(*args, **kwargs):
+            result = assess_path(*args, **kwargs)
+            record.body_path.write_bytes(b"<script>swapped()</script>")
+            return result
+
+        monkeypatch.setattr(ingest, "assess_path", assess_then_rewrite)
+        assess_record(record, runtime, now=55)
+        (view,) = [fv.view for fv in read_views(runtime.store, record.body_path)]
+        assert view.content_hash == hashlib.sha256(body).digest()
 
     def test_motivating_shape_zip_as_pdf_extensionless(self, http_server, runtime, tmp_path):
         url = http_server.add(

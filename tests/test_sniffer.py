@@ -5,13 +5,17 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from contentoracle.errors import DuplicateName, MalformedSignature
 from contentoracle.mime_db import MimeType
 from contentoracle.sniffer import (
     PRIMARY_WINDOW,
+    Candidate,
     Signature,
     SignatureDb,
+    SniffReport,
+    SniffScan,
     TextVerdict,
     is_text,
     load_signatures,
@@ -191,3 +195,159 @@ class TestSniff:
     def test_bundled_db_size(self, runtime):
         assert len(runtime.sig_db) >= 30
         assert len({s.mime.key for s in runtime.sig_db}) >= 30
+
+
+def _reference_equal(data: bytes, start: int, pattern: bytes, mask: bytes | None) -> bool:
+    end = start + len(pattern)
+    if start < 0 or end > len(data):
+        return False
+    if mask is None:
+        return data[start:end] == pattern
+    segment = data[start:end]
+    return all((segment[i] & mask[i]) == (pattern[i] & mask[i]) for i in range(len(pattern)))
+
+
+def _reference_find(data: bytes, pattern: bytes, mask: bytes | None) -> int:
+    if mask is None:
+        return data.find(pattern)
+    for i in range(len(data) - len(pattern) + 1):
+        if _reference_equal(data, i, pattern, mask):
+            return i
+    return -1
+
+
+def reference_sniff(data: bytes, db: SignatureDb) -> SniffReport:
+    """The whole-buffer algorithm the streamed scan replaced: every
+    signature checked at its offset in the window, then one full-content
+    search per polyglot signature, keeping the earliest position."""
+    found: dict[str, tuple[Signature, int]] = {}
+    for sig in db:
+        end = sig.offset + len(sig.pattern)
+        if end <= PRIMARY_WINDOW and _reference_equal(data, sig.offset, sig.pattern, sig.mask):
+            found[sig.name] = (sig, sig.offset)
+    any_polyglot_pass = False
+    for sig in db:
+        if not sig.polyglot_relevant:
+            continue
+        any_polyglot_pass = True
+        pos = _reference_find(data, sig.pattern, sig.mask)
+        if pos < 0:
+            continue
+        if sig.name in found:
+            prev_sig, prev_pos = found[sig.name]
+            found[sig.name] = (prev_sig, min(prev_pos, pos))
+        else:
+            found[sig.name] = (sig, pos)
+    candidates = tuple(
+        Candidate(sig.mime, sig.name, sig.weight, pos)
+        for sig, pos in sorted(
+            found.values(), key=lambda item: (-item[0].weight, item[1], item[0].name)
+        )
+    )
+    is_polyglot = len({c.mime.key for c in candidates}) >= 2
+    if candidates:
+        text_fallback = TextVerdict.NOT_APPLIED
+    else:
+        text_fallback = TextVerdict.LOOKS_TEXT if is_text(data) else TextVerdict.LOOKS_BINARY
+    bytes_examined = len(data) if any_polyglot_pass else min(len(data), PRIMARY_WINDOW)
+    return SniffReport(candidates, is_polyglot, text_fallback, bytes_examined)
+
+
+#: Prefix-overlapping patterns (<html, <html5, and < alone), one pattern
+#: shared by two signatures (html and twin), a masked polyglot signature
+#: (<s in either case), a lone first byte (eval), one whose declared
+#: offset leaves room for an earlier match (late), and header-only ones.
+OVERLAP_DB = load_signatures("\n".join([
+    "html   | text/html             | 0    | 3c68746d6c   | -    | - | 1",
+    "html5  | application/xhtml+xml | 0    | 3c68746d6c35 | -    | - | 1",
+    "twin   | text/x-twin           | 4    | 3c68746d6c   | -    | - | 1",
+    "tag    | text/x-tag            | 0    | 3c           | -    | 1 | 1",
+    "masked | text/x-masked         | 0    | 3c53         | ffdf | - | 1",
+    "lone   | text/x-lone           | 2    | 6576616c28   | -    | - | 1",
+    "late   | text/x-late           | 6    | 5858         | -    | - | 1",
+    "gif    | image/gif             | 0    | 474946       | -    | - | 0",
+    "deep   | image/png             | 9000 | 5858         | -    | - | 0",
+]))
+
+_FRAGMENTS = [b"<", b"<h", b"<html", b"<html5", b"<HTML", b"<s", b"<S", b"<script",
+              b"<?php", b"<!DOCTYPE html", b"eval(", b"eva", b"PK\x03\x04", b"%PDF-",
+              b"#!/", b"\x7fELF", b"GIF", b"XX", b"a", b" ", b"\n", b"\x00", b"\xff"]
+
+_dense = st.lists(st.sampled_from(_FRAGMENTS), max_size=40).map(b"".join)
+
+#: Pattern-dense text on both sides of a filler that can push the second
+#: part past the primary window, or arbitrary bytes.
+_content = st.one_of(
+    st.tuples(_dense, st.integers(0, 2 * PRIMARY_WINDOW), st.sampled_from([b".", b"\x00"]), _dense)
+    .map(lambda t: t[0] + t[2] * t[1] + t[3]),
+    st.binary(max_size=3 * PRIMARY_WINDOW),
+)
+
+
+def _chunks(data: bytes, sizes: list[int]) -> list[bytes]:
+    out, pos = [], 0
+    for size in sizes:
+        out.append(data[pos:pos + size])
+        pos += size
+    out.append(data[pos:])
+    return out
+
+
+def _scan(data: bytes, db: SignatureDb, sizes: list[int]) -> SniffReport:
+    scan = SniffScan(db)
+    for chunk in _chunks(data, sizes):
+        scan.feed(chunk)
+    return scan.report()
+
+
+_sizes = st.lists(st.integers(0, 3 * PRIMARY_WINDOW // 2), max_size=12)
+
+
+class TestStreamedScan:
+    @given(data=_content, sizes=_sizes)
+    def test_bundled_db_matches_reference(self, runtime, data, sizes):
+        expected = reference_sniff(data, runtime.sig_db)
+        assert sniff(data, runtime.sig_db) == expected
+        assert _scan(data, runtime.sig_db, sizes) == expected
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=_content, sizes=_sizes)
+    def test_overlapping_db_matches_reference(self, data, sizes):
+        expected = reference_sniff(data, OVERLAP_DB)
+        assert sniff(data, OVERLAP_DB) == expected
+        assert _scan(data, OVERLAP_DB, sizes) == expected
+
+    @given(before=st.integers(0, 40), cut=st.integers(1, 14))
+    def test_match_straddling_a_chunk_edge(self, runtime, before, cut):
+        pattern = b"<!DOCTYPE html"
+        data = b"GIF89a" + b"." * (PRIMARY_WINDOW + before) + pattern + b"."
+        edge = 6 + PRIMARY_WINDOW + before + cut
+        report = _scan(data, runtime.sig_db, [edge])
+        assert report == reference_sniff(data, runtime.sig_db)
+        offsets = {c.signature: c.offset for c in report.candidates}
+        assert offsets["doctype-html"] == 6 + PRIMARY_WINDOW + before
+
+    def test_prefix_pattern_keeps_its_earliest_offset(self):
+        data = b"<html5" + b"." * PRIMARY_WINDOW + b"<html5 <html"
+        offsets = {c.signature: c.offset for c in sniff(data, OVERLAP_DB).candidates}
+        assert offsets["html5"] == 0 and offsets["html"] == 0
+        data = b"...<html5 <html"
+        offsets = {c.signature: c.offset for c in sniff(data, OVERLAP_DB).candidates}
+        assert offsets["html5"] == 3 and offsets["html"] == 3 and offsets["tag"] == 3
+
+    def test_shared_pattern_credits_both_signatures(self):
+        data = b"..." + b"." * PRIMARY_WINDOW + b"<html>"
+        offsets = {c.signature: c.offset for c in sniff(data, OVERLAP_DB).candidates}
+        assert offsets["html"] == offsets["twin"] == 3 + PRIMARY_WINDOW
+
+    def test_offset_zero_match_is_kept_and_others_still_searched(self):
+        data = b"<html" + b"." * PRIMARY_WINDOW + b"<s"
+        report = sniff(data, OVERLAP_DB)
+        offsets = {c.signature: c.offset for c in report.candidates}
+        assert offsets["html"] == 0 and offsets["twin"] == 0
+        assert offsets["masked"] == 5 + PRIMARY_WINDOW
+        assert report == reference_sniff(data, OVERLAP_DB)
+
+    def test_match_at_a_later_declared_offset_is_still_searched(self):
+        offsets = {c.signature: c.offset for c in sniff(b"XX....XX", OVERLAP_DB).candidates}
+        assert offsets["late"] == 0
