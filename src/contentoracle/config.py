@@ -1,4 +1,4 @@
-"""Configuration: data-file locations, sidecar journal, backend selection.
+"""Configuration: data-file locations, sidecar database, backend selection.
 
 Search order for the config file: an explicit ``--config`` path, the
 ``CONTENTORACLE_CONFIG`` environment variable, then the per-user config
@@ -30,7 +30,7 @@ _BACKENDS = ("auto", "xattr", "sidecar")
 def _default_sidecar() -> Path:
     state_home = os.environ.get("XDG_STATE_HOME")
     base = Path(state_home) if state_home else Path.home() / ".local" / "state"
-    return base / "contentoracle" / "sidecar.jsonl"
+    return base / "contentoracle" / "sidecar.sqlite3"
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -68,7 +67,6 @@ DENY_ALL = HandlerPolicy(deny_all=True)
 
 
 def set_handler_policy(store: AttributeStore, path: str | Path, policy: HandlerPolicy) -> None:
-    os.stat(path)
     payload = _canonical_json({
         "v": 1,
         "deny_all": policy.deny_all,
@@ -79,7 +77,6 @@ def set_handler_policy(store: AttributeStore, path: str | Path, policy: HandlerP
 
 
 def get_allowed_handlers(store: AttributeStore, path: str | Path) -> HandlerPolicy:
-    os.stat(path)
     raw = store.get(path, POLICY_KEY)
     if raw is None:
         return NO_RESTRICTION

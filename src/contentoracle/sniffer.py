@@ -6,8 +6,9 @@ A loaded :class:`SignatureDb` is immutable and may be shared across threads;
 Content is scanned incrementally (:class:`SniffScan`), so a file can be
 sniffed chunk by chunk in the same pass that hashes it, in memory bounded
 by the chunk size. The full-content polyglot tier searches the patterns
-that share a first byte with one regex each, and a lone pattern with
-``bytes.find``; a pattern stops being searched once found, and a signature
+that share a first byte with one regex each, a lone pattern with
+``bytes.find``, and a masked pattern with a regex of one byte class per
+pattern byte; a pattern stops being searched once found, and a signature
 that already matched at offset 0 is not searched at all.
 """
 
@@ -82,13 +83,14 @@ class _ScanPlan:
     """What every scan over one :class:`SignatureDb` checks.
 
     ``groups`` holds the unmasked polyglot patterns, one tuple per first
-    byte, longest first; ``carry`` is how many trailing bytes a scan keeps
-    across a chunk edge.
+    byte, longest first; ``masked`` holds one regex per masked signature;
+    ``carry`` is how many trailing bytes a scan keeps across a chunk edge.
     """
 
     primary: tuple[Signature, ...]
     polyglot: tuple[Signature, ...]
     groups: tuple[tuple[bytes, ...], ...]
+    masked: dict[Signature, re.Pattern[bytes]]
     carry: int
 
     @classmethod
@@ -103,8 +105,26 @@ class _ScanPlan:
             tuple(sorted(patterns, key=lambda p: (-len(p), p)))
             for _, patterns in sorted(by_first.items())
         )
+        masked = {s: _masked_regex(s) for s in primary + polyglot if s.mask is not None}
         carry = max((len(s.pattern) - 1 for s in polyglot), default=0)
-        return cls(primary, polyglot, groups, carry)
+        return cls(primary, polyglot, groups, masked, carry)
+
+
+def _masked_regex(sig: Signature) -> re.Pattern[bytes]:
+    """A regex matching where ``sig`` matches, so the search runs in C: per
+    pattern byte ``p`` with mask ``m``, the class of bytes ``b`` with
+    ``b & m == p & m``. Masks ``ff`` and ``00`` give a literal and ``.``,
+    which ``re`` parses far faster than a class (12 ms per CLI process)."""
+    parts = []
+    for p, m in zip(sig.pattern, sig.mask):
+        if m == 0xFF:
+            parts.append(re.escape(bytes([p])))
+        elif m == 0:
+            parts.append(b".")
+        else:
+            parts.append(b"[" + b"".join(b"\\x%02x" % b for b in range(256) if b & m == p & m)
+                         + b"]")
+    return re.compile(b"".join(parts), re.DOTALL)
 
 
 @lru_cache(maxsize=256)
@@ -212,21 +232,6 @@ class SniffReport:
 EMPTY_REPORT = SniffReport((), False, TextVerdict.NOT_APPLIED, 0)
 
 
-def _masked_equal(data: bytes, start: int, pattern: bytes, mask: bytes) -> bool:
-    end = start + len(pattern)
-    if start < 0 or end > len(data):
-        return False
-    segment = data[start:end]
-    return all((segment[i] & mask[i]) == (pattern[i] & mask[i]) for i in range(len(pattern)))
-
-
-def _masked_find(data: bytes, pattern: bytes, mask: bytes) -> int:
-    for i in range(len(data) - len(pattern) + 1):
-        if _masked_equal(data, i, pattern, mask):
-            return i
-    return -1
-
-
 def is_text(data: bytes) -> bool:
     """Heuristic used when no signature matches: does this look like text?
 
@@ -310,7 +315,7 @@ class SniffScan:
             if sig.mask is None:
                 hit = head.startswith(sig.pattern, sig.offset)
             else:
-                hit = _masked_equal(head, sig.offset, sig.pattern, sig.mask)
+                hit = self._plan.masked[sig].match(head, sig.offset) is not None
             if hit:
                 found[sig.name] = (sig, sig.offset)
         for sig in self._plan.polyglot:
@@ -332,11 +337,11 @@ class SniffScan:
             self._groups = [g for g in (self._search_group(buf, base, g) for g in self._groups) if g]
             masked = []
             for sig in self._masked:
-                pos = _masked_find(buf, sig.pattern, sig.mask)
-                if pos < 0:
+                match = self._plan.masked[sig].search(buf)
+                if match is None:
                     masked.append(sig)
                 else:
-                    self._credit(sig, base + pos)
+                    self._credit(sig, base + match.start())
             self._masked = masked
             carry = self._plan.carry
             self._tail = buf[-carry:] if carry else b""

@@ -3,19 +3,18 @@
 Views, trust state, and handler policy are persisted per file in the
 ``user.contentoracle.*`` extended-attribute namespace. On filesystems
 without xattr support (or when a value outgrows the per-attribute budget)
-an append-only sidecar journal stands in; both backends satisfy the same
-black-box contract. Each sidecar store indexes the journal in memory and
-on every read decodes only the lines appended since its previous read.
+a sidecar SQLite database stands in, one row per (file, key); both
+backends satisfy the same black-box contract, and both raise ``OSError``
+for a file that does not exist.
 
-Writers take an advisory lock per target (or on the journal); a write in
-progress is never observable as a torn value because xattr updates are a
-single syscall and journal appends are a single write of one record, and
-readers of the journal ignore a last line that has no newline yet.
+Read-modify-write cycles hold a lock: an advisory lock on the target file
+for xattrs, a write transaction for the sidecar. A write in progress is
+never observable as a torn value, because an xattr update is a single
+syscall and a sidecar write is a single committed statement.
 """
 
 from __future__ import annotations
 
-import base64
 import errno
 import fcntl
 import hashlib
@@ -23,12 +22,14 @@ import json
 import os
 import threading
 import time
+import weakref
 from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from typing import Iterator
 
+from .errors import ConfigError
 from .mime_db import MimeType, parse_mime_type
 
 VIEWS_KEY = "user.contentoracle.views"
@@ -45,9 +46,8 @@ XATTR_VALUE_LIMIT = 4096
 #: Stub stored in place of an oversized attribute value.
 OVERFLOW_STUB = b'{"redirect":"contentoracle-sidecar","v":1}'
 
-#: Journal lines decoded by one ``json.loads``; bounds the memory a cold
-#: read of a large journal holds at once.
-_DECODE_BATCH = 128
+#: Seconds a sidecar writer waits for another writer before it fails.
+_BUSY_TIMEOUT = 30.0
 
 _ABSENT_ERRNOS = {errno.ENODATA, errno.ENOTSUP, errno.EOPNOTSUPP}
 if hasattr(errno, "ENOATTR"):
@@ -84,131 +84,80 @@ class AttributeStore:
 
 
 class SidecarStore(AttributeStore):
-    """Append-only newline-delimited JSON journal; the last record wins.
+    """One SQLite table with one row per (file, key): a set is an upsert,
+    so the last write wins and rewrites take no more space.
 
-    Files are identified by (device, inode), falling back to the absolute
-    path where stat is unavailable, which mirrors the way real xattrs stay
-    with the inode rather than the name. Values are base64 so arbitrary
-    bytes survive the JSON encoding.
-
-    Each instance keeps an index from (identity, key) to the latest base64
-    value, plus the journal's (device, inode) and the byte offset read so
-    far. A get reads only the bytes appended since the previous one and
-    decodes only complete lines, so a record still being written waits for
-    its newline. The index starts over when the journal's inode changes or
-    its size falls below the offset (replaced, recreated or truncated); a
-    journal truncated and refilled past the offset between two reads goes
-    unnoticed, so rewrite it by renaming a new file over it. Lines that
-    do not decode to an object with string ``path``, ``key`` and ``value``
-    are skipped, like a torn record.
+    Files are identified by (device, inode), as real xattrs stay with the
+    inode rather than the name. In WAL mode readers never wait for a
+    writer and never see a write in progress. The connection is opened on
+    first use and shared by the store's threads; a get before the
+    database exists returns ``None`` and creates nothing.
     """
 
-    def __init__(self, journal_path: str | Path):
-        self.journal_path = Path(journal_path)
-        self._index: dict[tuple[str, str], str] = {}
-        self._journal_id: tuple[int, int] | None = None
-        self._offset = 0
-        self._mutex = threading.Lock()  # the index is read-modify-write
+    def __init__(self, path: str | Path):
+        self.path = Path(path)
+        self._conn = None
+        self._mutex = threading.RLock()  # one connection, one user at a time
 
     @staticmethod
     def identity(path: str | Path) -> str:
+        st = os.stat(path)  # raises for a missing file, as getxattr does
+        return f"{st.st_dev}:{st.st_ino}"
+
+    def _connect(self):
+        # imported here: a process that never touches the sidecar skips it
+        import sqlite3
+
+        self.path.parent.mkdir(parents=True, exist_ok=True)
+        conn = None
         try:
-            st = os.stat(path)
-            return f"{st.st_dev}:{st.st_ino}"
-        except OSError:
-            return os.path.abspath(os.fspath(path))
+            conn = sqlite3.connect(self.path, timeout=_BUSY_TIMEOUT,
+                                   isolation_level=None, check_same_thread=False)
+            conn.execute("PRAGMA journal_mode=WAL")
+            conn.execute("PRAGMA synchronous=NORMAL")
+            conn.execute("CREATE TABLE IF NOT EXISTS attrs (ident TEXT, key TEXT, value BLOB,"
+                         " PRIMARY KEY (ident, key)) WITHOUT ROWID")
+        except sqlite3.DatabaseError as exc:
+            if conn is not None:
+                conn.close()
+            if isinstance(exc, sqlite3.OperationalError):  # cannot open, busy or locked
+                raise OSError(f"sidecar {self.path}: {exc}") from exc
+            raise ConfigError(f"sidecar {self.path} is not a SQLite database") from None
+        # A connection is freed only by the cycle collector; close it, and
+        # release its cache and files, as soon as the store goes.
+        weakref.finalize(self, conn.close)
+        self._conn = conn
+        return conn
 
     def get(self, path: str | Path, key: str) -> bytes | None:
-        os.stat(path)  # same file-must-exist contract as the xattr backend
         ident = self.identity(path)
         with self._mutex:
-            self._catch_up()
-            value = self._index.get((ident, key))
-        return None if value is None else base64.b64decode(value)
-
-    def _catch_up(self) -> None:
-        """Fold the journal's complete lines past the offset into the index."""
-        try:
-            fh = open(self.journal_path, "rb")
-        except FileNotFoundError:
-            self._reset(None)
-            return
-        with fh:
-            st = os.fstat(fh.fileno())
-            if (st.st_dev, st.st_ino) != self._journal_id or st.st_size < self._offset:
-                self._reset((st.st_dev, st.st_ino))
-            if st.st_size == self._offset:
-                return
-            fh.seek(self._offset)
-            batch: list[bytes] = []
-            for line in fh:
-                if not line.endswith(b"\n"):
-                    break  # an unfinished append; read again once it ends
-                self._offset += len(line)
-                batch.append(line)
-                if len(batch) == _DECODE_BATCH:
-                    self._index_lines(batch)
-                    batch = []
-            self._index_lines(batch)
-
-    def _reset(self, journal_id: tuple[int, int] | None) -> None:
-        self._index = {}
-        self._journal_id = journal_id
-        self._offset = 0
-
-    def _index_lines(self, lines: list[bytes]) -> None:
-        if not lines:
-            return
-        try:
-            records = json.loads(b"[" + b",".join(lines) + b"]")
-        except (ValueError, RecursionError):
-            records = None
-        if records is None or len(records) != len(lines):
-            # some line is torn or malformed: decode one by one to skip it
-            records = []
-            for line in lines:
-                try:
-                    records.append(json.loads(line))
-                except (ValueError, RecursionError):  # torn, or nested too deep
-                    continue
-        index = self._index
-        for record in records:
-            if not isinstance(record, dict):
-                continue
-            ident, key, value = record.get("path"), record.get("key"), record.get("value")
-            if isinstance(ident, str) and isinstance(key, str) and isinstance(value, str):
-                index[ident, key] = value
+            if self._conn is None and not self.path.exists():
+                return None  # a read creates no database
+            row = (self._conn or self._connect()).execute(
+                "SELECT value FROM attrs WHERE ident = ? AND key = ?", (ident, key)).fetchone()
+        return None if row is None else row[0]
 
     def set(self, path: str | Path, key: str, value: bytes) -> None:
-        os.stat(path)
-        record = {
-            "key": key,
-            "path": self.identity(path),
-            "t": int(time.time()),
-            "value": base64.b64encode(value).decode("ascii"),
-        }
-        line = _canonical_json(record) + b"\n"
-        self.journal_path.parent.mkdir(parents=True, exist_ok=True)
-        with open(self.journal_path, "a+b") as fh:
-            fd = fh.fileno()
-            fcntl.flock(fd, fcntl.LOCK_EX)
-            # A writer that died mid-append left a fragment with no newline;
-            # end it, or it would swallow this record into one bad line.
-            size = os.fstat(fd).st_size
-            if size and os.pread(fd, 1, size - 1) != b"\n":
-                line = b"\n" + line
-            fh.write(line)
-            fh.flush()
+        ident = self.identity(path)
+        with self._mutex:
+            conn = self._conn or self._connect()
+            conn.execute("INSERT OR REPLACE INTO attrs VALUES (?, ?, ?)", (ident, key, value))
 
     @contextmanager
     def lock(self, path: str | Path) -> Iterator[None]:
-        # A dedicated lock file: holding the journal itself here would
-        # deadlock against the per-append lock taken inside set().
-        lock_path = self.journal_path.with_suffix(self.journal_path.suffix + ".lock")
-        lock_path.parent.mkdir(parents=True, exist_ok=True)
-        with open(lock_path, "ab") as fh:
-            fcntl.flock(fh.fileno(), fcntl.LOCK_EX)
-            yield
+        # One write transaction on the whole database: it serializes
+        # read-modify-write cycles across threads (the mutex) and processes.
+        with self._mutex:
+            conn = self._conn or self._connect()
+            conn.execute("BEGIN IMMEDIATE")
+            try:
+                yield
+                conn.execute("COMMIT")
+            except BaseException:
+                if conn.in_transaction:
+                    conn.execute("ROLLBACK")
+                raise
 
 
 class XattrStore(AttributeStore):
@@ -373,7 +322,6 @@ def decode_views(data: bytes) -> list[ContentView]:
 
 def record_view(store: AttributeStore, path: str | Path, view: ContentView) -> None:
     """Append (or replace, latest-wins per application) one view on a file."""
-    os.stat(path)
     with store.lock(path):
         raw = store.get(path, VIEWS_KEY)
         views = decode_views(raw) if raw else []
@@ -427,7 +375,6 @@ def get_trust(
     A stored decision whose hash no longer matches reports ``INVALIDATED``
     rather than the stale verdict.
     """
-    os.stat(path)
     raw = store.get(path, TRUST_KEY)
     if raw is None:
         return TrustState.UNSET
@@ -448,7 +395,6 @@ class Provenance:
 
 
 def read_provenance(store: AttributeStore, path: str | Path) -> Provenance:
-    os.stat(path)
 
     def _text(key: str) -> str | None:
         raw = store.get(path, key)

@@ -304,6 +304,23 @@ class TestExitCodes:
         bad.write_text(json.dumps({"surprise": 1}))
         assert main(["--config", str(bad), "trust", "get", "x"]) == EX_CONFIG
 
+    def test_sidecar_not_a_database_is_78(self, capsys, config_file, tmp_path):
+        target = tmp_path / "doc.pdf"
+        target.write_bytes(b"%PDF-1.4 body")
+        sidecar = Path(load_config(config_file).sidecar_path)
+        sidecar.write_bytes(b'{"key":"user.contentoracle.trust","path":"1:2","value":"e30="}\n')
+        assert main(["--config", config_file, "check", str(target)]) == EX_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert str(sidecar) in captured.err
+
+    def test_sidecar_that_cannot_be_opened_is_74(self, capsys, config_file, tmp_path):
+        target = tmp_path / "doc.pdf"
+        target.write_bytes(b"%PDF-1.4 body")
+        Path(load_config(config_file).sidecar_path).mkdir()
+        assert main(["--config", config_file, "trust", "set", str(target), "trusted"]) \
+            == EX_IOERR
+
     def test_parallel_is_unknown_option(self, capsys, config_file, tmp_path):
         assert main(["--config", config_file, "scan", str(tmp_path), "--parallel", "2"]) \
             == EX_USAGE

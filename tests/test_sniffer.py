@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -133,6 +134,7 @@ class TestSniff:
         # byte matches iff (b AND m) == (p AND m); absent mask is all-ones
         db = _db("riff | audio/x-wav | 0 | 524946460000000057415645 | ffffffff00000000ffffffff | - | 0")
         assert sniff(b"RIFF\x12\x34\x56\x78WAVEdata", db).top is not None
+        assert sniff(b"RIFF\n\n\n\nWAVEdata", db).top is not None
         assert sniff(b"RIFF\x12\x34\x56\x78WEBPdata", db).top is None
 
     def test_candidate_ordering(self):
@@ -351,3 +353,12 @@ class TestStreamedScan:
     def test_match_at_a_later_declared_offset_is_still_searched(self):
         offsets = {c.signature: c.offset for c in sniff(b"XX....XX", OVERLAP_DB).candidates}
         assert offsets["late"] == 0
+
+    def test_masked_search_within_budget(self):
+        db = _db("masked | text/x-masked | 0 | 3c53 | ffdf | - | 1")
+        data = b"<a <b " * ((4 << 20) // 6) + b"<s"
+        start = time.perf_counter()
+        report = sniff(data, db)
+        assert time.perf_counter() - start < 2.0
+        assert [(c.signature, c.offset) for c in report.candidates] == \
+            [("masked", len(data) - 2)]

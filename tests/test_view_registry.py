@@ -3,18 +3,29 @@ plus canonical-encoding and overflow behavior."""
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import random
+import sqlite3
+import subprocess
 import sys
+import textwrap
 import threading
 import time
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
+import contentoracle
 from contentoracle import view_registry
 from contentoracle.mime_db import MimeType
+from contentoracle.policy_engine import (
+    DENY_ALL,
+    get_allowed_handlers,
+    set_handler_policy,
+)
 from contentoracle.view_registry import (
     AutoStore,
     ContentView,
@@ -214,6 +225,16 @@ class TestBackendContract:
             read_views(backend.store, missing)
         with pytest.raises(OSError):
             record_view(backend.store, missing, ContentView("a", PDF, False, bytes(32), 0))
+        with pytest.raises(OSError):
+            get_trust(backend.store, missing)
+        with pytest.raises(OSError):
+            set_trust(backend.store, missing, True, now=1)
+        with pytest.raises(OSError):
+            read_provenance(backend.store, missing)
+        with pytest.raises(OSError):
+            get_allowed_handlers(backend.store, missing)
+        with pytest.raises(OSError):
+            set_handler_policy(backend.store, missing, DENY_ALL)
 
     def test_concurrent_writers_all_land(self, backend):
         path = _file(backend)
@@ -308,6 +329,15 @@ class TestAutoStore:
         assert not (xattr_dir / "journal.jsonl").exists()
 
 
+def _write_uncommitted(db, path, value):
+    """A second connection to ``db`` holding an open write of ``value`` for ``path``."""
+    other = sqlite3.connect(db, isolation_level=None)
+    other.execute("BEGIN IMMEDIATE")
+    other.execute("INSERT OR REPLACE INTO attrs VALUES (?, ?, ?)",
+                  (SidecarStore.identity(path), "user.test", value))
+    return other
+
+
 class TestSidecarJournal:
     def test_last_record_wins(self, tmp_path):
         store = SidecarStore(tmp_path / "journal.jsonl")
@@ -318,14 +348,18 @@ class TestSidecarJournal:
         assert store.get(path, "user.test") == b"two"
 
     def test_torn_trailing_record_tolerated(self, tmp_path):
-        journal = tmp_path / "journal.jsonl"
-        store = SidecarStore(journal)
+        db = tmp_path / "sidecar.sqlite3"
+        store = SidecarStore(db)
         path = tmp_path / "f"
         path.write_bytes(b"x")
         store.set(path, "user.test", b"value")
-        with open(journal, "ab") as fh:
-            fh.write(b'{"path": "half-written')
-        assert store.get(path, "user.test") == b"value"
+        other = _write_uncommitted(db, path, b"half-written")
+        try:
+            assert store.get(path, "user.test") == b"value"
+            other.execute("ROLLBACK")
+            assert store.get(path, "user.test") == b"value"
+        finally:
+            other.close()
 
     def test_distinct_files_do_not_collide(self, tmp_path):
         store = SidecarStore(tmp_path / "journal.jsonl")
@@ -334,39 +368,6 @@ class TestSidecarJournal:
         b.write_bytes(b"y")
         store.set(a, "user.test", b"for-a")
         assert store.get(b, "user.test") is None
-
-    def test_malformed_records_skipped(self, tmp_path):
-        journal = tmp_path / "journal.jsonl"
-        store = SidecarStore(journal)
-        a, b = tmp_path / "a", tmp_path / "b"
-        a.write_bytes(b"x")
-        b.write_bytes(b"y")
-        for i in range(150):  # the bad lines land past the first decode batch
-            store.set(a, "user.test", b"a%d" % i)
-        with open(journal, "ab") as fh:
-            fh.write(b'[]\n5\n{"path":"x"}\n{"path":1,"key":"k","value":"dg=="}\n\n')
-            fh.write(b"[" * 100_000 + b"\n")
-        store.set(b, "user.test", b"for-b")
-        assert store.get(a, "user.test") == b"a149"
-        two_values = json.dumps({"key": "user.test", "path": SidecarStore.identity(b),
-                                 "value": "YmFk"}) + ",5\n"  # not one JSON document
-        with open(journal, "ab") as fh:
-            fh.write(two_values.encode())
-        for reader in (store, SidecarStore(journal)):
-            assert reader.get(a, "user.test") == b"a149"
-            assert reader.get(b, "user.test") == b"for-b"
-
-    def test_torn_tail_does_not_swallow_next_record(self, tmp_path):
-        journal = tmp_path / "journal.jsonl"
-        store = SidecarStore(journal)
-        path = tmp_path / "f"
-        path.write_bytes(b"x")
-        store.set(path, "user.test", b"one")
-        with open(journal, "ab") as fh:
-            fh.write(b'{"key":"user.test","pa')
-        store.set(path, "user.test", b"two")
-        assert store.get(path, "user.test") == b"two"
-        assert SidecarStore(journal).get(path, "user.test") == b"two"
 
     def test_second_store_sees_later_appends(self, tmp_path):
         journal = tmp_path / "journal.jsonl"
@@ -381,68 +382,19 @@ class TestSidecarJournal:
         assert reader.get(a, "user.test") == b"two"
         assert reader.get(b, "user.test") == b"for-b"
 
-    def test_recreated_journal_resets_index(self, tmp_path):
-        journal = tmp_path / "journal.jsonl"
-        store = SidecarStore(journal)
-        a, b = tmp_path / "a", tmp_path / "b"
-        a.write_bytes(b"x")
-        b.write_bytes(b"y")
-        store.set(a, "user.test", b"old")
-        assert store.get(a, "user.test") == b"old"
-        with open(journal, "rb"):  # held open, so the new journal gets a new inode
-            journal.unlink()
-            other = SidecarStore(journal)
-            for _ in range(3):  # longer than the old journal: only the inode differs
-                other.set(b, "user.test", b"new")
-        assert store.get(a, "user.test") is None
-        assert store.get(b, "user.test") == b"new"
-
-    def test_truncated_journal_resets_index(self, tmp_path):
-        journal = tmp_path / "journal.jsonl"
-        store = SidecarStore(journal)
-        path = tmp_path / "f"
-        path.write_bytes(b"x")
-        store.set(path, "user.test", b"old")
-        assert store.get(path, "user.test") == b"old"
-        journal.write_bytes(b"")
-        assert store.get(path, "user.test") is None
-        store.set(path, "user.test", b"new")
-        assert store.get(path, "user.test") == b"new"
-
-    def test_unchanged_journal_decodes_nothing(self, tmp_path, monkeypatch):
-        store = SidecarStore(tmp_path / "journal.jsonl")
-        path = tmp_path / "f"
-        path.write_bytes(b"x")
-        for i in range(3):
-            store.set(path, f"user.k{i}", b"v")
-        store.get(path, "user.k0")
-        decoded = []
-
-        def spy(s, *args, **kwargs):
-            decoded.append(s)
-            return json.loads(s, *args, **kwargs)
-
-        monkeypatch.setattr(view_registry, "json", SimpleNamespace(loads=spy, dumps=json.dumps))
-        for i in range(3):
-            assert store.get(path, f"user.k{i}") == b"v"
-        assert store.get(path, "user.absent") is None
-        assert decoded == []
-        store.set(path, "user.k0", b"w")
-        assert store.get(path, "user.k0") == b"w"
-        assert len(decoded) == 1  # only the appended record
-
     def test_record_completed_after_a_read_is_seen(self, tmp_path):
-        journal = tmp_path / "journal.jsonl"
-        store = SidecarStore(journal)
+        db = tmp_path / "sidecar.sqlite3"
+        store = SidecarStore(db)
         path = tmp_path / "f"
         path.write_bytes(b"x")
         store.set(path, "user.test", b"one")
-        line = journal.read_bytes()
-        journal.write_bytes(line + line[:10])  # a second writer, part way through
-        assert store.get(path, "user.test") == b"one"
-        with open(journal, "ab") as fh:
-            fh.write(line[10:].replace(b'"b25l"', b'"dHdv"'))
-        assert store.get(path, "user.test") == b"two"
+        other = _write_uncommitted(db, path, b"two")  # a second writer, part way through
+        try:
+            assert store.get(path, "user.test") == b"one"
+            other.execute("COMMIT")
+            assert store.get(path, "user.test") == b"two"
+        finally:
+            other.close()
 
     def test_threads_sharing_a_store_never_read_backwards(self, tmp_path, monkeypatch):
         def slow_loads(s, *args, **kwargs):
@@ -490,3 +442,111 @@ class TestSidecarJournal:
         assert not any(t.is_alive() for t in threads)
         assert backwards == []
         assert all(shared.get(path, "user.test") == b"999" for path in paths)
+
+
+def _start_python(script: str, *args: str) -> subprocess.Popen:
+    """A Python process running ``script`` with the package importable."""
+    env = dict(os.environ, PYTHONPATH=str(Path(contentoracle.__file__).parents[1]))
+    return subprocess.Popen([sys.executable, "-c", textwrap.dedent(script), *args],
+                            env=env, stderr=subprocess.PIPE, text=True)
+
+
+class TestSidecarDatabase:
+    def test_rewrites_do_not_grow_the_database(self, tmp_path):
+        db = tmp_path / "sidecar.sqlite3"
+        store = SidecarStore(db)
+        path = tmp_path / "f"
+        path.write_bytes(b"x")
+        for i in range(5000):
+            store.set(path, "user.test", b"%d" % i)
+        assert store.get(path, "user.test") == b"4999"
+        assert db.stat().st_size < 64 << 10
+        wal = db.with_name(db.name + "-wal")  # checkpointed and reused, not grown
+        assert not wal.exists() or wal.stat().st_size < 8 << 20
+
+    def test_dropped_store_closes_its_database(self, tmp_path):
+        db = tmp_path / "sidecar.sqlite3"
+        store = SidecarStore(db)
+        path = tmp_path / "f"
+        path.write_bytes(b"x")
+        store.set(path, "user.test", b"one")
+        wal = db.with_name(db.name + "-wal")
+        assert wal.exists()
+        gc.disable()  # a connection is in a reference cycle: do not wait for it
+        try:
+            del store
+            assert not wal.exists()  # the last connection to close removes it
+        finally:
+            gc.enable()
+        assert SidecarStore(db).get(path, "user.test") == b"one"
+
+    def test_get_creates_no_file(self, tmp_path):
+        store = SidecarStore(tmp_path / "state" / "sidecar.sqlite3")
+        path = tmp_path / "f"
+        path.write_bytes(b"x")
+        assert store.get(path, "user.test") is None
+        assert read_views(store, path) == []
+        assert get_trust(store, path) is TrustState.UNSET
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_failed_update_leaves_the_store_usable(self, tmp_path):
+        db = tmp_path / "sidecar.sqlite3"
+        store = SidecarStore(db)
+        bad, good = tmp_path / "bad", tmp_path / "good"
+        bad.write_bytes(b"x")
+        good.write_bytes(b"y")
+        store.set(bad, VIEWS_KEY, b'{"v":2}')
+        with pytest.raises(ValueError):
+            record_view(store, bad, _view(path=bad))
+        record_view(store, good, _view(path=good))
+        assert len(read_views(SidecarStore(db), good)) == 1
+
+    def test_crashed_writer_does_not_lose_next_write(self, tmp_path):
+        db = tmp_path / "sidecar.sqlite3"
+        store = SidecarStore(db)
+        path = tmp_path / "f"
+        path.write_bytes(b"x")
+        store.set(path, "user.test", b"one")
+        writer = _start_python("""
+            import os, sys
+            from contentoracle.view_registry import SidecarStore
+
+            store = SidecarStore(sys.argv[1])
+            with store.lock(sys.argv[2]):
+                store.set(sys.argv[2], "user.test", b"torn")
+                os._exit(9)  # dies holding the write transaction
+        """, str(db), str(path))
+        _, err = writer.communicate(timeout=120)
+        assert writer.returncode == 9, err
+        assert store.get(path, "user.test") == b"one"
+        store.set(path, "user.test", b"two")
+        assert store.get(path, "user.test") == b"two"
+        assert SidecarStore(db).get(path, "user.test") == b"two"
+
+    def test_processes_recording_views_all_land(self, tmp_path):
+        db = tmp_path / "sidecar.sqlite3"
+        path = tmp_path / "f"
+        path.write_bytes(b"x")
+        workers = [_start_python("""
+            import sys, time
+            from pathlib import Path
+            from contentoracle.mime_db import MimeType
+            from contentoracle.view_registry import (
+                ContentView, SidecarStore, content_identity, record_view)
+
+            db, path, n = Path(sys.argv[1]), sys.argv[2], sys.argv[3]
+            store = SidecarStore(db)
+            digest = content_identity(path)
+            (db.parent / f"ready-{n}").touch()
+            deadline = time.monotonic() + 60
+            while len(list(db.parent.glob("ready-*"))) < 4 and time.monotonic() < deadline:
+                time.sleep(0.001)  # start together, so that the updates overlap
+            for i in range(25):
+                view = ContentView(f"app-{n}-{i:02d}", MimeType("application", "pdf"),
+                                   False, digest, i)
+                record_view(store, path, view)
+        """, str(db), str(path), str(n)) for n in range(4)]
+        for worker in workers:
+            _, err = worker.communicate(timeout=120)
+            assert worker.returncode == 0, err
+        assert len(read_views(SidecarStore(db), path)) == 100
