@@ -15,16 +15,6 @@ import sys
 import time
 from pathlib import Path
 
-from . import ingest
-from .browser_model import (
-    DecisionTree,
-    Disposition,
-    RequestContext,
-    differential,
-    enumerate_grid,
-    load_tree,
-    run as run_tree,
-)
 from .config import load_config
 from .discrepancy_engine import DiscrepancyReport, Evidence, evaluate
 from .errors import (
@@ -210,6 +200,9 @@ def _emit(obj, compact: bool = False) -> None:
 
 
 def _load_model(name: str, runtime: Runtime) -> DecisionTree:
+    # the browser models are imported by the browser commands only
+    from .browser_model import load_tree
+
     candidate = Path(name)
     if not candidate.is_file():
         candidate = runtime.models_dir / f"{name}.tree"
@@ -219,6 +212,8 @@ def _load_model(name: str, runtime: Runtime) -> DecisionTree:
 
 
 def _context_from_obj(obj: dict) -> RequestContext:
+    from .browser_model import Disposition, RequestContext
+
     def mime(key):
         value = obj.get(key)
         return parse_mime_type(value) if value else None
@@ -326,6 +321,8 @@ def cmd_policy_get(args, runtime: Runtime) -> int:
 
 
 def cmd_browser_run(args, runtime: Runtime) -> int:
+    from .browser_model import run as run_tree
+
     tree = _load_model(args.model, runtime)
     ctx = _context_from_obj(json.loads(args.ctx))
     _emit({"model": tree.name, "action": run_tree(tree, ctx).value})
@@ -333,6 +330,8 @@ def cmd_browser_run(args, runtime: Runtime) -> int:
 
 
 def cmd_browser_diff(args, runtime: Runtime) -> int:
+    from .browser_model import differential, enumerate_grid
+
     tree_a = _load_model(args.model_a, runtime)
     tree_b = _load_model(args.model_b, runtime)
     grid = enumerate_grid()
@@ -351,6 +350,9 @@ def cmd_browser_diff(args, runtime: Runtime) -> int:
 
 
 def cmd_fetch(args, runtime: Runtime) -> int:
+    # imported here: the other subcommands never load the HTTP, e-mail and TLS stack
+    from . import ingest
+
     record = ingest.fetch(
         args.url, args.out, runtime.store, referrer=args.referrer, now=args.now
     )

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .errors import ConfigError
@@ -39,7 +39,7 @@ class Config:
     magic_path: Path = DATA_DIR / "magic.signatures"
     active_types_path: Path = DATA_DIR / "active.types"
     models_dir: Path = DATA_DIR / "models"
-    sidecar_path: Path = _default_sidecar()
+    sidecar_path: Path = field(default_factory=_default_sidecar)  # per Config, not at import
     backend: str = "auto"
 
 

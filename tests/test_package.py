@@ -1,0 +1,147 @@
+"""The package surface: every public name resolves as it always has, and
+the HTTP stack and the browser models load only where they are used."""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
+import pytest
+
+import contentoracle
+
+#: Every public name of the package when all of its submodules loaded eagerly.
+PUBLIC_NAMES = [
+    "Action", "ActiveRegistry", "AutoStore", "Config", "ContentView", "DecisionTree",
+    "Discrepancy", "DiscrepancyKind", "DiscrepancyReport", "Evidence", "ExtensionMap",
+    "FetchRecord", "HandlerPolicy", "MimeType", "NameAnomaly", "NameReport",
+    "PolicyDecision", "Provenance", "RegistrationClass", "RequestContext", "Runtime",
+    "Severity", "SidecarStore", "Signature", "SignatureDb", "SniffReport", "TrustState",
+    "Verdict", "XattrStore", "analyze_name", "assess_path", "browser_model",
+    "build_evidence", "classify_registration", "config", "content_identity", "db_stats",
+    "decide", "differential", "discrepancy_engine", "enumerate_grid", "errors", "evaluate",
+    "fetch", "get_allowed_handlers", "get_trust", "ingest", "is_text",
+    "load_active_registry", "load_config", "load_extension_map", "load_signatures",
+    "load_tree", "mime_db", "name_analyzer", "parse_mime_type", "policy_engine",
+    "read_provenance", "read_views", "record_view", "run", "runtime",
+    "set_handler_policy", "set_trust", "sniff", "sniffer", "view_registry",
+]
+
+#: Names that load their submodule on first use -> that submodule.
+LAZY_NAMES = {
+    "fetch": "ingest", "FetchRecord": "ingest",
+    **dict.fromkeys(["run", "load_tree", "differential", "enumerate_grid", "Action",
+                     "DecisionTree", "RequestContext"], "browser_model"),
+}
+
+#: What only ``fetch`` (the HTTP, e-mail and TLS stack), the browser
+#: commands, or a write to the sidecar database need.
+HEAVY = [
+    "contentoracle.ingest", "contentoracle.browser_model", "urllib.request",
+    "http.client", "email.parser", "ssl", "sqlite3",
+]
+
+#: Runs the CLI in this interpreter, then prints its exit code and every
+#: module it has loaded.
+_RUN_CLI = """
+    import contextlib, io, json, sys
+    from contentoracle.cli import main
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(sys.argv[1:])
+    print(json.dumps({"code": code, "modules": sorted(sys.modules)}))
+"""
+
+
+class TestPublicNames:
+    def test_every_name_resolves(self):
+        assert [name for name in PUBLIC_NAMES if not hasattr(contentoracle, name)] == []
+
+    def test_lazy_names_are_the_submodule_objects(self):
+        for name, module in LAZY_NAMES.items():
+            assert getattr(contentoracle, name) is getattr(getattr(contentoracle, module), name)
+
+    def test_star_import_binds_every_name(self):
+        namespace: dict = {}
+        exec("from contentoracle import *", namespace)
+        assert set(PUBLIC_NAMES) <= set(namespace)
+        assert sorted(contentoracle.__all__) == sorted(PUBLIC_NAMES)
+
+    def test_dir_lists_every_name(self):
+        assert set(PUBLIC_NAMES) <= set(dir(contentoracle))
+
+    def test_unknown_name_raises_attribute_error(self):
+        with pytest.raises(AttributeError, match="nonexistent"):
+            contentoracle.nonexistent
+        assert not hasattr(contentoracle, "nonexistent")
+
+
+def _env(tmp_path: Path) -> dict[str, str]:
+    env = dict(os.environ, PYTHONPATH=str(Path(contentoracle.__file__).parents[1]),
+               HOME=str(tmp_path / "home"), XDG_STATE_HOME=str(tmp_path / "state"),
+               XDG_CONFIG_HOME=str(tmp_path / "config"))
+    env.pop("CONTENTORACLE_CONFIG", None)
+    return env
+
+
+def _python(tmp_path: Path, *args: str) -> str:
+    proc = subprocess.run([sys.executable, *args], env=_env(tmp_path), cwd=tmp_path,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def _cli_modules(tmp_path: Path, *argv: str) -> tuple[int, set[str]]:
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"sidecar_path": str(tmp_path / "sidecar.sqlite3"),
+                                  "backend": "sidecar"}))
+    out = _python(tmp_path, "-c", textwrap.dedent(_RUN_CLI), "--config", str(config), *argv)
+    doc = json.loads(out.splitlines()[-1])
+    return doc["code"], set(doc["modules"])
+
+
+@pytest.fixture
+def site_modules(tmp_path) -> set[str]:
+    """Modules a bare interpreter loads on this machine before any package code."""
+    return set(_python(tmp_path, "-c", "import sys; print('\\n'.join(sys.modules))").split())
+
+
+class TestImportGuard:
+    @pytest.mark.parametrize("argv", [
+        ["check", "a.pdf"],
+        ["check", "a.pdf", "--handler", "viewer"],
+        ["identify", "a.pdf"],
+        ["scan", "."],
+        ["view", "list", "a.pdf"],
+        ["trust", "get", "a.pdf"],
+        ["policy", "handlers", "get", "a.pdf"],
+    ], ids=" ".join)
+    def test_file_commands_skip_http_browser_and_sqlite(self, tmp_path, site_modules, argv):
+        (tmp_path / "a.pdf").write_bytes(b"%PDF-1.7\n1 0 obj\n<<>>\nendobj\n%%EOF\n")
+        code, modules = _cli_modules(tmp_path, *argv)
+        assert code in (0, 1, 2)
+        assert sorted(set(HEAVY) & (modules - site_modules)) == []
+
+    def test_browser_diff_loads_models_not_http(self, tmp_path, site_modules):
+        code, modules = _cli_modules(tmp_path, "browser", "diff", "firefox-like", "opera-like")
+        assert code == 0
+        assert "contentoracle.browser_model" in modules
+        assert sorted({"contentoracle.ingest", "urllib.request", "http.client"}
+                      & (modules - site_modules)) == []
+
+    def test_package_name_loads_its_submodule_on_first_use(self, tmp_path):
+        script = """
+            import sys
+            import contentoracle
+            before = "contentoracle.ingest" in sys.modules
+            fetch = contentoracle.fetch
+            print(before, "contentoracle.ingest" in sys.modules,
+                  fetch is sys.modules["contentoracle.ingest"].fetch)
+            before = "contentoracle.browser_model" in sys.modules
+            print(before, contentoracle.browser_model is sys.modules["contentoracle.browser_model"])
+        """
+        assert _python(tmp_path, "-c", textwrap.dedent(script)).split() == [
+            "False", "True", "True", "False", "True"]
