@@ -13,6 +13,7 @@ import base64
 import json
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 from .config import load_config
@@ -36,7 +37,7 @@ from .policy_engine import (
     get_allowed_handlers,
     set_handler_policy,
 )
-from .runtime import Runtime, assess_path, build_evidence
+from .runtime import Runtime, assess_path, build_evidence, judge
 from .sniffer import SniffReport
 from .view_registry import (
     ContentView,
@@ -356,14 +357,12 @@ def cmd_fetch(args, runtime: Runtime) -> int:
     record = ingest.fetch(
         args.url, args.out, runtime.store, referrer=args.referrer, now=args.now
     )
-    ingest.assess_record(record, runtime, now=args.now)
-    # the auto-check: re-assess with the captured header context so the
-    # emitted report reflects the just-recorded ingest view
-    evidence, report, decision = assess_path(
-        runtime, record.body_path,
-        declared_mime=ingest.declared_mime(record),
-        nosniff=ingest.nosniff(record),
-    )
+    evidence, _, _ = ingest.assess_record(record, runtime, now=args.now)
+    # the report is that assessment with the views as just recorded, the
+    # ingest view among them, so the body is read and hashed only once
+    views = read_views(runtime.store, record.body_path, evidence.content_hash)
+    evidence = replace(evidence, views=tuple(views))
+    report, decision = judge(runtime, record.body_path, evidence)
     _emit(build_report(record.body_path, evidence, report, decision, url=record.url))
     return _VERDICT_CODE[decision.verdict]
 

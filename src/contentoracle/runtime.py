@@ -124,11 +124,13 @@ def assess_path(
 ) -> tuple[Evidence, DiscrepancyReport, PolicyDecision]:
     """Evidence, discrepancy report, and policy decision for one file."""
     evidence = build_evidence(runtime, path, declared_mime, nosniff)
+    return (evidence, *judge(runtime, path, evidence, handler))
+
+
+def judge(
+    runtime: Runtime, path: str | Path, evidence: Evidence, handler: str | None = None
+) -> tuple[DiscrepancyReport, PolicyDecision]:
+    """Discrepancy report and policy decision for ``evidence`` about ``path``."""
     report = evaluate(evidence, runtime.active)
-    decision = decide(
-        report,
-        trust=get_trust(runtime.store, path, evidence.content_hash),
-        handler=handler,
-        policy=get_allowed_handlers(runtime.store, path),
-    )
-    return evidence, report, decision
+    trust = get_trust(runtime.store, path, evidence.content_hash)
+    return report, decide(report, trust, handler, get_allowed_handlers(runtime.store, path))

@@ -3,7 +3,10 @@ golden determinism."""
 
 from __future__ import annotations
 
+import builtins
+import io
 import json
+import os
 from pathlib import Path
 
 import jsonschema
@@ -225,6 +228,29 @@ class TestFetchCommand:
         assert doc["url"] == url
         assert doc["provenance"]["origin_url"] == url
         assert doc["views"][0]["app"] == "contentoracle.ingest"
+
+    def test_fetch_reads_the_download_once(self, capsys, config_file, tmp_path,
+                                           http_server, monkeypatch):
+        url = http_server.add("/cli/once.pdf", b"%PDF-1.4 read once",
+                              headers=[("Content-Type", "application/pdf")])
+        body = (tmp_path / "downloads" / "once.pdf").resolve()
+        opens = []
+
+        def counting(real):
+            def opener(file, *args, **kwargs):
+                if not isinstance(file, int) and Path(os.fsdecode(file)).resolve() == body:
+                    opens.append(file)
+                return real(file, *args, **kwargs)
+            return opener
+
+        for module, name in ((builtins, "open"), (io, "open"), (os, "open")):
+            monkeypatch.setattr(module, name, counting(getattr(module, name)))
+        code, out = run_cli(capsys, "--config", config_file, "--now", "123",
+                            "fetch", url, "--out", str(body.parent))
+        monkeypatch.undo()
+        assert code == 0
+        assert report_of(out)["views"][0]["app"] == "contentoracle.ingest"
+        assert len(opens) == 1
 
     def test_fetch_raw_non_ascii_url(self, capsys, config_file, tmp_path, http_server):
         http_server.add("/cli/%C3%A9%C3%A9%C3%A9", b"%PDF-1.4 accents")
