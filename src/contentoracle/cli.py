@@ -325,7 +325,7 @@ def cmd_browser_run(args, runtime: Runtime) -> int:
     from .browser_model import run as run_tree
 
     tree = _load_model(args.model, runtime)
-    ctx = _context_from_obj(json.loads(args.ctx))
+    ctx = _context_from_obj(args.ctx)
     _emit({"model": tree.name, "action": run_tree(tree, ctx).value})
     return EX_OK
 
@@ -362,7 +362,7 @@ def cmd_fetch(args, runtime: Runtime) -> int:
     # ingest view among them, so the body is read and hashed only once
     views = read_views(runtime.store, record.body_path, evidence.content_hash)
     evidence = replace(evidence, views=tuple(views))
-    report, decision = judge(runtime, record.body_path, evidence)
+    report, decision = judge(runtime, evidence)
     _emit(build_report(record.body_path, evidence, report, decision, url=record.url))
     return _VERDICT_CODE[decision.verdict]
 
@@ -447,7 +447,7 @@ def build_parser() -> _Parser:
     browser_sub = p.add_subparsers(dest="browser_command", required=True)
     br = browser_sub.add_parser("run")
     br.add_argument("model")
-    br.add_argument("--ctx", required=True, help="request context as JSON")
+    br.add_argument("--ctx", required=True, type=json.loads, help="request context as JSON")
     br.set_defaults(func=cmd_browser_run)
     bd = browser_sub.add_parser("diff")
     bd.add_argument("model_a")
@@ -481,7 +481,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"contentoracle: config error: {exc}", file=sys.stderr)
         return EX_CONFIG
-    except (MalformedMime, MalformedTree, MalformedSignature, json.JSONDecodeError) as exc:
+    except (MalformedMime, MalformedTree, MalformedSignature) as exc:
         print(f"contentoracle: {exc}", file=sys.stderr)
         return EX_USAGE
     except (NetworkError, HttpError) as exc:

@@ -14,10 +14,10 @@ from typing import TYPE_CHECKING
 from .mime_db import MimeType
 from .name_analyzer import NameAnomaly, NameReport
 from .sniffer import SniffReport
-from .view_registry import FlaggedView, Provenance
+from .view_registry import FlaggedView, Provenance, TrustState
 
 if TYPE_CHECKING:
-    from .policy_engine import ActiveRegistry
+    from .policy_engine import ActiveRegistry, HandlerPolicy
 
 
 class Severity(IntEnum):
@@ -49,7 +49,8 @@ class Evidence:
     """Everything known about one file, gathered from independent sources.
 
     ``content_hash`` is the SHA-256 of the bytes the sniff report judged and
-    the views were checked against; reports do not emit it.
+    the views and trust were checked against; reports do not emit it.
+    ``policy`` is ``None`` where no attributes were read.
     """
 
     extension_mime: MimeType | None
@@ -59,13 +60,14 @@ class Evidence:
     name_report: NameReport
     provenance: Provenance
     content_hash: bytes | None = None
+    trust: TrustState = TrustState.UNSET
+    policy: HandlerPolicy | None = None
 
 
 @dataclass(frozen=True)
 class DiscrepancyReport:
     discrepancies: tuple[Discrepancy, ...]
     resolved_mime: MimeType | None
-    consistent: bool
 
     @property
     def max_severity(self) -> Severity | None:
@@ -204,11 +206,9 @@ def evaluate(evidence: Evidence, active_set: "ActiveRegistry") -> DiscrepancyRep
             tuple(active_side + inactive_side),
         ))
 
-    ordered = tuple(sorted(found, key=_sort_key))
     return DiscrepancyReport(
-        discrepancies=ordered,
+        discrepancies=tuple(sorted(found, key=_sort_key)),
         resolved_mime=resolved,
-        consistent=not ordered,
     )
 
 

@@ -76,15 +76,19 @@ def set_handler_policy(store: AttributeStore, path: str | Path, policy: HandlerP
         store.set(path, POLICY_KEY, payload)
 
 
-def get_allowed_handlers(store: AttributeStore, path: str | Path) -> HandlerPolicy:
-    raw = store.get(path, POLICY_KEY)
-    if raw is None:
+def policy_from(attrs: dict[str, bytes]) -> HandlerPolicy:
+    """The handler policy among a file's attributes."""
+    if POLICY_KEY not in attrs:
         return NO_RESTRICTION
-    doc = json.loads(raw)
+    doc = json.loads(attrs[POLICY_KEY])
     return HandlerPolicy(
         allowed=tuple(doc.get("handlers", ())),
         deny_all=bool(doc.get("deny_all", False)),
     )
+
+
+def get_allowed_handlers(store: AttributeStore, path: str | Path) -> HandlerPolicy:
+    return policy_from(store.read(path, (POLICY_KEY,)))
 
 
 class Verdict(Enum):

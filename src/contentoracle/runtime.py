@@ -5,7 +5,9 @@ Evidence comes from one streamed pass per file: the file is opened and
 read once, in chunks that both update one SHA-256 and feed the sniffer's
 scan. Views, trust and the sniff report are all judged against that one
 digest, so a file rewritten while it is assessed cannot yield evidence
-about two different contents.
+about two different contents. One store ``read`` after that pass gives all
+the attributes (views, trust, handler policy, provenance); no other stage
+reads the store, so ``evaluate`` and ``decide`` judge one version of them.
 """
 
 from __future__ import annotations
@@ -19,21 +21,23 @@ from .discrepancy_engine import DiscrepancyReport, Evidence, evaluate
 from .mime_db import ExtensionMap, MimeType, load_extension_map
 from .name_analyzer import analyze_name
 from .policy_engine import (
+    NO_RESTRICTION,
     ActiveRegistry,
     PolicyDecision,
     decide,
-    get_allowed_handlers,
     load_active_registry,
+    policy_from,
 )
 from .sniffer import EMPTY_REPORT, SignatureDb, SniffScan, load_signatures
 from .view_registry import (
+    ATTRIBUTE_KEYS,
     AttributeStore,
     AutoStore,
     SidecarStore,
     XattrStore,
-    get_trust,
-    read_provenance,
-    read_views,
+    provenance_from,
+    trust_from,
+    views_from,
 )
 
 
@@ -84,10 +88,10 @@ def build_evidence(
 ) -> Evidence:
     """Gather every evidence source for one on-disk file.
 
-    The file is read once; its digest becomes ``Evidence.content_hash``.
-    ``nosniff`` suppresses the sniffer's contribution the same way the
-    browser models treat the corresponding response header; the content
-    is still hashed.
+    The file is read once, then its attributes; the file's digest becomes
+    ``Evidence.content_hash``. ``nosniff`` suppresses the sniffer's
+    contribution the same way the browser models treat the corresponding
+    response header; the content is still hashed.
     """
     path = Path(path)
     name_report = analyze_name(path.name, runtime.ext_map.known_extensions())
@@ -104,14 +108,17 @@ def build_evidence(
             if scan is not None:
                 scan.feed(chunk)
     content_hash = digest.digest()
+    attrs = runtime.store.read(path, ATTRIBUTE_KEYS)
     return Evidence(
         extension_mime=extension_mime,
         sniff=EMPTY_REPORT if scan is None else scan.report(),
         declared_mime=declared_mime,
-        views=tuple(read_views(runtime.store, path, content_hash)),
+        views=tuple(views_from(attrs, content_hash)),
         name_report=name_report,
-        provenance=read_provenance(runtime.store, path),
+        provenance=provenance_from(attrs),
         content_hash=content_hash,
+        trust=trust_from(attrs, content_hash),
+        policy=policy_from(attrs),
     )
 
 
@@ -124,13 +131,11 @@ def assess_path(
 ) -> tuple[Evidence, DiscrepancyReport, PolicyDecision]:
     """Evidence, discrepancy report, and policy decision for one file."""
     evidence = build_evidence(runtime, path, declared_mime, nosniff)
-    return (evidence, *judge(runtime, path, evidence, handler))
+    return (evidence, *judge(runtime, evidence, handler))
 
 
-def judge(
-    runtime: Runtime, path: str | Path, evidence: Evidence, handler: str | None = None
-) -> tuple[DiscrepancyReport, PolicyDecision]:
-    """Discrepancy report and policy decision for ``evidence`` about ``path``."""
+def judge(runtime: Runtime, evidence: Evidence,
+          handler: str | None = None) -> tuple[DiscrepancyReport, PolicyDecision]:
+    """Discrepancy report and policy decision for ``evidence``; reads no store."""
     report = evaluate(evidence, runtime.active)
-    trust = get_trust(runtime.store, path, evidence.content_hash)
-    return report, decide(report, trust, handler, get_allowed_handlers(runtime.store, path))
+    return report, decide(report, evidence.trust, handler, evidence.policy or NO_RESTRICTION)

@@ -224,10 +224,6 @@ class SniffReport:
     def top(self) -> Candidate | None:
         return self.candidates[0] if self.candidates else None
 
-    @property
-    def top_mime(self) -> MimeType | None:
-        return self.candidates[0].mime if self.candidates else None
-
 
 #: An empty report, used where sniffing is suppressed (nosniff).
 EMPTY_REPORT = SniffReport((), False, TextVerdict.NOT_APPLIED, 0)

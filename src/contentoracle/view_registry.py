@@ -7,6 +7,9 @@ a sidecar SQLite database stands in, one row per (file, key); both
 backends satisfy the same black-box contract, and both raise ``OSError``
 for a file that does not exist.
 
+An assessment reads a file's attributes with one store ``read`` and decodes
+them with the ``*_from`` functions, which the public readers share.
+
 Read-modify-write cycles hold a lock: an advisory lock on the target file
 for xattrs, a write transaction for the sidecar. A write in progress is
 never observable as a torn value, because an xattr update is a single
@@ -27,7 +30,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Iterator
+from typing import Collection, Iterator
 
 from .errors import ConfigError
 from .mime_db import MimeType, parse_mime_type
@@ -38,6 +41,8 @@ POLICY_KEY = "user.contentoracle.policy"
 ORIGIN_KEY = "user.xdg.origin.url"
 REFERRER_KEY = "user.xdg.referrer.url"
 QUARANTINE_KEY = "com.apple.quarantine"
+#: Every attribute an assessment reads, in one store lookup.
+ATTRIBUTE_KEYS = (VIEWS_KEY, TRUST_KEY, POLICY_KEY, ORIGIN_KEY, REFERRER_KEY, QUARANTINE_KEY)
 
 #: Conservative per-attribute size floor across filesystems; larger values
 #: overflow to the sidecar behind a stub attribute.
@@ -70,8 +75,12 @@ def content_identity(path: str | Path) -> bytes:
 class AttributeStore:
     """Minimal key/value-per-file surface shared by both backends."""
 
-    def get(self, path: str | Path, key: str) -> bytes | None:
+    def read(self, path: str | Path, keys: Collection[str]) -> dict[str, bytes]:
+        """Those of ``keys`` that the file has, with their values, in one lookup."""
         raise NotImplementedError
+
+    def get(self, path: str | Path, key: str) -> bytes | None:
+        return self.read(path, (key,)).get(key)
 
     def set(self, path: str | Path, key: str, value: bytes) -> None:
         raise NotImplementedError
@@ -90,8 +99,8 @@ class SidecarStore(AttributeStore):
     Files are identified by (device, inode), as real xattrs stay with the
     inode rather than the name. In WAL mode readers never wait for a
     writer and never see a write in progress. The connection is opened on
-    first use and shared by the store's threads; a get before the
-    database exists returns ``None`` and creates nothing.
+    first use and shared by the store's threads; a read before the
+    database exists finds nothing and creates nothing.
     """
 
     def __init__(self, path: str | Path):
@@ -129,14 +138,14 @@ class SidecarStore(AttributeStore):
         self._conn = conn
         return conn
 
-    def get(self, path: str | Path, key: str) -> bytes | None:
+    def read(self, path: str | Path, keys: Collection[str]) -> dict[str, bytes]:
         ident = self.identity(path)
         with self._mutex:
             if self._conn is None and not self.path.exists():
-                return None  # a read creates no database
-            row = (self._conn or self._connect()).execute(
-                "SELECT value FROM attrs WHERE ident = ? AND key = ?", (ident, key)).fetchone()
-        return None if row is None else row[0]
+                return {}  # a read creates no database
+            rows = (self._conn or self._connect()).execute(
+                "SELECT key, value FROM attrs WHERE ident = ?", (ident,)).fetchall()
+        return {key: value for key, value in rows if key in keys}
 
     def set(self, path: str | Path, key: str, value: bytes) -> None:
         ident = self.identity(path)
@@ -171,16 +180,24 @@ class XattrStore(AttributeStore):
     def __init__(self, overflow: SidecarStore):
         self.overflow = overflow
 
-    def get(self, path: str | Path, key: str) -> bytes | None:
+    def read(self, path: str | Path, keys: Collection[str]) -> dict[str, bytes]:
         try:
-            value = os.getxattr(path, key)
+            present = set(os.listxattr(path))
         except OSError as exc:
-            if exc.errno in _ABSENT_ERRNOS:
-                return None
+            if exc.errno in _ABSENT_ERRNOS:  # no xattrs on this filesystem
+                return {}
             raise
-        if value == OVERFLOW_STUB:
-            return self.overflow.get(path, key)
-        return value
+        values = {}
+        for key in present.intersection(keys):
+            try:
+                values[key] = os.getxattr(path, key)
+            except OSError as exc:
+                if exc.errno not in _ABSENT_ERRNOS:  # else removed since the listing
+                    raise
+        spilled = [key for key, value in values.items() if value == OVERFLOW_STUB]
+        for key in spilled:  # the overflow sidecar holds these values, if anything does
+            del values[key]
+        return {**values, **self.overflow.read(path, spilled)} if spilled else values
 
     def set(self, path: str | Path, key: str, value: bytes) -> None:
         if len(value) > XATTR_VALUE_LIMIT:
@@ -212,11 +229,8 @@ class AutoStore(AttributeStore):
         self.xattr = xattr
         self.sidecar = sidecar
 
-    def get(self, path: str | Path, key: str) -> bytes | None:
-        value = self.xattr.get(path, key)
-        if value is not None:
-            return value
-        return self.sidecar.get(path, key)
+    def read(self, path: str | Path, keys: Collection[str]) -> dict[str, bytes]:
+        return {**self.sidecar.read(path, keys), **self.xattr.read(path, keys)}
 
     def set(self, path: str | Path, key: str, value: bytes) -> None:
         try:
@@ -330,6 +344,15 @@ def record_view(store: AttributeStore, path: str | Path, view: ContentView) -> N
         store.set(path, VIEWS_KEY, encode_views(views))
 
 
+def views_from(attrs: dict[str, bytes], content_hash: bytes) -> list[FlaggedView]:
+    """A file's views, sorted by app id, with staleness judged against ``content_hash``."""
+    views = decode_views(attrs[VIEWS_KEY]) if attrs.get(VIEWS_KEY) else []
+    return [
+        FlaggedView(view=v, stale=v.content_hash != content_hash)
+        for v in sorted(views, key=lambda v: v.app_id)
+    ]
+
+
 def read_views(
     store: AttributeStore, path: str | Path, content_hash: bytes | None = None
 ) -> list[FlaggedView]:
@@ -339,12 +362,7 @@ def read_views(
     bytes already read), otherwise against the file's current contents.
     """
     current = content_identity(path) if content_hash is None else content_hash
-    raw = store.get(path, VIEWS_KEY)
-    views = decode_views(raw) if raw else []
-    return [
-        FlaggedView(view=v, stale=v.content_hash != current)
-        for v in sorted(views, key=lambda v: v.app_id)
-    ]
+    return views_from(store.read(path, (VIEWS_KEY,)), current)
 
 
 class TrustState(Enum):
@@ -366,23 +384,24 @@ def set_trust(store: AttributeStore, path: str | Path, trusted: bool, now: int |
         store.set(path, TRUST_KEY, payload)
 
 
+def trust_from(attrs: dict[str, bytes], content_hash: bytes) -> TrustState:
+    """Trust state for ``content_hash``'s contents; one recorded for others is ``INVALIDATED``."""
+    if TRUST_KEY not in attrs:
+        return TrustState.UNSET
+    doc = json.loads(attrs[TRUST_KEY])
+    if bytes.fromhex(doc["hash"]) != content_hash:
+        return TrustState.INVALIDATED
+    return TrustState.TRUSTED if doc["trusted"] else TrustState.UNTRUSTED
+
+
 def get_trust(
     store: AttributeStore, path: str | Path, content_hash: bytes | None = None
 ) -> TrustState:
-    """Trust state for the file's *current* contents, or for the contents
-    whose digest is ``content_hash`` when given.
-
-    A stored decision whose hash no longer matches reports ``INVALIDATED``
-    rather than the stale verdict.
-    """
-    raw = store.get(path, TRUST_KEY)
-    if raw is None:
-        return TrustState.UNSET
-    doc = json.loads(raw)
-    current = content_identity(path) if content_hash is None else content_hash
-    if bytes.fromhex(doc["hash"]) != current:
-        return TrustState.INVALIDATED
-    return TrustState.TRUSTED if doc["trusted"] else TrustState.UNTRUSTED
+    """Trust state for the file's *current* contents, or for ``content_hash``'s."""
+    attrs = store.read(path, (TRUST_KEY,))
+    if attrs and content_hash is None:  # hash the file only if trust was recorded
+        content_hash = content_identity(path)
+    return trust_from(attrs, content_hash)
 
 
 @dataclass(frozen=True)
@@ -394,14 +413,18 @@ class Provenance:
     quarantine: bytes | None = None
 
 
-def read_provenance(store: AttributeStore, path: str | Path) -> Provenance:
-
+def provenance_from(attrs: dict[str, bytes]) -> Provenance:
+    """The provenance among a file's attributes, uninterpreted."""
     def _text(key: str) -> str | None:
-        raw = store.get(path, key)
+        raw = attrs.get(key)
         return raw.decode("utf-8", "surrogateescape") if raw is not None else None
 
     return Provenance(
         origin_url=_text(ORIGIN_KEY),
         referrer_url=_text(REFERRER_KEY),
-        quarantine=store.get(path, QUARANTINE_KEY),
+        quarantine=attrs.get(QUARANTINE_KEY),
     )
+
+
+def read_provenance(store: AttributeStore, path: str | Path) -> Provenance:
+    return provenance_from(store.read(path, (ORIGIN_KEY, REFERRER_KEY, QUARANTINE_KEY)))

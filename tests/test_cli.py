@@ -25,11 +25,13 @@ from contentoracle.runtime import Runtime
 from contentoracle.view_registry import POLICY_KEY, TRUST_KEY, VIEWS_KEY
 from tests.conftest import zip_with_script
 
-#: Attribute values that decode as JSON but not as the expected record.
+#: Attribute values that do not decode as the expected record, as JSON or at all.
 CORRUPT_ATTRIBUTES = [
     (TRUST_KEY, b'{"v":1}'),
     (VIEWS_KEY, b'{"v":2}'),
     (POLICY_KEY, b"[]"),
+    (VIEWS_KEY, b"not json"),
+    (TRUST_KEY, b"not json"),
 ]
 
 
@@ -199,6 +201,12 @@ class TestBrowser:
                             "browser", "run", "firefox-like", "--ctx", ctx)
         assert code == 0
         assert json.loads(out)["action"] == "PromptDocType"
+
+    def test_run_with_malformed_context_is_usage_error(self, capsys, config_file):
+        code, out = run_cli(capsys, "--config", config_file,
+                            "browser", "run", "firefox-like", "--ctx", "{bad")
+        assert code == EX_USAGE
+        assert out == ""
 
     def test_diff_bundled_models(self, capsys, config_file, runtime):
         from contentoracle.browser_model import differential, enumerate_grid, load_tree

@@ -62,18 +62,18 @@ class TestAgreement:
         report = evaluate(
             _evidence(ext=PDF, sniff=_sniff(PDF), declared=PDF), REGISTRY
         )
-        assert report.consistent is True
+        assert not report.discrepancies
         assert report.discrepancies == ()
         assert report.resolved_mime == PDF
 
     def test_absence_is_not_disagreement(self):
         report = evaluate(_evidence(sniff=_sniff(PDF)), REGISTRY)
-        assert report.consistent is True
+        assert not report.discrepancies
 
     def test_parameters_do_not_count_as_differing(self):
         declared = MimeType("application", "pdf", (("charset", "binary"),))
         report = evaluate(_evidence(ext=PDF, sniff=_sniff(PDF), declared=declared), REGISTRY)
-        assert report.consistent is True
+        assert not report.discrepancies
 
     def test_agreement_grid(self):
         # brute force: any combination of present sources that all agree on
@@ -90,7 +90,7 @@ class TestAgreement:
                     views=[_view("app", mime, active)] if use_view else (),
                 )
                 report = evaluate(evidence, REGISTRY)
-                assert report.consistent, (mime, use_ext, use_decl, use_sniff, use_view)
+                assert not report.discrepancies, (mime, use_ext, use_decl, use_sniff, use_view)
 
 
 class TestMismatches:
@@ -229,9 +229,9 @@ class TestReportShape:
 
     def test_consistent_iff_empty(self):
         ok = evaluate(_evidence(), REGISTRY)
-        assert ok.consistent and not ok.discrepancies
+        assert not ok.discrepancies
         bad = evaluate(_evidence(ext=PDF, sniff=_sniff(ZIP)), REGISTRY)
-        assert not bad.consistent and bad.discrepancies
+        assert bad.discrepancies
 
 
 class TestMonotonicity:

@@ -194,7 +194,7 @@ class TestAssess:
         )
         record = fetch(url, tmp_path, runtime.store)
         _, report, decision = assess_record(record, runtime, now=50)
-        assert report.consistent is True
+        assert not report.discrepancies
         assert decision.verdict is Verdict.ALLOW
 
     def test_ingest_view_recorded(self, http_server, runtime, tmp_path):

@@ -51,13 +51,12 @@ class TestActiveRegistry:
 
 def report_with(severity: Severity | None) -> DiscrepancyReport:
     if severity is None:
-        return DiscrepancyReport((), resolved_mime=None, consistent=True)
+        return DiscrepancyReport((), resolved_mime=None)
     return DiscrepancyReport(
         (Discrepancy(DiscrepancyKind.ACTIVITY_FLIP if severity is Severity.CRITICAL
                      else DiscrepancyKind.EXTENSION_SNIFF_MISMATCH,
                      severity, "synthetic", ("a", "b")),),
         resolved_mime=None,
-        consistent=False,
     )
 
 

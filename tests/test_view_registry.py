@@ -3,6 +3,7 @@ plus canonical-encoding and overflow behavior."""
 
 from __future__ import annotations
 
+import errno
 import gc
 import json
 import os
@@ -35,6 +36,7 @@ from contentoracle.view_registry import (
     QUARANTINE_KEY,
     REFERRER_KEY,
     SidecarStore,
+    TRUST_KEY,
     TrustState,
     VIEWS_KEY,
     XattrStore,
@@ -303,6 +305,67 @@ class TestOverflow:
         assert store.get(path, "user.contentoracle.views") == b"small"
 
 
+class TestRead:
+    """``read`` returns the wanted keys a file has in one lookup: on xattrs,
+    one listing plus a getxattr for each wanted key that is present."""
+
+    def _store(self, directory):
+        return XattrStore(overflow=SidecarStore(directory / "overflow.jsonl"))
+
+    def test_returns_only_wanted_keys_that_are_present(self, backend):
+        path = _file(backend)
+        backend.store.set(path, VIEWS_KEY, b"views")
+        backend.store.set(path, TRUST_KEY, b"trust")
+        assert backend.store.read(path, (VIEWS_KEY, ORIGIN_KEY)) == {VIEWS_KEY: b"views"}
+        assert backend.store.get(path, TRUST_KEY) == b"trust"
+        assert backend.store.get(path, ORIGIN_KEY) is None
+
+    def test_follows_an_overflow_stub(self, xattr_dir):
+        store = self._store(xattr_dir)
+        path = xattr_dir / "subject.bin"
+        path.write_bytes(b"data")
+        store.set(path, VIEWS_KEY, b"v" * 5000)
+        store.set(path, TRUST_KEY, b"inline")
+        assert os.getxattr(path, VIEWS_KEY) == OVERFLOW_STUB
+        assert store.read(path, (VIEWS_KEY, TRUST_KEY, ORIGIN_KEY)) == {
+            VIEWS_KEY: b"v" * 5000, TRUST_KEY: b"inline"}
+
+    def test_stub_without_its_overflow_value_is_absent(self, xattr_dir):
+        store = self._store(xattr_dir)
+        path = xattr_dir / "subject.bin"
+        path.write_bytes(b"data")
+        store.set(path, VIEWS_KEY, b"v" * 5000)
+        store.set(path, TRUST_KEY, b"inline")
+        store.overflow = SidecarStore(xattr_dir / "empty.sqlite3")  # the value is gone
+        assert os.getxattr(path, VIEWS_KEY) == OVERFLOW_STUB
+        assert store.read(path, (VIEWS_KEY, TRUST_KEY)) == {TRUST_KEY: b"inline"}
+
+    def test_key_removed_after_the_listing_is_absent(self, xattr_dir, monkeypatch):
+        store = self._store(xattr_dir)
+        path = xattr_dir / "subject.bin"
+        path.write_bytes(b"data")
+        store.set(path, VIEWS_KEY, b"views")
+        store.set(path, TRUST_KEY, b"trust")
+        real_getxattr = os.getxattr
+
+        def vanishing(target, key, *args, **kwargs):
+            if key == TRUST_KEY:  # removed by another process since listxattr
+                raise OSError(errno.ENODATA, os.strerror(errno.ENODATA))
+            return real_getxattr(target, key, *args, **kwargs)
+
+        monkeypatch.setattr(os, "getxattr", vanishing)
+        assert store.read(path, (VIEWS_KEY, TRUST_KEY)) == {VIEWS_KEY: b"views"}
+
+    def test_unsupported_listing_reads_as_empty(self, tmp_path, monkeypatch):
+        def unsupported(*args, **kwargs):
+            raise OSError(errno.ENOTSUP, os.strerror(errno.ENOTSUP))
+
+        monkeypatch.setattr(os, "listxattr", unsupported)
+        path = tmp_path / "subject.bin"
+        path.write_bytes(b"data")
+        assert self._store(tmp_path).read(path, (VIEWS_KEY, TRUST_KEY)) == {}
+
+
 class TestAutoStore:
     def test_falls_back_where_xattrs_unsupported(self, tmp_path):
         # the repository filesystem here has no xattr support, which is
@@ -318,6 +381,17 @@ class TestAutoStore:
             pass
         record_view(store, path, _view(path=path))
         assert len(read_views(store, path)) == 1
+
+    def test_xattr_value_overrides_the_sidecar_value(self, xattr_dir):
+        sidecar = SidecarStore(xattr_dir / "journal.jsonl")
+        store = AutoStore(XattrStore(overflow=sidecar), sidecar)
+        path = xattr_dir / "f.bin"
+        path.write_bytes(b"x")
+        sidecar.set(path, VIEWS_KEY, b"old")
+        sidecar.set(path, TRUST_KEY, b"sidecar only")
+        os.setxattr(path, VIEWS_KEY, b"new")
+        assert store.read(path, (VIEWS_KEY, TRUST_KEY)) == {
+            VIEWS_KEY: b"new", TRUST_KEY: b"sidecar only"}
 
     def test_prefers_xattr_when_available(self, xattr_dir):
         sidecar = SidecarStore(xattr_dir / "journal.jsonl")
