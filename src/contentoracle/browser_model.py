@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Union
 
 from .errors import MalformedTree
 from .mime_db import MimeType, parse_mime_type
@@ -55,6 +55,9 @@ _MIME_FIELDS = ("sniffed_mime", "extension_mime", "content_type")
 _BOOL_FIELDS = ("nosniff", "auto_download", "auto_open")
 _FIELDS = _MIME_FIELDS + _BOOL_FIELDS + ("content_disposition",)
 
+#: A predicate's literal, parsed when the tree is loaded (:func:`_parse_predicate`).
+PredicateValue = Union[None, str, bool, Disposition, frozenset[tuple[str, str]]]
+
 
 @dataclass(frozen=True)
 class Leaf:
@@ -65,7 +68,7 @@ class Leaf:
 class Predicate:
     field: str
     op: str
-    value: str
+    value: PredicateValue
     yes: Union["Predicate", Leaf]
     no: Union["Predicate", Leaf]
 
@@ -87,21 +90,12 @@ def _eval(node: Predicate, ctx: RequestContext) -> bool:
     value = _effective(ctx, node.field)
     if node.op == "present":
         return value is not None
-    if node.op == "is":
-        if node.field in _BOOL_FIELDS:
-            return value is (node.value == "true")
-        if node.field == "content_disposition":
-            return value == Disposition(node.value)
-        return value is not None and value.key == parse_mime_type(node.value).key
     if node.op == "agrees":
         other = _effective(ctx, node.value)
         return value is not None and other is not None and value.key == other.key
-    if node.op == "in":
-        if value is None:
-            return False
-        allowed = {parse_mime_type(t).key for t in node.value.split(",")}
-        return value.key in allowed
-    raise AssertionError(f"unvalidated op {node.op}")  # load_tree rejects these
+    if isinstance(node.value, frozenset):  # "in", or "is" on a type field
+        return value is not None and value.key in node.value
+    return value is node.value  # "is" on a boolean or the disposition
 
 
 def run(tree: DecisionTree, ctx: RequestContext) -> Action:
@@ -112,7 +106,10 @@ def run(tree: DecisionTree, ctx: RequestContext) -> Action:
     return node.action
 
 
-def _validate_predicate(field: str, op: str, value: str, line_no: int) -> None:
+def _parse_predicate(field: str, op: str, value: str, line_no: int) -> PredicateValue:
+    """Validate a predicate; return its literal: ``None`` for ``present``, the
+    other field for ``agrees``, the set of (family, subtype) keys for ``in``
+    and for ``is`` on a type field, else a bool or a :class:`Disposition`."""
     def bad(msg: str) -> MalformedTree:
         return MalformedTree(f"line {line_no}: {msg}")
 
@@ -123,39 +120,39 @@ def _validate_predicate(field: str, op: str, value: str, line_no: int) -> None:
             raise bad(f"'present' only applies to type fields, not {field!r}")
         if value:
             raise bad("'present' takes no value")
-    elif op == "is":
+        return None
+    if op == "is":
         if field in _BOOL_FIELDS:
             if value not in ("true", "false"):
                 raise bad(f"boolean literal expected, got {value!r}")
-        elif field == "content_disposition":
+            return value == "true"
+        if field == "content_disposition":
             if value not in [d.value for d in Disposition]:
                 raise bad(f"unknown disposition {value!r}")
-        else:
-            parse_mime_type(value)
-    elif op == "agrees":
+            return Disposition(value)
+        return frozenset([parse_mime_type(value).key])
+    if op == "agrees":
         if field not in _MIME_FIELDS or value not in _MIME_FIELDS:
             raise bad("'agrees' compares two type fields")
-    elif op == "in":
+        return value
+    if op == "in":
         if field not in _MIME_FIELDS:
             raise bad(f"'in' only applies to type fields, not {field!r}")
         if not value:
             raise bad("'in' needs a non-empty list")
-        for token in value.split(","):
-            parse_mime_type(token)
-    else:
-        raise bad(f"unknown op {op!r}")
+        return frozenset(parse_mime_type(token).key for token in value.split(","))
+    raise bad(f"unknown op {op!r}")
 
 
-def load_tree(source: str | Iterable[str], name: str = "tree") -> DecisionTree:
+def load_tree(source: str, name: str = "tree") -> DecisionTree:
     """Parse and validate a tree description.
 
     Validation guarantees totality: every predicate has both branches (yes
     listed first), every path ends at a leaf, and predicates reference only
     request-context fields.
     """
-    lines = source.splitlines() if isinstance(source, str) else list(source)
     items: list[tuple[int, int, str]] = []  # (line_no, depth, body)
-    for line_no, raw in enumerate(lines, start=1):
+    for line_no, raw in enumerate(source.splitlines(), start=1):
         if not raw.strip() or raw.lstrip().startswith("#"):
             continue
         stripped = raw.lstrip(" ")
@@ -183,8 +180,7 @@ def load_tree(source: str | Iterable[str], name: str = "tree") -> DecisionTree:
         if len(parts) < 2:
             raise MalformedTree(f"line {line_no}: predicate needs a field and an op")
         field, op = parts[0], parts[1]
-        value = parts[2] if len(parts) == 3 else ""
-        _validate_predicate(field, op, value, line_no)
+        value = _parse_predicate(field, op, parts[2] if len(parts) == 3 else "", line_no)
         if index + 1 >= len(items) or items[index + 1][1] != depth + 1:
             raise MalformedTree(f"line {line_no}: predicate is missing its yes-branch")
         yes, nxt = build(index + 1, depth + 1)
@@ -211,11 +207,10 @@ DEFAULT_MIME_PANEL: tuple[MimeType | None, ...] = (
 )
 
 
-def enumerate_grid(
-    mimes: Sequence[MimeType | None] = DEFAULT_MIME_PANEL,
-) -> list[RequestContext]:
+def enumerate_grid() -> list[RequestContext]:
     """Cartesian product over the finite field alphabets (~5k points for the
     default six-type panel)."""
+    mimes = DEFAULT_MIME_PANEL
     grid = []
     for sniffed, ext, ct, disp, nosniff, auto_dl, auto_open in itertools.product(
         mimes, mimes, mimes, Disposition, (False, True), (False, True), (False, True)

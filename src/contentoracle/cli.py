@@ -40,6 +40,7 @@ from .policy_engine import (
 from .runtime import Runtime, assess_path, build_evidence, judge
 from .sniffer import SniffReport
 from .view_registry import (
+    MAX_NOTE_BYTES,
     ContentView,
     FlaggedView,
     Provenance,
@@ -212,22 +213,45 @@ def _load_model(name: str, runtime: Runtime) -> DecisionTree:
     return load_tree(candidate.read_text("utf-8"), name=candidate.stem)
 
 
-def _context_from_obj(obj: dict) -> RequestContext:
+def _app_id(text: str) -> str:
+    if not text:
+        raise argparse.ArgumentTypeError("application id must be non-empty")
+    return text
+
+
+def _note(text: str) -> str:
+    if len(text.encode("utf-8")) > MAX_NOTE_BYTES:
+        raise argparse.ArgumentTypeError(f"note must be at most {MAX_NOTE_BYTES} bytes")
+    return text
+
+
+def _request_context(text: str) -> RequestContext:
+    """``--ctx``: a JSON object of request-context fields, checked while the
+    arguments are parsed so a bad one is a usage error."""
     from .browser_model import Disposition, RequestContext
 
-    def mime(key):
-        value = obj.get(key)
-        return parse_mime_type(value) if value else None
+    try:
+        obj = json.loads(text)
+        if not isinstance(obj, dict):
+            raise ValueError("not a JSON object")
 
-    return RequestContext(
-        sniffed_mime=mime("sniffed_mime"),
-        extension_mime=mime("extension_mime"),
-        content_type=mime("content_type"),
-        content_disposition=Disposition(obj.get("content_disposition", "none")),
-        nosniff=bool(obj.get("nosniff", False)),
-        auto_download=bool(obj.get("auto_download", False)),
-        auto_open=bool(obj.get("auto_open", False)),
-    )
+        def mime(key):
+            value = obj.get(key)
+            if value and not isinstance(value, str):
+                raise ValueError(f"{key} must be a string")
+            return parse_mime_type(value) if value else None
+
+        return RequestContext(
+            sniffed_mime=mime("sniffed_mime"),
+            extension_mime=mime("extension_mime"),
+            content_type=mime("content_type"),
+            content_disposition=Disposition(obj.get("content_disposition", "none")),
+            nosniff=bool(obj.get("nosniff", False)),
+            auto_download=bool(obj.get("auto_download", False)),
+            auto_open=bool(obj.get("auto_open", False)),
+        )
+    except ValueError as exc:  # MalformedMime and JSONDecodeError among them
+        raise argparse.ArgumentTypeError(f"bad request context: {exc}") from None
 
 
 def _context_obj(ctx: RequestContext) -> dict:
@@ -325,8 +349,7 @@ def cmd_browser_run(args, runtime: Runtime) -> int:
     from .browser_model import run as run_tree
 
     tree = _load_model(args.model, runtime)
-    ctx = _context_from_obj(args.ctx)
-    _emit({"model": tree.name, "action": run_tree(tree, ctx).value})
+    _emit({"model": tree.name, "action": run_tree(tree, args.ctx).value})
     return EX_OK
 
 
@@ -411,10 +434,10 @@ def build_parser() -> _Parser:
     view_sub = p.add_subparsers(dest="view_command", required=True)
     pr = view_sub.add_parser("record")
     pr.add_argument("path")
-    pr.add_argument("--app", required=True)
+    pr.add_argument("--app", required=True, type=_app_id)
     pr.add_argument("--mime", required=True)
     pr.add_argument("--active", action="store_true")
-    pr.add_argument("--note")
+    pr.add_argument("--note", type=_note)
     pr.set_defaults(func=cmd_view_record)
     pl = view_sub.add_parser("list")
     pl.add_argument("path")
@@ -447,7 +470,8 @@ def build_parser() -> _Parser:
     browser_sub = p.add_subparsers(dest="browser_command", required=True)
     br = browser_sub.add_parser("run")
     br.add_argument("model")
-    br.add_argument("--ctx", required=True, type=json.loads, help="request context as JSON")
+    br.add_argument("--ctx", required=True, type=_request_context,
+                    help="request context as a JSON object")
     br.set_defaults(func=cmd_browser_run)
     bd = browser_sub.add_parser("diff")
     bd.add_argument("model_a")

@@ -10,7 +10,7 @@ import unicodedata
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from .errors import MalformedMime
 
@@ -193,18 +193,17 @@ class ExtensionMap:
         return frozenset(self.entries)
 
 
-def load_extension_map(source: str | Iterable[str]) -> tuple[ExtensionMap, list[MalformedLine]]:
+def load_extension_map(source: str) -> tuple[ExtensionMap, list[MalformedLine]]:
     """Load a mime.types-style file: ``type ext1 ext2 ...`` per line.
 
     "#" comments and blank lines are ignored; fields are whitespace-separated
     with the type first. Later lines append and never overwrite earlier ones.
     Bad lines are skipped and reported with their line number.
     """
-    lines = source.splitlines() if isinstance(source, str) else source
     entries: dict[str, list[MimeType]] = {}
     reverse: dict[MimeType, list[str]] = {}
     errors: list[MalformedLine] = []
-    for line_no, raw in enumerate(lines, start=1):
+    for line_no, raw in enumerate(source.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -212,13 +211,13 @@ def load_extension_map(source: str | Iterable[str]) -> tuple[ExtensionMap, list[
         try:
             mime = parse_mime_type(fields[0])
         except MalformedMime as exc:
-            errors.append(MalformedLine(line_no, raw.rstrip("\n"), str(exc)))
+            errors.append(MalformedLine(line_no, raw, str(exc)))
             continue
         reverse.setdefault(mime, [])
         for token in fields[1:]:
             ext = normalize_extension(token)
             if not ext:
-                errors.append(MalformedLine(line_no, raw.rstrip("\n"), f"empty extension token {token!r}"))
+                errors.append(MalformedLine(line_no, raw, f"empty extension token {token!r}"))
                 continue
             bucket = entries.setdefault(ext, [])
             if mime not in bucket:

@@ -6,7 +6,6 @@ import json
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Iterable
 
 from .discrepancy_engine import DiscrepancyReport, Severity
 from .mime_db import MimeType, parse_mime_type
@@ -27,11 +26,10 @@ class ActiveRegistry:
         return mime.key in self.base_active
 
 
-def load_active_registry(source: str | Iterable[str]) -> ActiveRegistry:
+def load_active_registry(source: str) -> ActiveRegistry:
     """Load the base active set: one type per line, "#" comments."""
-    lines = source.splitlines() if isinstance(source, str) else source
     base: set[tuple[str, str]] = set()
-    for raw in lines:
+    for raw in source.splitlines():
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

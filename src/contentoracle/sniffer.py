@@ -8,8 +8,8 @@ sniffed chunk by chunk in the same pass that hashes it, in memory bounded
 by the chunk size. The full-content polyglot tier searches the patterns
 that share a first byte, a lone pattern included, with one regex each, and
 a masked pattern with a regex of one byte class per pattern byte; a
-pattern stops being searched once found, and a signature that already
-matched at offset 0 is not searched at all.
+pattern stops being searched once found. The header tier is independent of
+that search: it checks the leading window when the report is taken.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from .errors import DuplicateName, MalformedSignature
 from .mime_db import MimeType, parse_mime_type
@@ -29,6 +29,9 @@ PRIMARY_WINDOW = 8192
 
 #: How many leading bytes the text heuristic inspects.
 TEXT_PROBE = 4096
+
+#: The ASCII control bytes that do not count as text (tab, LF and CR do).
+_CONTROLS = bytes(b for b in [*range(0x20), 0x7F] if b not in b"\t\n\r")
 
 
 @dataclass(frozen=True)
@@ -83,13 +86,15 @@ class _ScanPlan:
     """What every scan over one :class:`SignatureDb` checks.
 
     ``groups`` holds the unmasked polyglot patterns, one tuple per first
-    byte, longest first; ``masked`` holds one regex per masked signature;
-    ``carry`` is how many trailing bytes a scan keeps across a chunk edge.
+    byte, longest first; ``by_pattern`` maps each of them to the signatures
+    it credits; ``masked`` holds one regex per masked signature; ``carry``
+    is how many trailing bytes a scan keeps across a chunk edge.
     """
 
     primary: tuple[Signature, ...]
     polyglot: tuple[Signature, ...]
     groups: tuple[tuple[bytes, ...], ...]
+    by_pattern: dict[bytes, tuple[Signature, ...]]
     masked: dict[Signature, re.Pattern[bytes]]
     carry: int
 
@@ -97,9 +102,11 @@ class _ScanPlan:
     def build(cls, signatures: tuple[Signature, ...]) -> "_ScanPlan":
         primary = tuple(s for s in signatures if s.offset + len(s.pattern) <= PRIMARY_WINDOW)
         polyglot = tuple(s for s in signatures if s.polyglot_relevant)
+        by_pattern: dict[bytes, tuple[Signature, ...]] = {}
         by_first: dict[int, set[bytes]] = {}
         for sig in polyglot:
             if sig.mask is None:
+                by_pattern[sig.pattern] = by_pattern.get(sig.pattern, ()) + (sig,)
                 by_first.setdefault(sig.pattern[0], set()).add(sig.pattern)
         groups = tuple(
             tuple(sorted(patterns, key=lambda p: (-len(p), p)))
@@ -107,7 +114,7 @@ class _ScanPlan:
         )
         masked = {s: _masked_regex(s) for s in primary + polyglot if s.mask is not None}
         carry = max((len(s.pattern) - 1 for s in polyglot), default=0)
-        return cls(primary, polyglot, groups, masked, carry)
+        return cls(primary, polyglot, groups, by_pattern, masked, carry)
 
 
 def _masked_regex(sig: Signature) -> re.Pattern[bytes]:
@@ -148,7 +155,7 @@ def _parse_hex(token: str, line_no: int, what: str) -> bytes:
         raise MalformedSignature(f"line {line_no}: bad hex in {what}: {token!r}") from None
 
 
-def load_signatures(source: str | Iterable[str]) -> SignatureDb:
+def load_signatures(source: str) -> SignatureDb:
     """Load a pipe-separated signature file.
 
     Record format, one per non-comment line::
@@ -157,10 +164,9 @@ def load_signatures(source: str | Iterable[str]) -> SignatureDb:
 
     Duplicate names are rejected.
     """
-    lines = source.splitlines() if isinstance(source, str) else source
     sigs: list[Signature] = []
     seen: set[str] = set()
-    for line_no, raw in enumerate(lines, start=1):
+    for line_no, raw in enumerate(source.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -235,99 +241,50 @@ def is_text(data: bytes) -> bool:
     True iff the first 4096 bytes contain no NUL and at least 95% of them are
     printable ASCII, common whitespace, or valid multi-byte UTF-8 sequences.
     Empty input is vacuously text.
+
+    The UTF-8 decoder does the counting: ``surrogateescape`` turns each byte
+    it cannot decode into one escape character. That is the same byte count
+    as a left-to-right reading that skips one byte at a time: the bytes of a
+    rejected sequence after its first are continuation bytes, and no
+    continuation byte starts a valid sequence.
     """
     head = data[:TEXT_PROBE]
-    if not head:
-        return True
     if 0 in head:
         return False
-    printable = 0
-    i = 0
-    n = len(head)
-    while i < n:
-        b = head[i]
-        if 0x20 <= b <= 0x7E or b in (0x09, 0x0A, 0x0D):
-            printable += 1
-            i += 1
-            continue
-        consumed = 0
-        for width in (2, 3, 4):
-            chunk = head[i:i + width]
-            if len(chunk) < width:
-                break
-            try:
-                decoded = chunk.decode("utf-8")
-            except UnicodeDecodeError:
-                continue
-            if len(decoded) == 1:
-                consumed = width
-                break
-        if consumed:
-            printable += consumed
-            i += consumed
-        else:
-            i += 1
+    # encoding drops the escapes, leaving the bytes that decode as UTF-8
+    decoded = len(head.decode("utf-8", "surrogateescape").encode("utf-8", "ignore"))
+    controls = len(head) - len(head.translate(None, _CONTROLS))
+    printable = decoded - controls
     # >= 95% without float comparison: printable/n >= 19/20
-    return printable * 20 >= n * 19
+    return printable * 20 >= len(head) * 19
 
 
 class SniffScan:
     """One incremental sniff: feed the content in chunks, then take the report.
 
-    The scan keeps the first :data:`PRIMARY_WINDOW` bytes for the header
-    tier and the text heuristic, plus the last ``max(len(pattern)) - 1``
-    bytes of what it has seen, so a polyglot pattern that straddles two
-    chunks is still found at its true offset. Memory is bounded by the
-    chunk size whatever the content length. The report does not depend on
-    how the content was split into chunks.
+    The two tiers are independent. Each chunk is searched for the polyglot
+    patterns from its first byte, with the last ``max(len(pattern)) - 1``
+    bytes of what came before carried over, so a pattern that straddles two
+    chunks is still found at its true offset. The scan also keeps the first
+    :data:`PRIMARY_WINDOW` bytes, over which :meth:`report` runs the header
+    tier and the text heuristic. Memory is bounded by the chunk size whatever
+    the content length. The report does not depend on how the content was
+    split into chunks.
     """
 
     def __init__(self, db: SignatureDb):
         self._plan = db._plan
         self._found: dict[str, tuple[Signature, int]] = {}
-        self._pending = b""  # content seen before the primary window filled
-        self._head: bytes | None = None
-        self._size = 0  # bytes searched so far
+        self._head = b""
+        self._size = 0  # bytes fed so far
         self._tail = b""
-        self._waiting: dict[bytes, list[Signature]] = {}
-        self._groups: list[tuple[bytes, ...]] = []
-        self._masked: list[Signature] = []
+        self._groups = list(self._plan.groups)
+        self._masked = [s for s in self._plan.polyglot if s.mask is not None]
 
     def feed(self, chunk: bytes) -> None:
         """Scan the next ``chunk`` of the content."""
-        if self._head is None:
-            self._pending += chunk
-            if len(self._pending) < PRIMARY_WINDOW:
-                return
-            chunk, self._pending = self._pending, b""
-            self._start(chunk[:PRIMARY_WINDOW])
-        self._search(chunk)
-
-    def _start(self, head: bytes) -> None:
-        """Header tier over the leading window; then pick the polyglot
-        searches still needed."""
-        self._head = head
-        found = self._found
-        for sig in self._plan.primary:
-            if sig.mask is None:
-                hit = head.startswith(sig.pattern, sig.offset)
-            else:
-                hit = self._plan.masked[sig].match(head, sig.offset) is not None
-            if hit:
-                found[sig.name] = (sig, sig.offset)
-        for sig in self._plan.polyglot:
-            if sig.offset == 0 and sig.name in found:
-                continue  # no later match can be earlier
-            if sig.mask is None:
-                self._waiting.setdefault(sig.pattern, []).append(sig)
-            else:
-                self._masked.append(sig)
-        for group in self._plan.groups:
-            group = tuple(p for p in group if p in self._waiting)
-            if group:
-                self._groups.append(group)
-
-    def _search(self, chunk: bytes) -> None:
+        if len(self._head) < PRIMARY_WINDOW:
+            self._head += chunk[:PRIMARY_WINDOW - len(self._head)]
         if self._groups or self._masked:
             buf = self._tail + chunk
             base = self._size - len(self._tail)
@@ -355,7 +312,7 @@ class SniffScan:
             if match is None:
                 break
             pos, hit = match.start(), match.group()
-            for sig in self._waiting.pop(hit):
+            for sig in self._plan.by_pattern[hit]:
                 self._credit(sig, base + pos)
             group = tuple(p for p in group if p != hit)
         return group
@@ -366,10 +323,14 @@ class SniffScan:
 
     def report(self) -> SniffReport:
         """The report over everything fed so far."""
-        if self._head is None:  # the whole content fits in the primary window
-            chunk, self._pending = self._pending, b""
-            self._start(chunk)
-            self._search(chunk)
+        head = self._head
+        for sig in self._plan.primary:
+            if sig.mask is None:
+                hit = head.startswith(sig.pattern, sig.offset)
+            else:
+                hit = self._plan.masked[sig].match(head, sig.offset) is not None
+            if hit:
+                self._credit(sig, sig.offset)
         candidates = tuple(
             Candidate(sig.mime, sig.name, sig.weight, pos)
             for sig, pos in sorted(
@@ -381,7 +342,7 @@ class SniffScan:
         if candidates:
             text_fallback = TextVerdict.NOT_APPLIED
         else:
-            text_fallback = TextVerdict.LOOKS_TEXT if is_text(self._head) else TextVerdict.LOOKS_BINARY
+            text_fallback = TextVerdict.LOOKS_TEXT if is_text(head) else TextVerdict.LOOKS_BINARY
         bytes_examined = self._size if self._plan.polyglot else min(self._size, PRIMARY_WINDOW)
         return SniffReport(candidates, is_polyglot, text_fallback, bytes_examined)
 

@@ -51,6 +51,9 @@ XATTR_VALUE_LIMIT = 4096
 #: Stub stored in place of an oversized attribute value.
 OVERFLOW_STUB = b'{"redirect":"contentoracle-sidecar","v":1}'
 
+#: Longest note a content view may carry, in UTF-8 bytes.
+MAX_NOTE_BYTES = 256
+
 #: Seconds a sidecar writer waits for another writer before it fails.
 _BUSY_TIMEOUT = 30.0
 
@@ -283,8 +286,8 @@ class ContentView:
             raise ValueError("app_id must be non-empty")
         if len(self.content_hash) != 32:
             raise ValueError("content_hash must be exactly 32 bytes")
-        if self.note is not None and len(self.note.encode("utf-8")) > 256:
-            raise ValueError("note must be at most 256 bytes")
+        if self.note is not None and len(self.note.encode("utf-8")) > MAX_NOTE_BYTES:
+            raise ValueError(f"note must be at most {MAX_NOTE_BYTES} bytes")
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,7 @@ import random
 
 import pytest
 
+from contentoracle import browser_model
 from contentoracle.browser_model import (
     Action,
     Disposition,
@@ -184,6 +185,17 @@ class TestDifferential:
         points = differential(firefox, opera, enumerate_grid())
         keys = [context_sort_key(ctx) for ctx, _, _ in points]
         assert keys == sorted(keys)
+
+    def test_run_parses_no_type(self, firefox, opera, monkeypatch):
+        # every literal is parsed by load_tree; walking a tree parses nothing
+        grid = enumerate_grid()
+        expected = differential(firefox, opera, grid)
+
+        def fail(text):
+            raise AssertionError(f"parse_mime_type({text!r}) called at run time")
+
+        monkeypatch.setattr(browser_model, "parse_mime_type", fail)
+        assert differential(firefox, opera, grid) == expected
 
 
 class TestPredicates:

@@ -324,6 +324,31 @@ class TestExitCodes:
                           str(target), "--app", "a", "--mime", "notamime")
         assert code == EX_USAGE
 
+    @pytest.mark.parametrize("flags", [
+        ("--app", "viewer", "--note", "x" * 300),
+        ("--app", ""),
+    ])
+    def test_bad_view_argument_is_64(self, capsys, config_file, tmp_path, flags):
+        target = tmp_path / "f.txt"
+        target.write_bytes(b"plain text")
+        code, out = run_cli(capsys, "--config", config_file, "view", "record",
+                            str(target), "--mime", "text/plain", *flags)
+        assert code == EX_USAGE
+        assert out == ""
+        _, out = run_cli(capsys, "--config", config_file, "view", "list", str(target))
+        assert json.loads(out)["views"] == []
+
+    @pytest.mark.parametrize("ctx", [
+        '{"content_disposition":"bogus"}',
+        "[]",
+        '{"sniffed_mime":5}',
+    ])
+    def test_bad_request_context_is_64(self, capsys, config_file, ctx):
+        code, out = run_cli(capsys, "--config", config_file,
+                            "browser", "run", "firefox-like", "--ctx", ctx)
+        assert code == EX_USAGE
+        assert out == ""
+
     def test_config_error_is_78(self, capsys, tmp_path):
         bad = tmp_path / "broken.json"
         bad.write_text("{not json")

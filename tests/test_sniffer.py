@@ -17,6 +17,7 @@ from contentoracle.sniffer import (
     SignatureDb,
     SniffReport,
     SniffScan,
+    TEXT_PROBE,
     TextVerdict,
     is_text,
     load_signatures,
@@ -66,7 +67,71 @@ class TestLoadSignatures:
         assert db.signatures[0].weight == 99
 
 
+def reference_is_text(data: bytes) -> bool:
+    """The per-byte reading that :func:`is_text` replaced: a byte counts as
+    text if it is printable ASCII, tab, LF or CR, or starts a 2-, 3- or
+    4-byte sequence that decodes to one character; otherwise skip it."""
+    head = data[:TEXT_PROBE]
+    if not head:
+        return True
+    if 0 in head:
+        return False
+    printable = 0
+    i = 0
+    n = len(head)
+    while i < n:
+        b = head[i]
+        if 0x20 <= b <= 0x7E or b in (0x09, 0x0A, 0x0D):
+            printable += 1
+            i += 1
+            continue
+        consumed = 0
+        for width in (2, 3, 4):
+            chunk = head[i:i + width]
+            if len(chunk) < width:
+                break
+            try:
+                decoded = chunk.decode("utf-8")
+            except UnicodeDecodeError:
+                continue
+            if len(decoded) == 1:
+                consumed = width
+                break
+        if consumed:
+            printable += consumed
+            i += consumed
+        else:
+            i += 1
+    return printable * 20 >= n * 19
+
+
+#: Text pieces and the byte sequences UTF-8 rejects: controls and DEL,
+#: truncated and overlong sequences, encoded surrogates, a code point
+#: above U+10FFFF, and lone lead and continuation bytes.
+_TEXT_PIECES = [b"a", b" ", b"\t", b"\n", b"\r", b"~", b"\x01", b"\x1f", b"\x7f", b"\x00",
+                "é".encode(), "—".encode(), "😀".encode(), "\u0080".encode(),
+                "\uffff".encode(), b"\xc3", b"\xe2\x80", b"\xf0\x9f\x98", b"\xc0\xaf", b"\xc1\xbf",
+                b"\xe0\x80\xaf", b"\xf0\x80\x80\xaf", b"\xed\xa0\x80", b"\xed\xbf\xbf",
+                b"\xf4\x90\x80\x80", b"\xf5\x80", b"\x80", b"\xbf", b"\xfe", b"\xff"]
+
+#: ASCII filler that puts the pieces around the end of the probe, then
+#: pieces enough to land the share of junk near the 95% bar.
+_text_like = st.one_of(
+    st.tuples(
+        st.integers(TEXT_PROBE - 400, TEXT_PROBE + 4),
+        st.lists(st.one_of(st.sampled_from(_TEXT_PIECES),
+                           st.characters(codec="utf-8").map(str.encode)), max_size=200),
+    ).map(lambda t: b"a" * t[0] + b"".join(t[1])),
+    st.lists(st.sampled_from(_TEXT_PIECES), max_size=60).map(b"".join),
+)
+
+
 class TestIsText:
+    @settings(max_examples=300)
+    @given(data=_text_like)
+    def test_matches_per_byte_reference(self, data):
+        assert is_text(data) is reference_is_text(data)
+
     def test_hello_world(self):
         assert is_text(b"hello world\n") is True
 
@@ -249,8 +314,10 @@ def reference_sniff(data: bytes, db: SignatureDb) -> SniffReport:
     is_polyglot = len({c.mime.key for c in candidates}) >= 2
     if candidates:
         text_fallback = TextVerdict.NOT_APPLIED
+    elif reference_is_text(data):
+        text_fallback = TextVerdict.LOOKS_TEXT
     else:
-        text_fallback = TextVerdict.LOOKS_TEXT if is_text(data) else TextVerdict.LOOKS_BINARY
+        text_fallback = TextVerdict.LOOKS_BINARY
     bytes_examined = len(data) if any_polyglot_pass else min(len(data), PRIMARY_WINDOW)
     return SniffReport(candidates, is_polyglot, text_fallback, bytes_examined)
 
