@@ -51,9 +51,10 @@ class RequestContext:
     auto_open: bool = False
 
 
-_MIME_FIELDS = ("sniffed_mime", "extension_mime", "content_type")
-_BOOL_FIELDS = ("nosniff", "auto_download", "auto_open")
-_FIELDS = _MIME_FIELDS + _BOOL_FIELDS + ("content_disposition",)
+#: The fields of a :class:`RequestContext` by type, as trees and ``--ctx`` name them.
+MIME_FIELDS = ("sniffed_mime", "extension_mime", "content_type")
+BOOL_FIELDS = ("nosniff", "auto_download", "auto_open")
+FIELDS = MIME_FIELDS + BOOL_FIELDS + ("content_disposition",)
 
 #: A predicate's literal, parsed when the tree is loaded (:func:`_parse_predicate`).
 PredicateValue = Union[None, str, bool, Disposition, frozenset[tuple[str, str]]]
@@ -113,16 +114,16 @@ def _parse_predicate(field: str, op: str, value: str, line_no: int) -> Predicate
     def bad(msg: str) -> MalformedTree:
         return MalformedTree(f"line {line_no}: {msg}")
 
-    if field not in _FIELDS:
+    if field not in FIELDS:
         raise bad(f"unknown field {field!r}")
     if op == "present":
-        if field not in _MIME_FIELDS:
+        if field not in MIME_FIELDS:
             raise bad(f"'present' only applies to type fields, not {field!r}")
         if value:
             raise bad("'present' takes no value")
         return None
     if op == "is":
-        if field in _BOOL_FIELDS:
+        if field in BOOL_FIELDS:
             if value not in ("true", "false"):
                 raise bad(f"boolean literal expected, got {value!r}")
             return value == "true"
@@ -132,11 +133,11 @@ def _parse_predicate(field: str, op: str, value: str, line_no: int) -> Predicate
             return Disposition(value)
         return frozenset([parse_mime_type(value).key])
     if op == "agrees":
-        if field not in _MIME_FIELDS or value not in _MIME_FIELDS:
+        if field not in MIME_FIELDS or value not in MIME_FIELDS:
             raise bad("'agrees' compares two type fields")
         return value
     if op == "in":
-        if field not in _MIME_FIELDS:
+        if field not in MIME_FIELDS:
             raise bad(f"'in' only applies to type fields, not {field!r}")
         if not value:
             raise bad("'in' needs a non-empty list")

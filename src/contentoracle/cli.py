@@ -13,7 +13,6 @@ import base64
 import json
 import sys
 import time
-from dataclasses import replace
 from pathlib import Path
 
 from .config import load_config
@@ -28,7 +27,6 @@ from .errors import (
     NetworkError,
 )
 from .mime_db import db_stats, load_extension_map, parse_mime_type
-from .name_analyzer import NameReport
 from .policy_engine import (
     DENY_ALL,
     HandlerPolicy,
@@ -38,18 +36,16 @@ from .policy_engine import (
     set_handler_policy,
 )
 from .runtime import Runtime, assess_path, build_evidence, judge
-from .sniffer import SniffReport
 from .view_registry import (
     MAX_NOTE_BYTES,
     ContentView,
     FlaggedView,
-    Provenance,
-    _view_to_obj,
     content_identity,
     get_trust,
     read_views,
     record_view,
     set_trust,
+    view_to_obj,
 )
 
 EX_OK = 0
@@ -122,46 +118,27 @@ REPORT_SCHEMA = {
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse that honors the exit-code contract for usage errors."""
+    """argparse that honors the exit-code contract for usage errors, and
+    runs ``build`` (which adds the arguments and sub-parsers) on its first
+    parse: a command's parser is built only when that command runs."""
+
+    def __init__(self, *args, build=None, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._build = build
+
+    def parse_known_args(self, args=None, namespace=None):
+        if self._build is not None:
+            build, self._build = self._build, None
+            build(self)
+        return super().parse_known_args(args, namespace)
 
     def error(self, message: str):
         self.print_usage(sys.stderr)
         self.exit(EX_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _name_report_obj(report: NameReport) -> dict:
-    return {
-        "display_name": report.display_name,
-        "logical_extension": report.logical_extension,
-        "extension_chain": list(report.extension_chain),
-        "anomalies": sorted(a.value for a in report.anomalies),
-    }
-
-
-def _sniff_obj(report: SniffReport) -> dict:
-    return {
-        "candidates": [
-            {"mime": c.mime.format(), "signature": c.signature,
-             "weight": c.weight, "offset": c.offset}
-            for c in report.candidates
-        ],
-        "is_polyglot": report.is_polyglot,
-        "text_fallback": report.text_fallback.value,
-        "bytes_examined": report.bytes_examined,
-    }
-
-
 def _view_obj(flagged: FlaggedView) -> dict:
-    return {**_view_to_obj(flagged.view), "stale": flagged.stale}
-
-
-def _provenance_obj(prov: Provenance) -> dict:
-    return {
-        "origin_url": prov.origin_url,
-        "referrer_url": prov.referrer_url,
-        "quarantine": base64.b64encode(prov.quarantine).decode("ascii")
-        if prov.quarantine is not None else None,
-    }
+    return {**view_to_obj(flagged.view), "stale": flagged.stale}
 
 
 def build_report(
@@ -171,13 +148,33 @@ def build_report(
     decision: PolicyDecision | None,
     url: str | None = None,
 ) -> dict:
+    names, sniff, prov = evidence.name_report, evidence.sniff, evidence.provenance
     doc = {
         "v": 1,
         "path": str(path),
-        "name_report": _name_report_obj(evidence.name_report),
-        "sniff": _sniff_obj(evidence.sniff),
+        "name_report": {
+            "display_name": names.display_name,
+            "logical_extension": names.logical_extension,
+            "extension_chain": list(names.extension_chain),
+            "anomalies": sorted(a.value for a in names.anomalies),
+        },
+        "sniff": {
+            "candidates": [
+                {"mime": c.mime.format(), "signature": c.signature,
+                 "weight": c.weight, "offset": c.offset}
+                for c in sniff.candidates
+            ],
+            "is_polyglot": sniff.is_polyglot,
+            "text_fallback": sniff.text_fallback.value,
+            "bytes_examined": sniff.bytes_examined,
+        },
         "views": [_view_obj(fv) for fv in evidence.views],
-        "provenance": _provenance_obj(evidence.provenance),
+        "provenance": {
+            "origin_url": prov.origin_url,
+            "referrer_url": prov.referrer_url,
+            "quarantine": base64.b64encode(prov.quarantine).decode("ascii")
+            if prov.quarantine is not None else None,
+        },
         "discrepancies": None if report is None else [
             {"kind": d.kind.value, "severity": d.severity.name.lower(),
              "detail": d.detail, "sources": list(d.sources)}
@@ -228,27 +225,29 @@ def _note(text: str) -> str:
 def _request_context(text: str) -> RequestContext:
     """``--ctx``: a JSON object of request-context fields, checked while the
     arguments are parsed so a bad one is a usage error."""
-    from .browser_model import Disposition, RequestContext
+    from .browser_model import BOOL_FIELDS, FIELDS, MIME_FIELDS, Disposition, RequestContext
 
     try:
         obj = json.loads(text)
         if not isinstance(obj, dict):
             raise ValueError("not a JSON object")
+        unknown = sorted(obj.keys() - set(FIELDS))
+        if unknown:
+            raise ValueError(f"unknown key {unknown[0]!r}")
+        for key in BOOL_FIELDS:
+            if not isinstance(obj.get(key, False), bool):
+                raise ValueError(f"{key} must be true or false")
 
         def mime(key):
             value = obj.get(key)
-            if value and not isinstance(value, str):
+            if value is not None and not isinstance(value, str):
                 raise ValueError(f"{key} must be a string")
             return parse_mime_type(value) if value else None
 
         return RequestContext(
-            sniffed_mime=mime("sniffed_mime"),
-            extension_mime=mime("extension_mime"),
-            content_type=mime("content_type"),
+            **{key: mime(key) for key in MIME_FIELDS},
+            **{key: obj.get(key, False) for key in BOOL_FIELDS},
             content_disposition=Disposition(obj.get("content_disposition", "none")),
-            nosniff=bool(obj.get("nosniff", False)),
-            auto_download=bool(obj.get("auto_download", False)),
-            auto_open=bool(obj.get("auto_open", False)),
         )
     except ValueError as exc:  # MalformedMime and JSONDecodeError among them
         raise argparse.ArgumentTypeError(f"bad request context: {exc}") from None
@@ -384,7 +383,7 @@ def cmd_fetch(args, runtime: Runtime) -> int:
     # the report is that assessment with the views as just recorded, the
     # ingest view among them, so the body is read and hashed only once
     views = read_views(runtime.store, record.body_path, evidence.content_hash)
-    evidence = replace(evidence, views=tuple(views))
+    evidence = evidence._replace(views=tuple(views))
     report, decision = judge(runtime, evidence)
     _emit(build_report(record.body_path, evidence, report, decision, url=record.url))
     return _VERDICT_CODE[decision.verdict]
@@ -411,26 +410,23 @@ def cmd_db_stats(args, runtime: Runtime) -> int:
 # --- parser ----------------------------------------------------------------
 
 
-def build_parser() -> _Parser:
-    parser = _Parser(prog="contentoracle", description=__doc__)
-    parser.add_argument("--config", help="path to a config file")
-    parser.add_argument("--now", type=int, help="timestamp override for deterministic output")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("identify", help="evidence report for a file, no policy")
+def _build_identify(p: _Parser) -> None:
     p.add_argument("path")
     p.set_defaults(func=cmd_identify)
 
-    p = sub.add_parser("check", help="full report incl. discrepancies and verdict")
+
+def _build_check(p: _Parser) -> None:
     p.add_argument("path")
     p.add_argument("--handler", help="application id asking to open the file")
     p.set_defaults(func=cmd_check)
 
-    p = sub.add_parser("scan", help="newline-delimited reports for a directory tree")
+
+def _build_scan(p: _Parser) -> None:
     p.add_argument("dir")
     p.set_defaults(func=cmd_scan)
 
-    p = sub.add_parser("view", help="record or list per-application content views")
+
+def _build_view(p: _Parser) -> None:
     view_sub = p.add_subparsers(dest="view_command", required=True)
     pr = view_sub.add_parser("record")
     pr.add_argument("path")
@@ -443,7 +439,8 @@ def build_parser() -> _Parser:
     pl.add_argument("path")
     pl.set_defaults(func=cmd_view_list)
 
-    p = sub.add_parser("trust", help="set or read the hash-bound trust record")
+
+def _build_trust(p: _Parser) -> None:
     trust_sub = p.add_subparsers(dest="trust_command", required=True)
     ts = trust_sub.add_parser("set")
     ts.add_argument("path")
@@ -453,7 +450,8 @@ def build_parser() -> _Parser:
     tg.add_argument("path")
     tg.set_defaults(func=cmd_trust_get)
 
-    p = sub.add_parser("policy", help="per-file allowed-handler lists")
+
+def _build_policy(p: _Parser) -> None:
     policy_sub = p.add_subparsers(dest="policy_command", required=True)
     ph = policy_sub.add_parser("handlers")
     handlers_sub = ph.add_subparsers(dest="handlers_command", required=True)
@@ -466,7 +464,8 @@ def build_parser() -> _Parser:
     hg.add_argument("path")
     hg.set_defaults(func=cmd_policy_get)
 
-    p = sub.add_parser("browser", help="run or differentially compare handling models")
+
+def _build_browser(p: _Parser) -> None:
     browser_sub = p.add_subparsers(dest="browser_command", required=True)
     br = browser_sub.add_parser("run")
     br.add_argument("model")
@@ -478,18 +477,43 @@ def build_parser() -> _Parser:
     bd.add_argument("model_b")
     bd.set_defaults(func=cmd_browser_diff)
 
-    p = sub.add_parser("fetch", help="download a URL, stamp provenance, then check")
+
+def _build_fetch(p: _Parser) -> None:
     p.add_argument("url")
     p.add_argument("--out", required=True)
     p.add_argument("--referrer")
     p.set_defaults(func=cmd_fetch)
 
-    p = sub.add_parser("db", help="extension database utilities")
+
+def _build_db(p: _Parser) -> None:
     db_sub = p.add_subparsers(dest="db_command", required=True)
     ds = db_sub.add_parser("stats")
     ds.add_argument("file")
     ds.set_defaults(func=cmd_db_stats)
 
+
+#: Each command's help line and the builder of its parser. The top-level
+#: help lists every command, so each is registered; none is built until run.
+_COMMANDS = {
+    "identify": ("evidence report for a file, no policy", _build_identify),
+    "check": ("full report incl. discrepancies and verdict", _build_check),
+    "scan": ("newline-delimited reports for a directory tree", _build_scan),
+    "view": ("record or list per-application content views", _build_view),
+    "trust": ("set or read the hash-bound trust record", _build_trust),
+    "policy": ("per-file allowed-handler lists", _build_policy),
+    "browser": ("run or differentially compare handling models", _build_browser),
+    "fetch": ("download a URL, stamp provenance, then check", _build_fetch),
+    "db": ("extension database utilities", _build_db),
+}
+
+
+def build_parser() -> _Parser:
+    parser = _Parser(prog="contentoracle", description=__doc__)
+    parser.add_argument("--config", help="path to a config file")
+    parser.add_argument("--now", type=int, help="timestamp override for deterministic output")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, build) in _COMMANDS.items():
+        sub.add_parser(name, help=help_text, build=build)
     return parser
 
 

@@ -7,9 +7,8 @@ never remediates; it only names what disagrees with what and how badly.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from enum import Enum, IntEnum
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .mime_db import MimeType
 from .name_analyzer import NameAnomaly, NameReport
@@ -36,16 +35,14 @@ class DiscrepancyKind(Enum):
     ACTIVITY_FLIP = "activity_flip"
 
 
-@dataclass(frozen=True)
-class Discrepancy:
+class Discrepancy(NamedTuple):
     kind: DiscrepancyKind
     severity: Severity
     detail: str
     sources: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class Evidence:
+class Evidence(NamedTuple):
     """Everything known about one file, gathered from independent sources.
 
     ``content_hash`` is the SHA-256 of the bytes the sniff report judged and
@@ -64,8 +61,7 @@ class Evidence:
     policy: HandlerPolicy | None = None
 
 
-@dataclass(frozen=True)
-class DiscrepancyReport:
+class DiscrepancyReport(NamedTuple):
     discrepancies: tuple[Discrepancy, ...]
     resolved_mime: MimeType | None
 

@@ -10,7 +10,7 @@ import unicodedata
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .errors import MalformedMime
 
@@ -44,7 +44,7 @@ def _check_param_value(value: str, context: str) -> None:
             raise MalformedMime(f"illegal parameter value character {c!r} in {context!r}")
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class MimeType:
     """A parsed media type: family/subtype plus ordered parameters.
 
@@ -150,8 +150,7 @@ def normalize_extension(ext: str) -> str:
     return ext.lower()
 
 
-@dataclass(frozen=True)
-class MalformedLine:
+class MalformedLine(NamedTuple):
     """One unparseable line of a mime.types-style file; loading continues."""
 
     line_no: int
@@ -233,8 +232,7 @@ def load_extension_map(source: str) -> tuple[ExtensionMap, list[MalformedLine]]:
     )
 
 
-@dataclass(frozen=True)
-class FamilyStats:
+class FamilyStats(NamedTuple):
     official: int = 0
     unofficial_subtype: int = 0
     unknown_family: int = 0

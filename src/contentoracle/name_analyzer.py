@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import re
 import unicodedata
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 
 class NameAnomaly(Enum):
@@ -40,8 +40,7 @@ _TERMINATOR = {
 _EXT_RE = re.compile(r"[a-z0-9]{1,10}")
 
 
-@dataclass(frozen=True)
-class NameReport:
+class NameReport(NamedTuple):
     """What a filename looks like versus what it actually is.
 
     ``display_name`` is the visually-reordered form when directional

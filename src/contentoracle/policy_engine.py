@@ -3,17 +3,16 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
+from typing import NamedTuple
 
 from .discrepancy_engine import DiscrepancyReport, Severity
 from .mime_db import MimeType, parse_mime_type
 from .view_registry import AttributeStore, POLICY_KEY, TrustState, _canonical_json
 
 
-@dataclass(frozen=True)
-class ActiveRegistry:
+class ActiveRegistry(NamedTuple):
     """Which types count as active (executable) content.
 
     ``base_active`` ships with the package. Parameters are irrelevant to
@@ -37,8 +36,7 @@ def load_active_registry(source: str) -> ActiveRegistry:
     return ActiveRegistry(base_active=frozenset(base))
 
 
-@dataclass(frozen=True)
-class HandlerPolicy:
+class HandlerPolicy(NamedTuple):
     """Which applications may be invoked for one particular file.
 
     An empty ``allowed`` list with ``deny_all`` unset means no restriction
@@ -95,8 +93,7 @@ class Verdict(Enum):
     DENY = "deny"
 
 
-@dataclass(frozen=True)
-class PolicyDecision:
+class PolicyDecision(NamedTuple):
     verdict: Verdict
     reasons: tuple[str, ...]
 

@@ -18,7 +18,7 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .errors import DuplicateName, MalformedSignature
 from .mime_db import MimeType, parse_mime_type
@@ -81,8 +81,7 @@ class SignatureDb:
         return _ScanPlan.build(self.signatures)
 
 
-@dataclass(frozen=True)
-class _ScanPlan:
+class _ScanPlan(NamedTuple):
     """What every scan over one :class:`SignatureDb` checks.
 
     ``groups`` holds the unmasked polyglot patterns, one tuple per first
@@ -209,16 +208,14 @@ class TextVerdict(Enum):
     LOOKS_BINARY = "looks_binary"
 
 
-@dataclass(frozen=True)
-class Candidate:
+class Candidate(NamedTuple):
     mime: MimeType
     signature: str
     weight: int
     offset: int  # where the pattern was found in the data
 
 
-@dataclass(frozen=True)
-class SniffReport:
+class SniffReport(NamedTuple):
     """Ranked signature matches plus the polyglot flag and text verdict."""
 
     candidates: tuple[Candidate, ...]

@@ -30,7 +30,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Collection, Iterator
+from typing import Collection, Iterator, NamedTuple
 
 from .errors import ConfigError
 from .mime_db import MimeType, parse_mime_type
@@ -290,13 +290,13 @@ class ContentView:
             raise ValueError(f"note must be at most {MAX_NOTE_BYTES} bytes")
 
 
-@dataclass(frozen=True)
-class FlaggedView:
+class FlaggedView(NamedTuple):
     view: ContentView
     stale: bool
 
 
-def _view_to_obj(view: ContentView) -> dict:
+def view_to_obj(view: ContentView) -> dict:
+    """A view as the JSON object that stores and reports hold."""
     obj = {
         "app": view.app_id,
         "mime": view.mime.format(),
@@ -327,7 +327,7 @@ def encode_views(views: list[ContentView]) -> bytes:
     non-canonical ordering encodes to the same bytes.
     """
     ordered = sorted(views, key=lambda v: v.app_id)
-    return _canonical_json({"v": 1, "views": [_view_to_obj(v) for v in ordered]})
+    return _canonical_json({"v": 1, "views": [view_to_obj(v) for v in ordered]})
 
 
 def decode_views(data: bytes) -> list[ContentView]:
@@ -407,8 +407,7 @@ def get_trust(
     return trust_from(attrs, content_hash)
 
 
-@dataclass(frozen=True)
-class Provenance:
+class Provenance(NamedTuple):
     """Download provenance read from conventional attributes, uninterpreted."""
 
     origin_url: str | None = None

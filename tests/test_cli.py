@@ -7,6 +7,7 @@ import builtins
 import io
 import json
 import os
+import re
 from pathlib import Path
 
 import jsonschema
@@ -33,6 +34,18 @@ CORRUPT_ATTRIBUTES = [
     (VIEWS_KEY, b"not json"),
     (TRUST_KEY, b"not json"),
 ]
+
+
+def _golden() -> dict[str, str]:
+    """``cli_golden.txt``: after each ``### contentoracle <args>`` line, what
+    the CLI prints for those arguments at 80 columns; help goes to stdout,
+    a usage error to stderr."""
+    text = (Path(__file__).parent / "cli_golden.txt").read_text("utf-8")
+    parts = re.split(r"^### contentoracle ?(.*)\n", text, flags=re.MULTILINE)
+    return dict(zip(parts[1::2], parts[2::2]))
+
+
+GOLDEN = _golden()
 
 
 @pytest.fixture
@@ -349,6 +362,23 @@ class TestExitCodes:
         assert code == EX_USAGE
         assert out == ""
 
+    @pytest.mark.parametrize("ctx,key", [
+        ('{"nosniff":"false"}', "nosniff"),
+        ('{"auto_download":1}', "auto_download"),
+        ('{"auto_open":null}', "auto_open"),
+        ('{"no_sniff":true}', "no_sniff"),
+        ('{"nosniff":true,"autoOpen":false}', "autoOpen"),
+        ('{"sniffed_mime":false}', "sniffed_mime"),
+        ('{"content_type":0}', "content_type"),
+    ])
+    def test_request_context_takes_booleans_and_known_keys_only(self, capsys, config_file,
+                                                              ctx, key):
+        code = main(["--config", config_file, "browser", "run", "firefox-like", "--ctx", ctx])
+        captured = capsys.readouterr()
+        assert code == EX_USAGE
+        assert captured.out == ""
+        assert key in captured.err
+
     def test_config_error_is_78(self, capsys, tmp_path):
         bad = tmp_path / "broken.json"
         bad.write_text("{not json")
@@ -404,3 +434,27 @@ class TestExitCodes:
         code, out = run_cli(capsys, "--config", config_file, "scan", str(inbox))
         assert code == EX_SOFTWARE
         assert [Path(report_of(line)["path"]).name for line in out.splitlines()] == ["a.pdf"]
+
+
+class TestGoldenUsage:
+    """``--help`` of every command path, and a usage error at each nesting
+    level, byte for byte as printed when every parser was built up front."""
+
+    @pytest.fixture(autouse=True)
+    def _columns(self, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps to the terminal width
+
+    @pytest.mark.parametrize("args", [a for a in GOLDEN if a.endswith("--help")])
+    def test_help(self, capsys, args):
+        assert main(args.split()) == 0
+        assert capsys.readouterr() == (GOLDEN[args], "")
+
+    @pytest.mark.parametrize("args", [a for a in GOLDEN if not a.endswith("--help")])
+    def test_usage_error(self, capsys, args):
+        assert main(args.split()) == EX_USAGE
+        assert capsys.readouterr() == ("", GOLDEN[args])
+
+    def test_every_command_has_golden_help(self):
+        commands = re.search(r"\{(.*)\}", GOLDEN["--help"]).group(1).split(",")
+        assert len(commands) == 9
+        assert {f"{c} --help" for c in commands} <= set(GOLDEN)

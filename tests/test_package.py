@@ -145,3 +145,76 @@ class TestImportGuard:
         """
         assert _python(tmp_path, "-c", textwrap.dedent(script)).split() == [
             "False", "True", "True", "False", "True"]
+
+
+def _records() -> list:
+    """One instance of each value record that is a ``typing.NamedTuple``."""
+    from contentoracle.discrepancy_engine import (
+        Discrepancy, DiscrepancyKind, DiscrepancyReport, Evidence, Severity,
+    )
+    from contentoracle.mime_db import FamilyStats, MalformedLine, parse_mime_type
+    from contentoracle.name_analyzer import analyze_name
+    from contentoracle.policy_engine import (
+        ActiveRegistry, HandlerPolicy, PolicyDecision, Verdict,
+    )
+    from contentoracle.sniffer import EMPTY_REPORT, Candidate, _ScanPlan
+    from contentoracle.view_registry import ContentView, FlaggedView, Provenance
+
+    mime = parse_mime_type("text/plain")
+    name = analyze_name("a.txt", frozenset({"txt"}))
+    view = ContentView("viewer", mime, False, bytes(32), 0)
+    return [
+        MalformedLine(1, "x", "bad"), FamilyStats(), _ScanPlan.build(()),
+        Candidate(mime, "text", 4, 0), EMPTY_REPORT, name,
+        FlaggedView(view, stale=False), Provenance(),
+        Discrepancy(DiscrepancyKind.POLYGLOT, Severity.INFO, "detail"),
+        Evidence(None, EMPTY_REPORT, None, (), name, Provenance()),
+        DiscrepancyReport((), None), ActiveRegistry(), HandlerPolicy(),
+        PolicyDecision(Verdict.ALLOW, ()),
+    ]
+
+
+#: The classes still made with ``dataclasses``: each validates in
+#: ``__post_init__``, holds a ``cached_property``, takes a ``default_factory``
+#: or is ``replace``d. Any other record on the check path is a NamedTuple.
+CHECK_PATH_DATACLASSES = [
+    "contentoracle.config.Config", "contentoracle.mime_db.ExtensionMap",
+    "contentoracle.mime_db.MimeType", "contentoracle.runtime.Runtime",
+    "contentoracle.sniffer.Signature", "contentoracle.sniffer.SignatureDb",
+    "contentoracle.view_registry.ContentView",
+]
+
+#: Runs the CLI in this interpreter, then prints every dataclass that the
+#: loaded ``contentoracle`` modules define.
+_LIST_DATACLASSES = """
+    import contextlib, dataclasses, io, json, sys
+    from contentoracle.cli import main
+    with contextlib.redirect_stdout(io.StringIO()):
+        main(sys.argv[1:])
+    print(json.dumps(sorted({
+        f"{name}.{cls.__qualname__}"
+        for name, module in list(sys.modules.items()) if name.startswith("contentoracle")
+        for cls in vars(module).values()
+        if isinstance(cls, type) and cls.__module__ == name and dataclasses.is_dataclass(cls)
+    })))
+"""
+
+
+class TestRecords:
+    @pytest.mark.parametrize("record", _records(), ids=lambda r: type(r).__name__)
+    def test_refuses_assignment(self, record):
+        assert len(record._fields) >= 1  # a record is never an empty, falsy tuple
+        for field in record._fields:
+            with pytest.raises(AttributeError):
+                setattr(record, field, None)
+        with pytest.raises(AttributeError):
+            record.extra = None
+
+    def test_check_makes_only_the_kept_dataclasses(self, tmp_path):
+        (tmp_path / "a.pdf").write_bytes(b"%PDF-1.7\n1 0 obj\n<<>>\nendobj\n%%EOF\n")
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"sidecar_path": str(tmp_path / "sidecar.sqlite3"),
+                                      "backend": "sidecar"}))
+        out = _python(tmp_path, "-c", textwrap.dedent(_LIST_DATACLASSES),
+                      "--config", str(config), "check", "a.pdf")
+        assert json.loads(out) == CHECK_PATH_DATACLASSES
