@@ -9,32 +9,23 @@ config errors 78.
 from __future__ import annotations
 
 import argparse
-import base64
 import json
 import sys
 import time
 from pathlib import Path
 
 from .config import load_config
-from .discrepancy_engine import DiscrepancyReport, Evidence, evaluate
-from .errors import (
-    ConfigError,
-    ContentOracleError,
-    HttpError,
-    MalformedMime,
-    MalformedSignature,
-    MalformedTree,
-    NetworkError,
-)
+from .discrepancy_engine import evaluate
+from .errors import ConfigError, ContentOracleError, HttpError, NetworkError
 from .mime_db import db_stats, load_extension_map, parse_mime_type
 from .policy_engine import (
     DENY_ALL,
     HandlerPolicy,
-    PolicyDecision,
     Verdict,
     get_allowed_handlers,
     set_handler_policy,
 )
+from .report import build_report, db_stats_document, diff_document, emit, view_obj
 from .runtime import Runtime, assess_path, build_evidence, judge
 from .view_registry import (
     MAX_NOTE_BYTES,
@@ -45,7 +36,6 @@ from .view_registry import (
     read_views,
     record_view,
     set_trust,
-    view_to_obj,
 )
 
 EX_OK = 0
@@ -55,66 +45,6 @@ EX_IOERR = 74
 EX_CONFIG = 78
 
 _VERDICT_CODE = {Verdict.ALLOW: 0, Verdict.WARN: 1, Verdict.DENY: 2}
-
-#: JSON Schema for the audit report emitted by identify/check/scan/fetch.
-REPORT_SCHEMA = {
-    "type": "object",
-    "required": ["v", "path", "name_report", "sniff", "views", "provenance",
-                 "discrepancies", "verdict", "resolved_mime"],
-    "properties": {
-        "v": {"const": 1},
-        "path": {"type": "string"},
-        "url": {"type": "string"},
-        "name_report": {
-            "type": "object",
-            "required": ["display_name", "logical_extension", "extension_chain", "anomalies"],
-            "properties": {
-                "display_name": {"type": "string"},
-                "logical_extension": {"type": ["string", "null"]},
-                "extension_chain": {"type": "array", "items": {"type": "string"}},
-                "anomalies": {"type": "array", "items": {"type": "string"}},
-            },
-        },
-        "sniff": {
-            "type": "object",
-            "required": ["candidates", "is_polyglot", "text_fallback", "bytes_examined"],
-            "properties": {
-                "candidates": {
-                    "type": "array",
-                    "items": {
-                        "type": "object",
-                        "required": ["mime", "signature", "weight", "offset"],
-                    },
-                },
-                "is_polyglot": {"type": "boolean"},
-                "text_fallback": {"enum": ["not_applied", "looks_text", "looks_binary"]},
-                "bytes_examined": {"type": "integer"},
-            },
-        },
-        "views": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "required": ["app", "mime", "active", "hash", "t", "stale"],
-            },
-        },
-        "provenance": {
-            "type": "object",
-            "required": ["origin_url", "referrer_url", "quarantine"],
-        },
-        "discrepancies": {
-            "type": ["array", "null"],
-            "items": {
-                "type": "object",
-                "required": ["kind", "severity", "detail", "sources"],
-            },
-        },
-        "verdict": {"enum": ["allow", "warn", "deny", None]},
-        "resolved_mime": {"type": ["string", "null"]},
-        "reasons": {"type": "array", "items": {"type": "string"}},
-    },
-    "additionalProperties": False,
-}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -135,67 +65,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message: str):
         self.print_usage(sys.stderr)
         self.exit(EX_USAGE, f"{self.prog}: error: {message}\n")
-
-
-def _view_obj(flagged: FlaggedView) -> dict:
-    return {**view_to_obj(flagged.view), "stale": flagged.stale}
-
-
-def build_report(
-    path: Path,
-    evidence: Evidence,
-    report: DiscrepancyReport | None,
-    decision: PolicyDecision | None,
-    url: str | None = None,
-) -> dict:
-    names, sniff, prov = evidence.name_report, evidence.sniff, evidence.provenance
-    doc = {
-        "v": 1,
-        "path": str(path),
-        "name_report": {
-            "display_name": names.display_name,
-            "logical_extension": names.logical_extension,
-            "extension_chain": list(names.extension_chain),
-            "anomalies": sorted(a.value for a in names.anomalies),
-        },
-        "sniff": {
-            "candidates": [
-                {"mime": c.mime.format(), "signature": c.signature,
-                 "weight": c.weight, "offset": c.offset}
-                for c in sniff.candidates
-            ],
-            "is_polyglot": sniff.is_polyglot,
-            "text_fallback": sniff.text_fallback.value,
-            "bytes_examined": sniff.bytes_examined,
-        },
-        "views": [_view_obj(fv) for fv in evidence.views],
-        "provenance": {
-            "origin_url": prov.origin_url,
-            "referrer_url": prov.referrer_url,
-            "quarantine": base64.b64encode(prov.quarantine).decode("ascii")
-            if prov.quarantine is not None else None,
-        },
-        "discrepancies": None if report is None else [
-            {"kind": d.kind.value, "severity": d.severity.name.lower(),
-             "detail": d.detail, "sources": list(d.sources)}
-            for d in report.discrepancies
-        ],
-        "verdict": decision.verdict.value if decision else None,
-        "resolved_mime": report.resolved_mime.format()
-        if report and report.resolved_mime else None,
-    }
-    if decision:
-        doc["reasons"] = list(decision.reasons)
-    if url is not None:
-        doc["url"] = url
-    return doc
-
-
-def _emit(obj, compact: bool = False) -> None:
-    if compact:
-        print(json.dumps(obj, sort_keys=True, separators=(",", ":")))
-    else:
-        print(json.dumps(obj, sort_keys=True, indent=2))
 
 
 def _load_model(name: str, runtime: Runtime) -> DecisionTree:
@@ -253,34 +122,19 @@ def _request_context(text: str) -> RequestContext:
         raise argparse.ArgumentTypeError(f"bad request context: {exc}") from None
 
 
-def _context_obj(ctx: RequestContext) -> dict:
-    def mime(m):
-        return m.format() if m is not None else None
-
-    return {
-        "sniffed_mime": mime(ctx.sniffed_mime),
-        "extension_mime": mime(ctx.extension_mime),
-        "content_type": mime(ctx.content_type),
-        "content_disposition": ctx.content_disposition.value,
-        "nosniff": ctx.nosniff,
-        "auto_download": ctx.auto_download,
-        "auto_open": ctx.auto_open,
-    }
-
-
 # --- subcommands -----------------------------------------------------------
 
 
 def cmd_identify(args, runtime: Runtime) -> int:
     evidence = build_evidence(runtime, args.path)
     report = evaluate(evidence, runtime.active)
-    _emit(build_report(Path(args.path), evidence, report, decision=None))
+    emit(build_report(Path(args.path), evidence, report, decision=None))
     return EX_OK
 
 
 def cmd_check(args, runtime: Runtime) -> int:
     evidence, report, decision = assess_path(runtime, args.path, handler=args.handler)
-    _emit(build_report(Path(args.path), evidence, report, decision))
+    emit(build_report(Path(args.path), evidence, report, decision))
     return _VERDICT_CODE[decision.verdict]
 
 
@@ -291,7 +145,7 @@ def cmd_scan(args, runtime: Runtime) -> int:
     worst = EX_OK
     for path in sorted(p for p in root.rglob("*") if p.is_file()):
         evidence, report, decision = assess_path(runtime, path)
-        _emit(build_report(path, evidence, report, decision), compact=True)
+        emit(build_report(path, evidence, report, decision), compact=True)
         worst = max(worst, _VERDICT_CODE[decision.verdict])
     return worst
 
@@ -306,23 +160,22 @@ def cmd_view_record(args, runtime: Runtime) -> int:
         note=args.note,
     )
     record_view(runtime.store, args.path, view)
-    _emit({"recorded": _view_obj(FlaggedView(view, stale=False))})
+    emit({"recorded": view_obj(FlaggedView(view, stale=False))})
     return EX_OK
 
 
 def cmd_view_list(args, runtime: Runtime) -> int:
-    _emit({"views": [_view_obj(fv) for fv in read_views(runtime.store, args.path)]})
+    emit({"views": [view_obj(fv) for fv in read_views(runtime.store, args.path)]})
     return EX_OK
 
 
 def cmd_trust_set(args, runtime: Runtime) -> int:
     set_trust(runtime.store, args.path, args.state == "trusted", now=args.now)
-    _emit({"trust": get_trust(runtime.store, args.path).value})
-    return EX_OK
+    return cmd_trust_get(args, runtime)
 
 
 def cmd_trust_get(args, runtime: Runtime) -> int:
-    _emit({"trust": get_trust(runtime.store, args.path).value})
+    emit({"trust": get_trust(runtime.store, args.path).value})
     return EX_OK
 
 
@@ -333,14 +186,14 @@ def cmd_policy_set(args, runtime: Runtime) -> int:
         apps = tuple(a for a in (args.apps or "").split(",") if a)
         policy = HandlerPolicy(allowed=apps)
     set_handler_policy(runtime.store, args.path, policy)
-    _emit({"deny_all": policy.deny_all, "handlers": list(policy.allowed)})
+    emit({"deny_all": policy.deny_all, "handlers": list(policy.allowed)})
     return EX_OK
 
 
 def cmd_policy_get(args, runtime: Runtime) -> int:
     policy = get_allowed_handlers(runtime.store, args.path)
-    _emit({"deny_all": policy.deny_all, "handlers": list(policy.allowed),
-           "restricts": policy.restricts})
+    emit({"deny_all": policy.deny_all, "handlers": list(policy.allowed),
+          "restricts": policy.restricts})
     return EX_OK
 
 
@@ -348,7 +201,7 @@ def cmd_browser_run(args, runtime: Runtime) -> int:
     from .browser_model import run as run_tree
 
     tree = _load_model(args.model, runtime)
-    _emit({"model": tree.name, "action": run_tree(tree, args.ctx).value})
+    emit({"model": tree.name, "action": run_tree(tree, args.ctx).value})
     return EX_OK
 
 
@@ -358,17 +211,7 @@ def cmd_browser_diff(args, runtime: Runtime) -> int:
     tree_a = _load_model(args.model_a, runtime)
     tree_b = _load_model(args.model_b, runtime)
     grid = enumerate_grid()
-    points = differential(tree_a, tree_b, grid)
-    _emit({
-        "model_a": tree_a.name,
-        "model_b": tree_b.name,
-        "grid_size": len(grid),
-        "divergence_count": len(points),
-        "divergences": [
-            {"context": _context_obj(ctx), "a": act_a.value, "b": act_b.value}
-            for ctx, act_a, act_b in points
-        ],
-    })
+    emit(diff_document(tree_a, tree_b, grid, differential(tree_a, tree_b, grid)))
     return EX_OK
 
 
@@ -385,25 +228,13 @@ def cmd_fetch(args, runtime: Runtime) -> int:
     views = read_views(runtime.store, record.body_path, evidence.content_hash)
     evidence = evidence._replace(views=tuple(views))
     report, decision = judge(runtime, evidence)
-    _emit(build_report(record.body_path, evidence, report, decision, url=record.url))
+    emit(build_report(record.body_path, evidence, report, decision, url=record.url))
     return _VERDICT_CODE[decision.verdict]
 
 
 def cmd_db_stats(args, runtime: Runtime) -> int:
     ext_map, errors = load_extension_map(Path(args.file).read_text("utf-8"))
-    stats = db_stats(ext_map)
-    _emit({
-        "families": {
-            family: {
-                "official": s.official,
-                "unofficial_subtype": s.unofficial_subtype,
-                "unknown_family": s.unknown_family,
-            }
-            for family, s in stats.items()
-        },
-        "total_types": sum(s.total for s in stats.values()),
-        "malformed_lines": len(errors),
-    })
+    emit(db_stats_document(db_stats(ext_map), len(errors)))
     return EX_OK
 
 
@@ -529,9 +360,6 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"contentoracle: config error: {exc}", file=sys.stderr)
         return EX_CONFIG
-    except (MalformedMime, MalformedTree, MalformedSignature) as exc:
-        print(f"contentoracle: {exc}", file=sys.stderr)
-        return EX_USAGE
     except (NetworkError, HttpError) as exc:
         print(f"contentoracle: {exc}", file=sys.stderr)
         return EX_IOERR

@@ -84,6 +84,9 @@ def load_config(explicit_path: str | None = None) -> Config:
         raise ConfigError(f"unknown config keys in {path}: {', '.join(sorted(unknown))}")
     if "backend" in doc and doc["backend"] not in _BACKENDS:
         raise ConfigError(f"backend must be one of {_BACKENDS}, got {doc['backend']!r}")
+    for key, value in doc.items():
+        if key != "backend" and not isinstance(value, str):
+            raise ConfigError(f"{key} in {path} must be a path string, got {value!r}")
     updates = {
         key: (Path(value) if key != "backend" else value)
         for key, value in doc.items()

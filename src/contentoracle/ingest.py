@@ -19,7 +19,7 @@ from typing import Mapping
 from urllib.parse import quote, unquote, urlsplit, urlunsplit
 
 from .discrepancy_engine import DiscrepancyReport, Evidence
-from .errors import HttpError, NetworkError
+from .errors import HttpError, MalformedMime, NetworkError
 from .mime_db import MimeType, parse_mime_type
 from .name_analyzer import strip_bidi_controls
 from .policy_engine import PolicyDecision
@@ -193,7 +193,7 @@ def declared_mime(record: FetchRecord) -> MimeType | None:
         return None
     try:
         return parse_mime_type(raw)
-    except Exception:
+    except MalformedMime:
         return None
 
 

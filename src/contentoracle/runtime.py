@@ -94,20 +94,22 @@ def build_evidence(
     response header; the content is still hashed.
     """
     path = Path(path)
-    name_report = analyze_name(path.name, runtime.ext_map.known_extensions())
-    extension_mime = (
-        runtime.ext_map.primary(name_report.logical_extension)
-        if name_report.logical_extension
-        else None
-    )
     digest = hashlib.sha256()
     scan = None if nosniff else SniffScan(runtime.sig_db)
+    # opened before the name is analysed: "." and "/" have no name, and
+    # fail here as the directories they are
     with open(path, "rb") as fh:
         while chunk := fh.read(CHUNK_SIZE):
             digest.update(chunk)
             if scan is not None:
                 scan.feed(chunk)
     content_hash = digest.digest()
+    name_report = analyze_name(path.name, runtime.ext_map.known_extensions())
+    extension_mime = (
+        runtime.ext_map.primary(name_report.logical_extension)
+        if name_report.logical_extension
+        else None
+    )
     attrs = runtime.store.read(path, ATTRIBUTE_KEYS)
     return Evidence(
         extension_mime=extension_mime,

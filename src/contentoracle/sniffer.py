@@ -20,7 +20,7 @@ from enum import Enum
 from functools import cached_property, lru_cache
 from typing import Iterator, NamedTuple
 
-from .errors import DuplicateName, MalformedSignature
+from .errors import DuplicateName, MalformedMime, MalformedSignature
 from .mime_db import MimeType, parse_mime_type
 
 #: Primary matching window: signatures match at their declared offset only
@@ -178,7 +178,7 @@ def load_signatures(source: str) -> SignatureDb:
         seen.add(name)
         try:
             mime = parse_mime_type(mime_text)
-        except Exception as exc:
+        except MalformedMime as exc:
             raise MalformedSignature(f"line {line_no}: bad mime: {exc}") from None
         try:
             offset = int(offset_text, 10)

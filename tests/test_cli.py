@@ -18,10 +18,10 @@ from contentoracle.cli import (
     EX_IOERR,
     EX_SOFTWARE,
     EX_USAGE,
-    REPORT_SCHEMA,
     main,
 )
 from contentoracle.config import load_config
+from contentoracle.report import REPORT_SCHEMA
 from contentoracle.runtime import Runtime
 from contentoracle.view_registry import POLICY_KEY, TRUST_KEY, VIEWS_KEY
 from tests.conftest import zip_with_script
@@ -384,6 +384,18 @@ class TestExitCodes:
         bad.write_text("{not json")
         assert main(["--config", str(bad), "trust", "get", "x"]) == EX_CONFIG
 
+    @pytest.mark.parametrize("doc", [
+        {"magic_path": 5},
+        {"sidecar_path": None, "backend": "sidecar"},
+    ])
+    def test_wrong_typed_config_value_is_78(self, capsys, tmp_path, doc):
+        target = tmp_path / "doc.pdf"
+        target.write_bytes(b"%PDF-1.4 body")
+        bad = tmp_path / "typed.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["--config", str(bad), "check", str(target)]) == EX_CONFIG
+        assert "config error" in capsys.readouterr().err
+
     def test_missing_explicit_config_is_78(self, capsys, tmp_path):
         assert main(["--config", str(tmp_path / "absent.json"),
                      "trust", "get", "x"]) == EX_CONFIG
@@ -409,6 +421,25 @@ class TestExitCodes:
         Path(load_config(config_file).sidecar_path).mkdir()
         assert main(["--config", config_file, "trust", "set", str(target), "trusted"]) \
             == EX_IOERR
+
+    @pytest.mark.parametrize("command", ["check", "identify"])
+    @pytest.mark.parametrize("path", [".", "/"])
+    def test_nameless_directory_is_74(self, capsys, config_file, command, path):
+        assert main(["--config", config_file, command, path]) == EX_IOERR
+        assert "Is a directory" in capsys.readouterr().err
+
+    def test_fault_in_signature_parsing_is_internal_error(self, capsys, config_file,
+                                                          tmp_path, monkeypatch):
+        from contentoracle import sniffer
+
+        def broken(text):
+            raise RuntimeError("parser fault")
+
+        monkeypatch.setattr(sniffer, "parse_mime_type", broken)
+        target = tmp_path / "doc.pdf"
+        target.write_bytes(b"%PDF-1.4 body")
+        assert main(["--config", config_file, "check", str(target)]) == EX_SOFTWARE
+        assert "internal error: RuntimeError: parser fault" in capsys.readouterr().err
 
     def test_parallel_is_unknown_option(self, capsys, config_file, tmp_path):
         assert main(["--config", config_file, "scan", str(tmp_path), "--parallel", "2"]) \

@@ -5,6 +5,7 @@ server; no external network is touched."""
 from __future__ import annotations
 
 import hashlib
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -14,6 +15,7 @@ from contentoracle.discrepancy_engine import DiscrepancyKind, evaluate
 from contentoracle.errors import HttpError, NetworkError
 from contentoracle.ingest import (
     INGEST_APP_ID,
+    FetchRecord,
     assess_record,
     fetch,
     sanitize_url_filename,
@@ -184,6 +186,25 @@ class TestFilenameSanitizer:
             record = fetch(http_server.url(path), dest, runtime.store)
             assert record.body_path.parent == dest
         assert all(p.parent == dest for p in dest.iterdir())
+
+
+class TestDeclaredMime:
+    @staticmethod
+    def record(content_type: str) -> FetchRecord:
+        return FetchRecord(url="http://h/f", final_url="http://h/f", status=200,
+                           headers={"Content-Type": content_type},
+                           body_path=Path("f"), fetched_at=0)
+
+    def test_malformed_header_reads_as_absent(self):
+        assert ingest.declared_mime(self.record("pdf")) is None
+
+    def test_fault_in_parsing_propagates(self, monkeypatch):
+        def broken(text):
+            raise RuntimeError("parser fault")
+
+        monkeypatch.setattr(ingest, "parse_mime_type", broken)
+        with pytest.raises(RuntimeError, match="parser fault"):
+            ingest.declared_mime(self.record("application/pdf"))
 
 
 class TestAssess:

@@ -66,6 +66,16 @@ class TestLoadSignatures:
         db = load_signatures("x | image/gif | 0 | 47 | - | 99 | 0")
         assert db.signatures[0].weight == 99
 
+    def test_fault_in_mime_parsing_is_not_a_malformed_line(self, monkeypatch):
+        from contentoracle import sniffer
+
+        def broken(text):
+            raise RuntimeError("parser fault")
+
+        monkeypatch.setattr(sniffer, "parse_mime_type", broken)
+        with pytest.raises(RuntimeError, match="parser fault"):
+            load_signatures(GIF_LINE)
+
 
 def reference_is_text(data: bytes) -> bool:
     """The per-byte reading that :func:`is_text` replaced: a byte counts as
