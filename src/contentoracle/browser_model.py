@@ -15,9 +15,8 @@ first. ``? <field> <op> [<value>]`` is a predicate, ``! <Action>`` a leaf,
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Union
+from typing import Iterable, NamedTuple, Union
 
 from .errors import MalformedTree
 from .mime_db import MimeType, parse_mime_type
@@ -38,8 +37,7 @@ class Disposition(Enum):
     ATTACHMENT = "attachment"
 
 
-@dataclass(frozen=True)
-class RequestContext:
+class RequestContext(NamedTuple):
     """The input tuple a browser sees when deciding what to do with a payload."""
 
     sniffed_mime: MimeType | None = None
@@ -60,13 +58,11 @@ FIELDS = MIME_FIELDS + BOOL_FIELDS + ("content_disposition",)
 PredicateValue = Union[None, str, bool, Disposition, frozenset[tuple[str, str]]]
 
 
-@dataclass(frozen=True)
-class Leaf:
+class Leaf(NamedTuple):
     action: Action
 
 
-@dataclass(frozen=True)
-class Predicate:
+class Predicate(NamedTuple):
     field: str
     op: str
     value: PredicateValue
@@ -74,8 +70,7 @@ class Predicate:
     no: Union["Predicate", Leaf]
 
 
-@dataclass(frozen=True)
-class DecisionTree:
+class DecisionTree(NamedTuple):
     name: str
     root: Union[Predicate, Leaf]
 

@@ -33,6 +33,7 @@ from .view_registry import (
     FlaggedView,
     content_identity,
     get_trust,
+    open_regular,
     read_views,
     record_view,
     set_trust,
@@ -77,6 +78,13 @@ def _load_model(name: str, runtime: Runtime) -> DecisionTree:
     if not candidate.is_file():
         raise FileNotFoundError(f"model not found: {name}")
     return load_tree(candidate.read_text("utf-8"), name=candidate.stem)
+
+
+def _attribute_path(path: str) -> str:
+    """``path``, if ``check`` could read it: no attribute is read or set on
+    a directory, FIFO or device, which no check could ever assess."""
+    open_regular(path).close()
+    return path
 
 
 def _app_id(text: str) -> str:
@@ -175,7 +183,7 @@ def cmd_trust_set(args, runtime: Runtime) -> int:
 
 
 def cmd_trust_get(args, runtime: Runtime) -> int:
-    emit({"trust": get_trust(runtime.store, args.path).value})
+    emit({"trust": get_trust(runtime.store, _attribute_path(args.path)).value})
     return EX_OK
 
 
@@ -185,13 +193,13 @@ def cmd_policy_set(args, runtime: Runtime) -> int:
     else:
         apps = tuple(a for a in (args.apps or "").split(",") if a)
         policy = HandlerPolicy(allowed=apps)
-    set_handler_policy(runtime.store, args.path, policy)
+    set_handler_policy(runtime.store, _attribute_path(args.path), policy)
     emit({"deny_all": policy.deny_all, "handlers": list(policy.allowed)})
     return EX_OK
 
 
 def cmd_policy_get(args, runtime: Runtime) -> int:
-    policy = get_allowed_handlers(runtime.store, args.path)
+    policy = get_allowed_handlers(runtime.store, _attribute_path(args.path))
     emit({"deny_all": policy.deny_all, "handlers": list(policy.allowed),
           "restricts": policy.restricts})
     return EX_OK

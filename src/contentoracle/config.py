@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import NamedTuple
 
 from .errors import ConfigError
 
@@ -33,14 +33,23 @@ def _default_sidecar() -> Path:
     return base / "contentoracle" / "sidecar.sqlite3"
 
 
-@dataclass(frozen=True)
-class Config:
+class _ConfigFields(NamedTuple):
     mime_types_path: Path = DATA_DIR / "mime.snapshot.types"
     magic_path: Path = DATA_DIR / "magic.signatures"
     active_types_path: Path = DATA_DIR / "active.types"
     models_dir: Path = DATA_DIR / "models"
-    sidecar_path: Path = field(default_factory=_default_sidecar)  # per Config, not at import
+    sidecar_path: Path | None = None
     backend: str = "auto"
+
+
+class Config(_ConfigFields):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        config = super().__new__(cls, *args, **kwargs)
+        if config.sidecar_path is None:  # resolved per Config, not at import
+            config = config._replace(sidecar_path=_default_sidecar())
+        return config
 
 
 def _user_config_path() -> Path:
@@ -91,4 +100,4 @@ def load_config(explicit_path: str | None = None) -> Config:
         key: (Path(value) if key != "backend" else value)
         for key, value in doc.items()
     }
-    return replace(config, **updates)
+    return config._replace(**updates)

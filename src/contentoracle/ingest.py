@@ -13,9 +13,8 @@ import tempfile
 import time
 import urllib.error
 import urllib.request
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping
+from typing import Mapping, NamedTuple
 from urllib.parse import quote, unquote, urlsplit, urlunsplit
 
 from .discrepancy_engine import DiscrepancyReport, Evidence
@@ -53,8 +52,7 @@ NAME_MAX = 255
 _URI_SAFE = "".join(map(chr, range(0x21, 0x7F)))
 
 
-@dataclass(frozen=True)
-class FetchRecord:
+class FetchRecord(NamedTuple):
     """One completed download plus the metadata identification needs."""
 
     url: str

@@ -7,10 +7,9 @@ values, so shared instances are safe for unsynchronized concurrent reads.
 from __future__ import annotations
 
 import unicodedata
-from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property
-from typing import Mapping, NamedTuple
+from types import MappingProxyType
+from typing import KeysView, Mapping, NamedTuple
 
 from .errors import MalformedMime
 
@@ -44,25 +43,31 @@ def _check_param_value(value: str, context: str) -> None:
             raise MalformedMime(f"illegal parameter value character {c!r} in {context!r}")
 
 
-@dataclass(frozen=True, eq=False, repr=False)
-class MimeType:
+# A NamedTuple may not define __new__, so a record that validates its fields
+# subclasses a NamedTuple of them and validates in its own __new__.
+class _MimeFields(NamedTuple):
+    family: str
+    subtype: str
+    parameters: tuple[tuple[str, str], ...]
+
+
+class MimeType(_MimeFields):
     """A parsed media type: family/subtype plus ordered parameters.
 
     Parameter names compare case-insensitively, values case-sensitively.
     """
 
-    family: str
-    subtype: str
-    parameters: tuple[tuple[str, str], ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        _check_token(self.family, self.family)
-        _check_token(self.subtype, self.subtype)
-        if self.family != self.family.lower() or self.subtype != self.subtype.lower():
-            raise MalformedMime(f"family/subtype must be lowercase: {self.family}/{self.subtype}")
-        for name, value in self.parameters:
+    def __new__(cls, family: str, subtype: str, parameters: tuple[tuple[str, str], ...] = ()):
+        _check_token(family, family)
+        _check_token(subtype, subtype)
+        if family != family.lower() or subtype != subtype.lower():
+            raise MalformedMime(f"family/subtype must be lowercase: {family}/{subtype}")
+        for name, value in parameters:
             _check_token(name, name)
             _check_param_value(value, name)
+        return tuple.__new__(cls, (family, subtype, parameters))
 
     @property
     def key(self) -> tuple[str, str]:
@@ -158,8 +163,7 @@ class MalformedLine(NamedTuple):
     reason: str
 
 
-@dataclass(frozen=True)
-class ExtensionMap:
+class ExtensionMap(NamedTuple):
     """Forward extension->types and reverse type->extensions indexes.
 
     Forward lists preserve source order; the first entry for an extension is
@@ -167,8 +171,8 @@ class ExtensionMap:
     extensions (empty extension list).
     """
 
-    entries: Mapping[str, tuple[MimeType, ...]] = field(default_factory=dict)
-    reverse: Mapping[MimeType, tuple[str, ...]] = field(default_factory=dict)
+    entries: Mapping[str, tuple[MimeType, ...]] = MappingProxyType({})
+    reverse: Mapping[MimeType, tuple[str, ...]] = MappingProxyType({})
 
     def lookup(self, ext: str) -> tuple[MimeType, ...]:
         return self.entries.get(normalize_extension(ext), ())
@@ -183,13 +187,8 @@ class ExtensionMap:
     def types(self) -> frozenset[MimeType]:
         return frozenset(self.reverse)
 
-    def known_extensions(self) -> frozenset[str]:
-        return self._known_extensions
-
-    @cached_property
-    def _known_extensions(self) -> frozenset[str]:
-        # built on first use, not at load
-        return frozenset(self.entries)
+    def known_extensions(self) -> KeysView[str]:
+        return self.entries.keys()
 
 
 def load_extension_map(source: str) -> tuple[ExtensionMap, list[MalformedLine]]:

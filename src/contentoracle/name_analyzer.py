@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 import unicodedata
 from enum import Enum
-from typing import NamedTuple
+from typing import Collection, NamedTuple
 
 
 class NameAnomaly(Enum):
@@ -107,7 +107,7 @@ def _scripts_of(segment: str) -> set[str]:
     return scripts
 
 
-def analyze_name(filename: str, known_exts: frozenset[str] | set[str]) -> NameReport:
+def analyze_name(filename: str, known_exts: Collection[str]) -> NameReport:
     """Analyze one filename against a set of known extensions.
 
     Extensions are computed on the NFC-normalized name. ``known_exts`` holds

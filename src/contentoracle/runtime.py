@@ -13,8 +13,8 @@ reads the store, so ``evaluate`` and ``decide`` judge one version of them.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from .config import Config
 from .discrepancy_engine import DiscrepancyReport, Evidence, evaluate
@@ -35,6 +35,7 @@ from .view_registry import (
     AutoStore,
     SidecarStore,
     XattrStore,
+    open_regular,
     provenance_from,
     trust_from,
     views_from,
@@ -55,8 +56,7 @@ def make_store(config: Config) -> AttributeStore:
     return AutoStore(xattr, sidecar)
 
 
-@dataclass(frozen=True)
-class Runtime:
+class Runtime(NamedTuple):
     """Immutable bundle of everything a pipeline run needs."""
 
     ext_map: ExtensionMap
@@ -98,7 +98,7 @@ def build_evidence(
     scan = None if nosniff else SniffScan(runtime.sig_db)
     # opened before the name is analysed: "." and "/" have no name, and
     # fail here as the directories they are
-    with open(path, "rb") as fh:
+    with open_regular(path) as fh:
         while chunk := fh.read(CHUNK_SIZE):
             digest.update(chunk)
             if scan is not None:

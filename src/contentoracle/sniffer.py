@@ -15,9 +15,8 @@ that search: it checks the leading window when the report is taken.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Iterator, NamedTuple
 
 from .errors import DuplicateName, MalformedMime, MalformedSignature
@@ -34,8 +33,17 @@ TEXT_PROBE = 4096
 _CONTROLS = bytes(b for b in [*range(0x20), 0x7F] if b not in b"\t\n\r")
 
 
-@dataclass(frozen=True)
-class Signature:
+class _SignatureFields(NamedTuple):
+    name: str
+    mime: MimeType
+    offset: int
+    pattern: bytes
+    mask: bytes | None
+    weight: int
+    polyglot_relevant: bool
+
+
+class Signature(_SignatureFields):
     """One magic pattern: bytes expected at a fixed offset, optionally masked.
 
     ``weight`` defaults to the pattern length so longer matches outrank
@@ -44,30 +52,41 @@ class Signature:
     second pass that hunts for payloads appended after a valid header.
     """
 
-    name: str
-    mime: MimeType
-    offset: int
-    pattern: bytes
-    mask: bytes | None = None
-    weight: int | None = None
-    polyglot_relevant: bool = False
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.name:
+    def __new__(cls, name: str, mime: MimeType, offset: int, pattern: bytes,
+                mask: bytes | None = None, weight: int | None = None,
+                polyglot_relevant: bool = False):
+        if not name:
             raise MalformedSignature("signature name must be non-empty")
-        if not self.pattern:
-            raise MalformedSignature(f"{self.name}: pattern must be non-empty")
-        if self.offset < 0:
-            raise MalformedSignature(f"{self.name}: offset must be >= 0")
-        if self.mask is not None and len(self.mask) != len(self.pattern):
-            raise MalformedSignature(f"{self.name}: mask length must equal pattern length")
-        if self.weight is None:
-            object.__setattr__(self, "weight", len(self.pattern))
+        if not pattern:
+            raise MalformedSignature(f"{name}: pattern must be non-empty")
+        if offset < 0:
+            raise MalformedSignature(f"{name}: offset must be >= 0")
+        if mask is not None and len(mask) != len(pattern):
+            raise MalformedSignature(f"{name}: mask length must equal pattern length")
+        weight = len(pattern) if weight is None else weight
+        return tuple.__new__(cls, (name, mime, offset, pattern, mask, weight, polyglot_relevant))
 
 
-@dataclass(frozen=True)
 class SignatureDb:
-    signatures: tuple[Signature, ...]
+    """The loaded signatures, in file order; frozen. Its scan plan is built
+    on the first scan, so loading costs no more than parsing."""
+
+    __slots__ = ("signatures", "_built_plan")
+
+    def __init__(self, signatures: tuple[Signature, ...]):
+        object.__setattr__(self, "signatures", signatures)
+        object.__setattr__(self, "_built_plan", None)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to {name!r} of a frozen SignatureDb")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete {name!r} of a frozen SignatureDb")
+
+    def __repr__(self) -> str:
+        return f"SignatureDb(signatures={self.signatures!r})"
 
     def __iter__(self) -> Iterator[Signature]:
         return iter(self.signatures)
@@ -75,31 +94,45 @@ class SignatureDb:
     def __len__(self) -> int:
         return len(self.signatures)
 
-    @cached_property
+    @property
     def _plan(self) -> _ScanPlan:
-        # built on the first scan, so loading costs no more than parsing
-        return _ScanPlan.build(self.signatures)
+        if self._built_plan is None:
+            object.__setattr__(self, "_built_plan", _ScanPlan.build(self.signatures))
+        return self._built_plan
 
 
 class _ScanPlan(NamedTuple):
     """What every scan over one :class:`SignatureDb` checks.
 
-    ``groups`` holds the unmasked polyglot patterns, one tuple per first
-    byte, longest first; ``by_pattern`` maps each of them to the signatures
-    it credits; ``masked`` holds one regex per masked signature; ``carry``
-    is how many trailing bytes a scan keeps across a chunk edge.
+    ``header`` indexes the signatures that fit in the primary window by
+    offset, then by each byte that their first pattern byte matches (one,
+    unless that byte is masked); each comes with its regex if masked, else
+    ``None``. ``groups`` holds the unmasked polyglot patterns, one tuple per
+    first byte, longest first; ``by_pattern`` maps each of them to the
+    signatures it credits; ``masked`` pairs each masked polyglot signature
+    with its regex; ``carry`` is how many trailing bytes a scan keeps across
+    a chunk edge.
     """
 
-    primary: tuple[Signature, ...]
+    header: dict[int, dict[int, list[tuple[Signature, re.Pattern[bytes] | None]]]]
     polyglot: tuple[Signature, ...]
     groups: tuple[tuple[bytes, ...], ...]
     by_pattern: dict[bytes, tuple[Signature, ...]]
-    masked: dict[Signature, re.Pattern[bytes]]
+    masked: tuple[tuple[Signature, re.Pattern[bytes]], ...]
     carry: int
 
     @classmethod
     def build(cls, signatures: tuple[Signature, ...]) -> "_ScanPlan":
-        primary = tuple(s for s in signatures if s.offset + len(s.pattern) <= PRIMARY_WINDOW)
+        header: dict[int, dict[int, list]] = {}
+        for sig in signatures:
+            if sig.offset + len(sig.pattern) > PRIMARY_WINDOW:
+                continue
+            first = sig.pattern[0]
+            m = 0xFF if sig.mask is None else sig.mask[0]
+            entry = (sig, None if sig.mask is None else _masked_regex(sig))
+            by_byte = header.setdefault(sig.offset, {})
+            for b in (first,) if m == 0xFF else [b for b in range(256) if b & m == first & m]:
+                by_byte.setdefault(b, []).append(entry)
         polyglot = tuple(s for s in signatures if s.polyglot_relevant)
         by_pattern: dict[bytes, tuple[Signature, ...]] = {}
         by_first: dict[int, set[bytes]] = {}
@@ -111,9 +144,9 @@ class _ScanPlan(NamedTuple):
             tuple(sorted(patterns, key=lambda p: (-len(p), p)))
             for _, patterns in sorted(by_first.items())
         )
-        masked = {s: _masked_regex(s) for s in primary + polyglot if s.mask is not None}
+        masked = tuple((s, _masked_regex(s)) for s in polyglot if s.mask is not None)
         carry = max((len(s.pattern) - 1 for s in polyglot), default=0)
-        return cls(primary, polyglot, groups, by_pattern, masked, carry)
+        return cls(header, polyglot, groups, by_pattern, masked, carry)
 
 
 def _masked_regex(sig: Signature) -> re.Pattern[bytes]:
@@ -276,7 +309,7 @@ class SniffScan:
         self._size = 0  # bytes fed so far
         self._tail = b""
         self._groups = list(self._plan.groups)
-        self._masked = [s for s in self._plan.polyglot if s.mask is not None]
+        self._masked = list(self._plan.masked)
 
     def feed(self, chunk: bytes) -> None:
         """Scan the next ``chunk`` of the content."""
@@ -287,10 +320,10 @@ class SniffScan:
             base = self._size - len(self._tail)
             self._groups = [g for g in (self._search_group(buf, base, g) for g in self._groups) if g]
             masked = []
-            for sig in self._masked:
-                match = self._plan.masked[sig].search(buf)
+            for sig, regex in self._masked:
+                match = regex.search(buf)
                 if match is None:
-                    masked.append(sig)
+                    masked.append((sig, regex))
                 else:
                     self._credit(sig, base + match.start())
             self._masked = masked
@@ -321,13 +354,12 @@ class SniffScan:
     def report(self) -> SniffReport:
         """The report over everything fed so far."""
         head = self._head
-        for sig in self._plan.primary:
-            if sig.mask is None:
-                hit = head.startswith(sig.pattern, sig.offset)
-            else:
-                hit = self._plan.masked[sig].match(head, sig.offset) is not None
-            if hit:
-                self._credit(sig, sig.offset)
+        for offset, by_byte in self._plan.header.items():
+            if offset < len(head):
+                for sig, regex in by_byte.get(head[offset], ()):
+                    hit = regex.match(head, offset) if regex else head.startswith(sig.pattern, offset)
+                    if hit:
+                        self._credit(sig, offset)
         candidates = tuple(
             Candidate(sig.mime, sig.name, sig.weight, pos)
             for sig, pos in sorted(

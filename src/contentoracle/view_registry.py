@@ -23,14 +23,14 @@ import fcntl
 import hashlib
 import json
 import os
+import stat
 import threading
 import time
 import weakref
 from contextlib import contextmanager
-from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Collection, Iterator, NamedTuple
+from typing import BinaryIO, Collection, Iterator, NamedTuple
 
 from .errors import ConfigError
 from .mime_db import MimeType, parse_mime_type
@@ -66,10 +66,30 @@ def _canonical_json(obj) -> bytes:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=False).encode("utf-8")
 
 
+def open_regular(path: str | Path) -> BinaryIO:
+    """``path`` opened for reading if it is a regular file; else ``OSError``.
+
+    The open does not wait for a FIFO's writer, and the type is read from
+    the descriptor that is then read, so the file cannot change between the
+    check and the read.
+    """
+    fd = os.open(path, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        mode = os.fstat(fd).st_mode
+        if stat.S_ISDIR(mode):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), os.fspath(path))
+        if not stat.S_ISREG(mode):
+            raise OSError(f"not a regular file: {path}")
+        return open(fd, "rb")
+    except BaseException:
+        os.close(fd)
+        raise
+
+
 def content_identity(path: str | Path) -> bytes:
     """SHA-256 of the file's full contents, streamed."""
     digest = hashlib.sha256()
-    with open(path, "rb") as fh:
+    with open_regular(path) as fh:
         for chunk in iter(lambda: fh.read(65536), b""):
             digest.update(chunk)
     return digest.digest()
@@ -220,7 +240,7 @@ class XattrStore(AttributeStore):
 
     @contextmanager
     def lock(self, path: str | Path) -> Iterator[None]:
-        with open(path, "rb") as fh:
+        with open_regular(path) as fh:
             fcntl.flock(fh.fileno(), fcntl.LOCK_EX)
             yield
 
@@ -266,28 +286,33 @@ def xattrs_supported(directory: str | Path) -> bool:
             pass
 
 
-@dataclass(frozen=True)
-class ContentView:
+class _ContentViewFields(NamedTuple):
+    app_id: str
+    mime: MimeType
+    active: bool
+    content_hash: bytes
+    recorded_at: int
+    note: str | None
+
+
+class ContentView(_ContentViewFields):
     """One application's recorded opinion of a file.
 
     ``content_hash`` binds the view to the bytes that were inspected;
     a later content change makes the view stale without erasing it.
     """
 
-    app_id: str
-    mime: MimeType
-    active: bool
-    content_hash: bytes
-    recorded_at: int
-    note: str | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.app_id:
+    def __new__(cls, app_id: str, mime: MimeType, active: bool, content_hash: bytes,
+                recorded_at: int, note: str | None = None):
+        if not app_id:
             raise ValueError("app_id must be non-empty")
-        if len(self.content_hash) != 32:
+        if len(content_hash) != 32:
             raise ValueError("content_hash must be exactly 32 bytes")
-        if self.note is not None and len(self.note.encode("utf-8")) > MAX_NOTE_BYTES:
+        if note is not None and len(note.encode("utf-8")) > MAX_NOTE_BYTES:
             raise ValueError(f"note must be at most {MAX_NOTE_BYTES} bytes")
+        return tuple.__new__(cls, (app_id, mime, active, content_hash, recorded_at, note))
 
 
 class FlaggedView(NamedTuple):

@@ -8,11 +8,14 @@ import io
 import json
 import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import jsonschema
 import pytest
 
+import contentoracle
 from contentoracle.cli import (
     EX_CONFIG,
     EX_IOERR,
@@ -66,6 +69,15 @@ def run_cli(capsys, *argv: str) -> tuple[int, str]:
 
 def set_raw(config_file: str, path: Path, key: str, value: bytes) -> None:
     Runtime.load(load_config(config_file)).store.set(path, key, value)
+
+
+#: Commands that take one file, with ``{}`` where the path goes.
+PATH_COMMANDS = ["check {}", "identify {}", "view list {}", "trust get {}",
+                 "policy handlers get {}", "policy handlers set {} --deny-all"]
+
+
+def _with_path(command: str, path: Path) -> list[str]:
+    return [str(path) if word == "{}" else word for word in command.split()]
 
 
 def report_of(out: str) -> dict:
@@ -427,6 +439,28 @@ class TestExitCodes:
     def test_nameless_directory_is_74(self, capsys, config_file, command, path):
         assert main(["--config", config_file, command, path]) == EX_IOERR
         assert "Is a directory" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", PATH_COMMANDS)
+    def test_attribute_commands_reject_a_directory(self, capsys, config_file, tmp_path, command):
+        assert main(["--config", config_file, *_with_path(command, tmp_path)]) == EX_IOERR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "Is a directory" in captured.err
+
+    @pytest.mark.parametrize("command", PATH_COMMANDS + [
+        "trust set {} trusted", "view record {} --app a --mime text/plain"])
+    def test_fifo_is_74_without_waiting_for_a_writer(self, config_file, tmp_path, command):
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        env = dict(os.environ, PYTHONPATH=str(Path(contentoracle.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys; from contentoracle.cli import main;"
+             " sys.exit(main(sys.argv[1:]))", "--config", config_file,
+             *_with_path(command, fifo)],
+            env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == EX_IOERR, proc.stderr
+        assert proc.stdout == ""
+        assert "not a regular file" in proc.stderr
 
     def test_fault_in_signature_parsing_is_internal_error(self, capsys, config_file,
                                                           tmp_path, monkeypatch):

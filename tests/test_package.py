@@ -149,20 +149,25 @@ class TestImportGuard:
 
 def _records() -> list:
     """One instance of each value record that is a ``typing.NamedTuple``."""
+    from contentoracle.browser_model import Action, DecisionTree, Leaf, Predicate, RequestContext
+    from contentoracle.config import Config
     from contentoracle.discrepancy_engine import (
         Discrepancy, DiscrepancyKind, DiscrepancyReport, Evidence, Severity,
     )
-    from contentoracle.mime_db import FamilyStats, MalformedLine, parse_mime_type
+    from contentoracle.ingest import FetchRecord
+    from contentoracle.mime_db import ExtensionMap, FamilyStats, MalformedLine, parse_mime_type
     from contentoracle.name_analyzer import analyze_name
     from contentoracle.policy_engine import (
         ActiveRegistry, HandlerPolicy, PolicyDecision, Verdict,
     )
-    from contentoracle.sniffer import EMPTY_REPORT, Candidate, _ScanPlan
-    from contentoracle.view_registry import ContentView, FlaggedView, Provenance
+    from contentoracle.runtime import Runtime
+    from contentoracle.sniffer import EMPTY_REPORT, Candidate, Signature, _ScanPlan, load_signatures
+    from contentoracle.view_registry import ContentView, FlaggedView, Provenance, SidecarStore
 
     mime = parse_mime_type("text/plain")
     name = analyze_name("a.txt", frozenset({"txt"}))
     view = ContentView("viewer", mime, False, bytes(32), 0)
+    leaf = Leaf(Action.RENDER)
     return [
         MalformedLine(1, "x", "bad"), FamilyStats(), _ScanPlan.build(()),
         Candidate(mime, "text", 4, 0), EMPTY_REPORT, name,
@@ -171,33 +176,13 @@ def _records() -> list:
         Evidence(None, EMPTY_REPORT, None, (), name, Provenance()),
         DiscrepancyReport((), None), ActiveRegistry(), HandlerPolicy(),
         PolicyDecision(Verdict.ALLOW, ()),
+        mime, ExtensionMap(), Signature("text", mime, 0, b"hi"), view, Config(),
+        Runtime(ExtensionMap(), load_signatures(""), ActiveRegistry(),
+                SidecarStore("sidecar.sqlite3"), Path("models")),
+        RequestContext(), leaf, Predicate("nosniff", "is", True, leaf, leaf),
+        DecisionTree("tree", leaf),
+        FetchRecord("http://h/f", "http://h/f", 200, {}, Path("f"), 0),
     ]
-
-
-#: The classes still made with ``dataclasses``: each validates in
-#: ``__post_init__``, holds a ``cached_property``, takes a ``default_factory``
-#: or is ``replace``d. Any other record on the check path is a NamedTuple.
-CHECK_PATH_DATACLASSES = [
-    "contentoracle.config.Config", "contentoracle.mime_db.ExtensionMap",
-    "contentoracle.mime_db.MimeType", "contentoracle.runtime.Runtime",
-    "contentoracle.sniffer.Signature", "contentoracle.sniffer.SignatureDb",
-    "contentoracle.view_registry.ContentView",
-]
-
-#: Runs the CLI in this interpreter, then prints every dataclass that the
-#: loaded ``contentoracle`` modules define.
-_LIST_DATACLASSES = """
-    import contextlib, dataclasses, io, json, sys
-    from contentoracle.cli import main
-    with contextlib.redirect_stdout(io.StringIO()):
-        main(sys.argv[1:])
-    print(json.dumps(sorted({
-        f"{name}.{cls.__qualname__}"
-        for name, module in list(sys.modules.items()) if name.startswith("contentoracle")
-        for cls in vars(module).values()
-        if isinstance(cls, type) and cls.__module__ == name and dataclasses.is_dataclass(cls)
-    })))
-"""
 
 
 class TestRecords:
@@ -210,11 +195,31 @@ class TestRecords:
         with pytest.raises(AttributeError):
             record.extra = None
 
-    def test_check_makes_only_the_kept_dataclasses(self, tmp_path):
+    @pytest.mark.parametrize("record", _records(), ids=lambda r: type(r).__name__)
+    def test_repr_names_each_field(self, record):
+        if type(record).__name__ == "MimeType":
+            assert repr(record) == "MimeType('text/plain')"
+            return
+        fields = ", ".join(f"{field}={value!r}" for field, value in record._asdict().items())
+        assert repr(record) == f"{type(record).__name__}({fields})"
+
+    def test_signature_db_is_frozen(self):
+        from contentoracle.sniffer import load_signatures
+
+        db = load_signatures("gif | image/gif | 0 | 474946 | - | - | 0")
+        for name in ("signatures", "extra"):
+            with pytest.raises(AttributeError):
+                setattr(db, name, None)
+        with pytest.raises(AttributeError):
+            del db.signatures
+        assert repr(db) == f"SignatureDb(signatures={db.signatures!r})"
+
+    @pytest.mark.parametrize("argv", [
+        ["check", "a.pdf"],
+        ["browser", "diff", "firefox-like", "opera-like"],
+    ], ids=" ".join)
+    def test_cli_imports_neither_dataclasses_nor_inspect(self, tmp_path, argv):
         (tmp_path / "a.pdf").write_bytes(b"%PDF-1.7\n1 0 obj\n<<>>\nendobj\n%%EOF\n")
-        config = tmp_path / "config.json"
-        config.write_text(json.dumps({"sidecar_path": str(tmp_path / "sidecar.sqlite3"),
-                                      "backend": "sidecar"}))
-        out = _python(tmp_path, "-c", textwrap.dedent(_LIST_DATACLASSES),
-                      "--config", str(config), "check", "a.pdf")
-        assert json.loads(out) == CHECK_PATH_DATACLASSES
+        code, modules = _cli_modules(tmp_path, *argv)
+        assert code == 0
+        assert sorted({"dataclasses", "inspect"} & modules) == []

@@ -5,7 +5,6 @@ read per assessment, shared by the discrepancy report and the verdict."""
 from __future__ import annotations
 
 import builtins
-import dataclasses
 import hashlib
 import json
 import os
@@ -116,7 +115,7 @@ def _trusted_pdf(runtime, tmp_path) -> Path:
 def test_rewrite_during_attribute_reads_is_not_mixed_in(runtime, tmp_path):
     path = _trusted_pdf(runtime, tmp_path)
     store = RewritingStore(runtime.store, b"<script>swapped()</script>")
-    evidence, report, decision = assess_path(dataclasses.replace(runtime, store=store), path)
+    evidence, report, decision = assess_path(runtime._replace(store=store), path)
     assert store.rewritten
     assert evidence.sniff.top.signature == "pdf"
     assert [fv.stale for fv in evidence.views] == [False]
@@ -135,7 +134,7 @@ def test_assessment_reads_the_store_once(runtime, backend):
     set_handler_policy(backend.store, path, HandlerPolicy(allowed=("viewer",)))
     backend.store.set(path, ORIGIN_KEY, b"https://example.test/doc.pdf")
     store = CountingStore(backend.store)
-    evidence, _, decision = assess_path(dataclasses.replace(runtime, store=store), path,
+    evidence, _, decision = assess_path(runtime._replace(store=store), path,
                                         handler="viewer")
     assert store.calls == ["read"]
     assert [fv.view.app_id for fv in evidence.views] == ["viewer"]
@@ -166,17 +165,19 @@ def test_verdict_judges_the_attributes_the_report_saw(backend, monkeypatch, caps
 def test_file_is_read_and_hashed_once(runtime, tmp_path, monkeypatch):
     path = _trusted_pdf(runtime, tmp_path)
     opened = []
-    real_open = builtins.open
 
-    def counting_open(file, *args, **kwargs):
-        if os.fspath(file) == os.fspath(path):
-            opened.append(file)
-        return real_open(file, *args, **kwargs)
+    def counting(real):
+        def opener(file, *args, **kwargs):
+            if not isinstance(file, int) and os.fspath(file) == os.fspath(path):
+                opened.append(file)
+            return real(file, *args, **kwargs)
+        return opener
 
     def no_rehash(path):
         raise AssertionError("assessment hashed the file a second time")
 
-    monkeypatch.setattr(builtins, "open", counting_open)
+    for module in (builtins, os):
+        monkeypatch.setattr(module, "open", counting(module.open))
     monkeypatch.setattr(view_registry, "content_identity", no_rehash)
     _, _, decision = assess_path(runtime, path)
     assert len(opened) == 1

@@ -443,3 +443,49 @@ class TestStreamedScan:
         assert time.perf_counter() - start < 2.0
         assert [(c.signature, c.offset) for c in report.candidates] == \
             [("masked", len(data) - 2)]
+
+
+#: Header signatures whose first pattern byte is masked, so each is indexed
+#: under every byte that first byte matches: 0x3c/0x1c, any byte, and
+#: 0x10-0x1f at a later offset.
+MASKED_FIRST_DB = load_signatures("\n".join([
+    "tagcase | text/x-tagcase | 0 | 3c53 | dfdf     | - | 0",
+    "any     | text/x-any     | 0 | 00ff | 00ff     | - | 0",
+    "nibble  | text/x-nibble  | 4 | 1a2b3c | f0ffff | - | 0",
+    "plain   | image/gif      | 0 | 474946 | -      | - | 0",
+]))
+
+
+@st.composite
+def _heads(draw, db: SignatureDb) -> bytes:
+    """Content whose bytes at one signature's offset start like its pattern:
+    the whole pattern or a prefix of it, with the bits its mask ignores set
+    at random, and maybe one byte changed (a near miss), then arbitrary
+    bytes."""
+    sig = draw(st.sampled_from(db.signatures))
+    start = draw(st.binary(min_size=sig.offset, max_size=sig.offset))
+    pattern = bytearray(sig.pattern[:draw(st.integers(1, len(sig.pattern)))])
+    if sig.mask is not None:
+        noise = draw(st.binary(min_size=len(pattern), max_size=len(pattern)))
+        pattern = bytearray(p & m | n & ~m for p, m, n in zip(pattern, sig.mask, noise))
+    if draw(st.booleans()):
+        pattern[draw(st.integers(0, len(pattern) - 1))] = draw(st.integers(0, 255))
+    return start + bytes(pattern) + draw(st.binary(max_size=64))
+
+
+class TestHeaderIndex:
+    @given(data=st.data())
+    def test_bundled_db_matches_reference(self, runtime, data):
+        head = data.draw(_heads(runtime.sig_db))
+        assert sniff(head, runtime.sig_db) == reference_sniff(head, runtime.sig_db)
+
+    @given(data=st.data())
+    def test_masked_first_byte_matches_reference(self, data):
+        db = data.draw(st.sampled_from([MASKED_FIRST_DB, OVERLAP_DB]))
+        head = data.draw(_heads(db))
+        assert sniff(head, db) == reference_sniff(head, db)
+
+    def test_masked_first_byte_is_indexed_under_each_byte_it_matches(self):
+        for head, name in [(b"<s", "tagcase"), (b"\x1cS", "tagcase"), (b"\x7f\xff", "any"),
+                           (b"....\x1f\x2b\x3c", "nibble")]:
+            assert name in {c.signature for c in sniff(head, MASKED_FIRST_DB).candidates}

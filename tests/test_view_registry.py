@@ -86,6 +86,28 @@ class TestContentIdentity:
         path.write_bytes(os.urandom(200_000))  # spans multiple stream chunks
         assert content_identity(path) == content_identity(path)
 
+    @pytest.mark.parametrize("call", [
+        "content_identity(path)",
+        "XattrStore(SidecarStore(path + '.sqlite3')).lock(path).__enter__()",
+    ])
+    def test_fifo_is_refused_without_waiting_for_a_writer(self, tmp_path, call):
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        proc = _start_python(f"""
+            import sys
+            from contentoracle.view_registry import SidecarStore, XattrStore, content_identity
+            path = sys.argv[1]
+            try:
+                {call}
+            except OSError as exc:
+                sys.exit(f"refused: {{exc}}")
+        """, str(fifo))
+        try:
+            _, err = proc.communicate(timeout=60)
+        finally:
+            proc.kill()
+        assert "refused: not a regular file" in err
+
 
 class TestViewValidation:
     def test_hash_must_be_32_bytes(self):
