@@ -26,9 +26,10 @@ from .policy_engine import (
     set_handler_policy,
 )
 from .report import build_report, db_stats_document, diff_document, emit, view_obj
-from .runtime import Runtime, assess_path, build_evidence, judge
+from .runtime import Runtime, assess_path, build_evidence, judge, make_store
 from .view_registry import (
     MAX_NOTE_BYTES,
+    AttributeStore,
     ContentView,
     FlaggedView,
     content_identity,
@@ -91,6 +92,16 @@ def _app_id(text: str) -> str:
     if not text:
         raise argparse.ArgumentTypeError("application id must be non-empty")
     return text
+
+
+def _app_ids(text: str) -> tuple[str, ...]:
+    """``--apps``: comma-separated ids, none empty or padded with
+    whitespace, so a typo cannot record a list that matches no handler."""
+    ids = tuple(text.split(","))
+    for app in ids:
+        if not app or app != app.strip():
+            raise argparse.ArgumentTypeError(f"bad application id {app!r} in {text!r}")
+    return ids
 
 
 def _note(text: str) -> str:
@@ -158,7 +169,7 @@ def cmd_scan(args, runtime: Runtime) -> int:
     return worst
 
 
-def cmd_view_record(args, runtime: Runtime) -> int:
+def cmd_view_record(args, store: AttributeStore) -> int:
     view = ContentView(
         app_id=args.app,
         mime=parse_mime_type(args.mime),
@@ -167,39 +178,38 @@ def cmd_view_record(args, runtime: Runtime) -> int:
         recorded_at=args.now if args.now is not None else int(time.time()),
         note=args.note,
     )
-    record_view(runtime.store, args.path, view)
+    record_view(store, args.path, view)
     emit({"recorded": view_obj(FlaggedView(view, stale=False))})
     return EX_OK
 
 
-def cmd_view_list(args, runtime: Runtime) -> int:
-    emit({"views": [view_obj(fv) for fv in read_views(runtime.store, args.path)]})
+def cmd_view_list(args, store: AttributeStore) -> int:
+    emit({"views": [view_obj(fv) for fv in read_views(store, args.path)]})
     return EX_OK
 
 
-def cmd_trust_set(args, runtime: Runtime) -> int:
-    set_trust(runtime.store, args.path, args.state == "trusted", now=args.now)
-    return cmd_trust_get(args, runtime)
+def cmd_trust_set(args, store: AttributeStore) -> int:
+    set_trust(store, args.path, args.state == "trusted", now=args.now)
+    return cmd_trust_get(args, store)
 
 
-def cmd_trust_get(args, runtime: Runtime) -> int:
-    emit({"trust": get_trust(runtime.store, _attribute_path(args.path)).value})
+def cmd_trust_get(args, store: AttributeStore) -> int:
+    emit({"trust": get_trust(store, _attribute_path(args.path)).value})
     return EX_OK
 
 
-def cmd_policy_set(args, runtime: Runtime) -> int:
-    if args.deny_all:
-        policy = DENY_ALL
-    else:
-        apps = tuple(a for a in (args.apps or "").split(",") if a)
-        policy = HandlerPolicy(allowed=apps)
-    set_handler_policy(runtime.store, _attribute_path(args.path), policy)
+def cmd_policy_set(args, store: AttributeStore) -> int:
+    # neither flag would record "no restriction", lifting a deny-all
+    if args.deny_all == (args.apps is not None):
+        raise ContentOracleError("policy handlers set: give exactly one of --apps and --deny-all")
+    policy = DENY_ALL if args.deny_all else HandlerPolicy(allowed=args.apps)
+    set_handler_policy(store, _attribute_path(args.path), policy)
     emit({"deny_all": policy.deny_all, "handlers": list(policy.allowed)})
     return EX_OK
 
 
-def cmd_policy_get(args, runtime: Runtime) -> int:
-    policy = get_allowed_handlers(runtime.store, _attribute_path(args.path))
+def cmd_policy_get(args, store: AttributeStore) -> int:
+    policy = get_allowed_handlers(store, _attribute_path(args.path))
     emit({"deny_all": policy.deny_all, "handlers": list(policy.allowed),
           "restricts": policy.restricts})
     return EX_OK
@@ -266,6 +276,7 @@ def _build_scan(p: _Parser) -> None:
 
 
 def _build_view(p: _Parser) -> None:
+    p.set_defaults(load=make_store)
     view_sub = p.add_subparsers(dest="view_command", required=True)
     pr = view_sub.add_parser("record")
     pr.add_argument("path")
@@ -280,6 +291,7 @@ def _build_view(p: _Parser) -> None:
 
 
 def _build_trust(p: _Parser) -> None:
+    p.set_defaults(load=make_store)
     trust_sub = p.add_subparsers(dest="trust_command", required=True)
     ts = trust_sub.add_parser("set")
     ts.add_argument("path")
@@ -291,12 +303,13 @@ def _build_trust(p: _Parser) -> None:
 
 
 def _build_policy(p: _Parser) -> None:
+    p.set_defaults(load=make_store)
     policy_sub = p.add_subparsers(dest="policy_command", required=True)
     ph = policy_sub.add_parser("handlers")
     handlers_sub = ph.add_subparsers(dest="handlers_command", required=True)
     hs = handlers_sub.add_parser("set")
     hs.add_argument("path")
-    hs.add_argument("--apps", help="comma-separated application ids")
+    hs.add_argument("--apps", type=_app_ids, help="comma-separated application ids")
     hs.add_argument("--deny-all", action="store_true")
     hs.set_defaults(func=cmd_policy_set)
     hg = handlers_sub.add_parser("get")
@@ -350,6 +363,9 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="contentoracle", description=__doc__)
     parser.add_argument("--config", help="path to a config file")
     parser.add_argument("--now", type=int, help="timestamp override for deterministic output")
+    # what a command is handed; view, trust and policy use the store alone,
+    # and override this to open only that
+    parser.set_defaults(load=Runtime.load)
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, build) in _COMMANDS.items():
         sub.add_parser(name, help=help_text, build=build)
@@ -363,8 +379,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # argparse exits; keep main() returning an int
         return int(exc.code or 0)
     try:
-        runtime = Runtime.load(load_config(args.config))
-        return args.func(args, runtime)
+        return args.func(args, args.load(load_config(args.config)))
     except ConfigError as exc:
         print(f"contentoracle: config error: {exc}", file=sys.stderr)
         return EX_CONFIG

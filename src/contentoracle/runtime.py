@@ -42,8 +42,11 @@ from .view_registry import (
 )
 
 
-#: Bytes read from a file at a time while it is hashed and sniffed.
-CHUNK_SIZE = 1 << 20
+#: Bytes read from a file at a time while it is hashed and sniffed. A
+#: chunk, its copy with the sniffer's carry in front, and the seven passes
+#: over it (sha256 and six polyglot group searches) then stay within a
+#: 2 MiB per-core L2 cache.
+CHUNK_SIZE = 256 << 10
 
 
 def make_store(config: Config) -> AttributeStore:

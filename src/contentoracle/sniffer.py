@@ -6,10 +6,11 @@ A loaded :class:`SignatureDb` is immutable and may be shared across threads;
 Content is scanned incrementally (:class:`SniffScan`), so a file can be
 sniffed chunk by chunk in the same pass that hashes it, in memory bounded
 by the chunk size. The full-content polyglot tier searches the patterns
-that share a first byte, a lone pattern included, with one regex each, and
-a masked pattern with a regex of one byte class per pattern byte; a
-pattern stops being searched once found. The header tier is independent of
-that search: it checks the leading window when the report is taken.
+that share a first byte, a lone pattern included, with one regex each,
+started where ``bytes.find`` finds that byte, and a masked pattern with a
+regex of one byte class per pattern byte; a pattern stops being searched
+once found. The header tier is independent of that search: it checks the
+leading window when the report is taken.
 """
 
 from __future__ import annotations
@@ -170,11 +171,11 @@ def _masked_regex(sig: Signature) -> re.Pattern[bytes]:
 def _alternation(patterns: tuple[bytes, ...]) -> re.Pattern[bytes]:
     """One regex for patterns that share a first byte, longest first.
 
-    CPython's matcher skips to a literal first byte in C. On Python 3.11
-    that took 0.26-0.32 ms per MiB where ``bytes.find`` of one pattern took
-    0.42-0.61 ms, so a group of one is searched this way too (on 3.13 the
-    regex was slower: ``BENCH_7.json``). Branches that start with different
-    bytes get no such skip, so groups never mix first bytes.
+    Its search is started at a hit of ``bytes.find`` of that one byte (see
+    :meth:`SniffScan._search_group`): the regex engine reaches a literal
+    first byte with a byte-at-a-time loop, ``find`` of one byte with
+    ``memchr``, so content without the byte is skipped at memory speed.
+    Groups never mix first bytes, so one byte is all a group needs found.
     """
     rest = b"|".join(re.escape(p[1:]) for p in patterns)
     return re.compile(re.escape(patterns[0][:1]) + b"(?:" + rest + b")")
@@ -333,11 +334,17 @@ class SniffScan:
 
     def _search_group(self, buf: bytes, base: int, group: tuple[bytes, ...]) -> tuple[bytes, ...]:
         """Find each pattern of ``group`` (one first byte, longest first) in
-        ``buf``; return the patterns not found. A found pattern is dropped and
-        the search resumes where it hit, so a pattern that is a prefix of a
-        longer one found there is still found at its earliest offset."""
+        ``buf``; return the patterns not found. The regex runs from the next
+        occurrence of the first byte, and not at all once there is none. A
+        found pattern is dropped and the search resumes where it hit, so a
+        pattern that is a prefix of a longer one found there is still found
+        at its earliest offset."""
         pos = 0
+        first = group[0][:1]
         while group:
+            pos = buf.find(first, pos)
+            if pos < 0:
+                break
             match = _alternation(group).search(buf, pos)
             if match is None:
                 break

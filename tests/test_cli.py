@@ -479,6 +479,50 @@ class TestExitCodes:
         assert main(["--config", config_file, "scan", str(tmp_path), "--parallel", "2"]) \
             == EX_USAGE
 
+    @pytest.mark.parametrize("flags", [
+        (),
+        ("--apps", " , "),
+        ("--apps", ""),
+        ("--apps", "a,,b"),
+        ("--apps", " viewer"),
+        ("--apps", "x", "--deny-all"),
+    ])
+    def test_policy_set_without_one_valid_restriction_is_64(self, capsys, config_file,
+                                                             tmp_path, flags):
+        target = tmp_path / "a.pdf"
+        target.write_bytes(b"%PDF-1.4 body")
+        assert main(["--config", config_file, "policy", "handlers", "set", str(target),
+                     "--deny-all"]) == 0
+        capsys.readouterr()
+        code, out = run_cli(capsys, "--config", config_file,
+                            "policy", "handlers", "set", str(target), *flags)
+        assert code == EX_USAGE
+        assert out == ""
+        _, out = run_cli(capsys, "--config", config_file,
+                         "policy", "handlers", "get", str(target))
+        assert json.loads(out) == {"deny_all": True, "handlers": [], "restricts": True}
+
+    @pytest.mark.parametrize("command", PATH_COMMANDS + [
+        "trust set {} trusted", "view record {} --app a --mime text/plain"])
+    def test_attribute_commands_load_the_store_only(self, capsys, tmp_path, command):
+        target = tmp_path / "a.pdf"
+        target.write_bytes(b"%PDF-1.4 body")
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "mime_types_path": str(tmp_path / "absent" / "mime.types"),
+            "sidecar_path": str(tmp_path / "sidecar.sqlite3"),
+            "backend": "sidecar",
+        }))
+        code = main(["--config", str(config), *_with_path(command, target)])
+        captured = capsys.readouterr()
+        if command.split()[0] in ("check", "identify"):
+            assert code == EX_IOERR
+            assert "mime.types" in captured.err
+        else:
+            assert code == 0, captured.err
+        if command == "trust get {}":
+            assert json.loads(captured.out) == {"trust": "unset"}
+
     @pytest.mark.parametrize("key,value", CORRUPT_ATTRIBUTES)
     def test_corrupt_attribute_is_internal_error(self, capsys, config_file, tmp_path,
                                                  key, value):

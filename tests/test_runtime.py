@@ -8,10 +8,13 @@ import builtins
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 import textwrap
 from pathlib import Path
+
+import pytest
 
 import contentoracle
 from contentoracle import runtime as runtime_module
@@ -25,7 +28,8 @@ from contentoracle.policy_engine import (
     get_allowed_handlers,
     set_handler_policy,
 )
-from contentoracle.runtime import assess_path
+from contentoracle.runtime import assess_path, build_evidence
+from contentoracle.sniffer import sniff
 from contentoracle.view_registry import (
     ORIGIN_KEY,
     AttributeStore,
@@ -182,6 +186,26 @@ def test_file_is_read_and_hashed_once(runtime, tmp_path, monkeypatch):
     _, _, decision = assess_path(runtime, path)
     assert len(opened) == 1
     assert decision.verdict is Verdict.ALLOW
+
+
+@pytest.mark.parametrize("chunk_size", [1 << 20, runtime_module.CHUNK_SIZE])
+def test_evidence_does_not_depend_on_the_chunk_size(runtime, tmp_path, monkeypatch, chunk_size):
+    """A ``<script`` straddles every 256 KiB edge of a file over 2 MiB, so
+    every edge of either chunk size, cut after one to six of its bytes."""
+    data = bytearray(random.Random(14).randbytes((9 << 18) + 100))
+    edges = range(1 << 18, len(data), 1 << 18)
+    for i, edge in enumerate(edges):
+        start = edge - 1 - i % 6
+        data[start:start + 7] = b"<script"
+    data = bytes(data)
+    path = tmp_path / "big.bin"
+    path.write_bytes(data)
+    monkeypatch.setattr(runtime_module, "CHUNK_SIZE", chunk_size)
+    evidence = build_evidence(runtime, path)
+    assert evidence.sniff == sniff(data, runtime.sig_db)
+    assert {c.signature: c.offset for c in evidence.sniff.candidates}["script-tag"] \
+        == (1 << 18) - 1
+    assert evidence.content_hash == hashlib.sha256(data).digest()
 
 
 def test_large_file_memory_is_bounded(tmp_path):

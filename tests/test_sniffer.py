@@ -8,6 +8,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from contentoracle.config import Config
 from contentoracle.errors import DuplicateName, MalformedSignature
 from contentoracle.mime_db import MimeType
 from contentoracle.sniffer import (
@@ -358,12 +359,25 @@ _FRAGMENTS = [b"<", b"<h", b"<html", b"<html5", b"<HTML", b"<s", b"<S", b"<scrip
 
 _dense = st.lists(st.sampled_from(_FRAGMENTS), max_size=40).map(b"".join)
 
+#: Every polyglot first byte of the bundled database and of OVERLAP_DB
+#: mapped to NUL, as the benchmark corpus's filler does: in such bytes the
+#: scan's first-byte lookup finds nothing.
+_FIRST_BYTES = bytes({
+    sig.pattern[0]
+    for db in (OVERLAP_DB, load_signatures(Config().magic_path.read_text("utf-8")))
+    for sig in db if sig.polyglot_relevant
+})
+_NO_FIRST_BYTE = bytes.maketrans(_FIRST_BYTES, b"\x00" * len(_FIRST_BYTES))
+
 #: Pattern-dense text on both sides of a filler that can push the second
-#: part past the primary window, or arbitrary bytes.
+#: part past the primary window, arbitrary bytes, or runs of bytes without
+#: a polyglot first byte with pattern-dense text between them.
 _content = st.one_of(
     st.tuples(_dense, st.integers(0, 2 * PRIMARY_WINDOW), st.sampled_from([b".", b"\x00"]), _dense)
     .map(lambda t: t[0] + t[2] * t[1] + t[3]),
     st.binary(max_size=3 * PRIMARY_WINDOW),
+    st.lists(st.one_of(st.binary(max_size=PRIMARY_WINDOW).map(lambda b: b.translate(_NO_FIRST_BYTE)),
+                       _dense), max_size=6).map(b"".join),
 )
 
 
