@@ -69,13 +69,13 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EX_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _load_model(name: str, runtime: Runtime) -> DecisionTree:
+def _load_model(name: str, models_dir: Path) -> DecisionTree:
     # the browser models are imported by the browser commands only
     from .browser_model import load_tree
 
     candidate = Path(name)
     if not candidate.is_file():
-        candidate = runtime.models_dir / f"{name}.tree"
+        candidate = models_dir / f"{name}.tree"
     if not candidate.is_file():
         raise FileNotFoundError(f"model not found: {name}")
     return load_tree(candidate.read_text("utf-8"), name=candidate.stem)
@@ -215,19 +215,19 @@ def cmd_policy_get(args, store: AttributeStore) -> int:
     return EX_OK
 
 
-def cmd_browser_run(args, runtime: Runtime) -> int:
+def cmd_browser_run(args, models_dir: Path) -> int:
     from .browser_model import run as run_tree
 
-    tree = _load_model(args.model, runtime)
+    tree = _load_model(args.model, models_dir)
     emit({"model": tree.name, "action": run_tree(tree, args.ctx).value})
     return EX_OK
 
 
-def cmd_browser_diff(args, runtime: Runtime) -> int:
+def cmd_browser_diff(args, models_dir: Path) -> int:
     from .browser_model import differential, enumerate_grid
 
-    tree_a = _load_model(args.model_a, runtime)
-    tree_b = _load_model(args.model_b, runtime)
+    tree_a = _load_model(args.model_a, models_dir)
+    tree_b = _load_model(args.model_b, models_dir)
     grid = enumerate_grid()
     emit(diff_document(tree_a, tree_b, grid, differential(tree_a, tree_b, grid)))
     return EX_OK
@@ -250,7 +250,7 @@ def cmd_fetch(args, runtime: Runtime) -> int:
     return _VERDICT_CODE[decision.verdict]
 
 
-def cmd_db_stats(args, runtime: Runtime) -> int:
+def cmd_db_stats(args, _) -> int:
     ext_map, errors = load_extension_map(Path(args.file).read_text("utf-8"))
     emit(db_stats_document(db_stats(ext_map), len(errors)))
     return EX_OK
@@ -318,6 +318,7 @@ def _build_policy(p: _Parser) -> None:
 
 
 def _build_browser(p: _Parser) -> None:
+    p.set_defaults(load=lambda config: config.models_dir)
     browser_sub = p.add_subparsers(dest="browser_command", required=True)
     br = browser_sub.add_parser("run")
     br.add_argument("model")
@@ -338,6 +339,7 @@ def _build_fetch(p: _Parser) -> None:
 
 
 def _build_db(p: _Parser) -> None:
+    p.set_defaults(load=lambda config: None)
     db_sub = p.add_subparsers(dest="db_command", required=True)
     ds = db_sub.add_parser("stats")
     ds.add_argument("file")
@@ -364,7 +366,8 @@ def build_parser() -> _Parser:
     parser.add_argument("--config", help="path to a config file")
     parser.add_argument("--now", type=int, help="timestamp override for deterministic output")
     # what a command is handed; view, trust and policy use the store alone,
-    # and override this to open only that
+    # browser the models directory and db stats nothing of the
+    # configuration, and override this to open only that
     parser.set_defaults(load=Runtime.load)
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, build) in _COMMANDS.items():

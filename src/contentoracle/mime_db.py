@@ -21,26 +21,31 @@ IANA_FAMILIES = frozenset({
 
 # Token characters for family/subtype/parameter-name fields. Deliberately the
 # HTTP tchar set: concrete enough to test against without a full grammar.
-_TOKEN_CHARS = frozenset(
+_TOKEN_STR = (
     "!#$%&'*+-.^_`|~"
     "0123456789"
     "abcdefghijklmnopqrstuvwxyz"
     "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
 )
 
+# Parameter-value characters: printable ASCII except the ";" separator.
+_VALUE_STR = "".join(chr(c) for c in range(0x20, 0x7F) if c != ord(";"))
 
+
+# Both checks strip the allowed characters in C: what is left starts with
+# the first character that is not allowed.
 def _check_token(token: str, context: str) -> None:
     if not token:
         raise MalformedMime(f"empty token in {context!r}")
-    bad = [c for c in token if c not in _TOKEN_CHARS]
+    bad = token.lstrip(_TOKEN_STR)
     if bad:
         raise MalformedMime(f"illegal character {bad[0]!r} in {context!r}")
 
 
 def _check_param_value(value: str, context: str) -> None:
-    for c in value:
-        if c == ";" or not (0x20 <= ord(c) <= 0x7E):
-            raise MalformedMime(f"illegal parameter value character {c!r} in {context!r}")
+    bad = value.lstrip(_VALUE_STR)
+    if bad:
+        raise MalformedMime(f"illegal parameter value character {bad[0]!r} in {context!r}")
 
 
 # A NamedTuple may not define __new__, so a record that validates its fields
@@ -79,16 +84,22 @@ class MimeType(_MimeFields):
         parts.extend(f"; {name}={value}" for name, value in self.parameters)
         return "".join(parts)
 
-    def _cmp_key(self):
-        return (self.family, self.subtype,
-                tuple((name.lower(), value) for name, value in self.parameters))
+    def _cmp_key(self) -> tuple:
+        """What equality compares, as a plain tuple: parameter names lowercased."""
+        family, subtype, parameters = self
+        if parameters:
+            parameters = tuple([(name.lower(), value) for name, value in parameters])
+        return (family, subtype, parameters)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MimeType):
             return NotImplemented
         return self._cmp_key() == other._cmp_key()
 
+    # without parameters the key is the tuple itself, hashed in C
     def __hash__(self) -> int:
+        if not self[2]:
+            return tuple.__hash__(self)
         return hash(self._cmp_key())
 
     def __str__(self) -> str:
@@ -105,22 +116,24 @@ def parse_mime_type(text: str) -> MimeType:
     parameter order is preserved. Raises :class:`MalformedMime` on a missing
     "/" separator, empty tokens, or illegal characters.
     """
-    body = text.strip()
-    type_part, _, param_part = body.partition(";")
-    if "/" not in type_part:
+    type_part, _, param_part = text.strip().partition(";")
+    family, slash, subtype = type_part.lower().partition("/")
+    if not slash:
         raise MalformedMime(f"missing '/' separator in {text!r}")
-    family, _, subtype = type_part.partition("/")
-    params: list[tuple[str, str]] = []
-    for segment in param_part.split(";") if param_part else ():
-        segment = segment.strip()
-        if not segment:
-            continue  # tolerate stray/trailing semicolons
-        if "=" not in segment:
-            raise MalformedMime(f"parameter without '=' in {text!r}")
-        name, _, value = segment.partition("=")
-        params.append((name.strip(), value.strip()))
+    params = ()
+    if param_part:
+        params = []
+        for segment in param_part.split(";"):
+            segment = segment.strip()
+            if not segment:
+                continue  # tolerate stray/trailing semicolons
+            name, eq, value = segment.partition("=")
+            if not eq:
+                raise MalformedMime(f"parameter without '=' in {text!r}")
+            params.append((name.strip(), value.strip()))
+        params = tuple(params)
     try:
-        return MimeType(family.lower(), subtype.lower(), tuple(params))
+        return MimeType(family, subtype, params)
     except MalformedMime as exc:
         raise MalformedMime(f"{exc} (while parsing {text!r})") from None
 
@@ -149,10 +162,10 @@ def classify_registration(m: MimeType) -> RegistrationClass:
 
 def normalize_extension(ext: str) -> str:
     """Canonical extension key: NFC-normalized, lowercased, no leading dot."""
-    ext = unicodedata.normalize("NFC", ext.strip())
-    if ext.startswith("."):
-        ext = ext[1:]
-    return ext.lower()
+    ext = ext.strip()
+    if not ext.isascii():  # NFC leaves ASCII as it is
+        ext = unicodedata.normalize("NFC", ext)
+    return ext.removeprefix(".").lower()
 
 
 class MalformedLine(NamedTuple):
@@ -199,33 +212,42 @@ def load_extension_map(source: str) -> tuple[ExtensionMap, list[MalformedLine]]:
     Bad lines are skipped and reported with their line number.
     """
     entries: dict[str, list[MimeType]] = {}
-    reverse: dict[MimeType, list[str]] = {}
+    # keyed by each type's plain-tuple _cmp_key, which hashes in C; holds
+    # the first equal type seen, which becomes the key of ``reverse``
+    reverse: dict[tuple, tuple[MimeType, list[str]]] = {}
     errors: list[MalformedLine] = []
     for line_no, raw in enumerate(source.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        fields = raw.split()
+        if not fields or fields[0][0] == "#":
             continue
-        fields = line.split()
         try:
             mime = parse_mime_type(fields[0])
         except MalformedMime as exc:
             errors.append(MalformedLine(line_no, raw, str(exc)))
             continue
-        reverse.setdefault(mime, [])
+        key = mime._cmp_key()
+        first = reverse.get(key)
+        if first is None:
+            first = reverse[key] = (mime, [])
+        exts = first[1]
         for token in fields[1:]:
             ext = normalize_extension(token)
             if not ext:
                 errors.append(MalformedLine(line_no, raw, f"empty extension token {token!r}"))
                 continue
-            bucket = entries.setdefault(ext, [])
-            if mime not in bucket:
+            # each line's own type object: an equal one from an earlier
+            # line may differ in the case of its parameter names
+            bucket = entries.get(ext)
+            if bucket is None:
+                entries[ext] = [mime]
+            elif mime not in bucket:
                 bucket.append(mime)
-            if ext not in reverse[mime]:
-                reverse[mime].append(ext)
+            if ext not in exts:
+                exts.append(ext)
     return (
         ExtensionMap(
-            entries={k: tuple(v) for k, v in entries.items()},
-            reverse={k: tuple(v) for k, v in reverse.items()},
+            entries={ext: tuple(types) for ext, types in entries.items()},
+            reverse={mime: tuple(exts) for mime, exts in reverse.values()},
         ),
         errors,
     )

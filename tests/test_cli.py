@@ -23,7 +23,7 @@ from contentoracle.cli import (
     EX_USAGE,
     main,
 )
-from contentoracle.config import load_config
+from contentoracle.config import DATA_DIR, load_config
 from contentoracle.report import REPORT_SCHEMA
 from contentoracle.runtime import Runtime
 from contentoracle.view_registry import POLICY_KEY, TRUST_KEY, VIEWS_KEY
@@ -304,8 +304,6 @@ class TestFetchCommand:
 
 class TestDbStats:
     def test_bundled_snapshot(self, capsys, config_file):
-        from contentoracle.config import DATA_DIR
-
         code, out = run_cli(capsys, "--config", config_file,
                             "db", "stats", str(DATA_DIR / "mime.snapshot.types"))
         doc = json.loads(out)
@@ -522,6 +520,28 @@ class TestExitCodes:
             assert code == 0, captured.err
         if command == "trust get {}":
             assert json.loads(captured.out) == {"trust": "unset"}
+
+    @pytest.mark.parametrize("command", [
+        'browser run firefox-like --ctx {"auto_open":false}',
+        "browser diff firefox-like opera-like",
+        "db stats {}",
+    ])
+    def test_browser_and_db_stats_load_no_registry(self, capsys, tmp_path, command):
+        absent = tmp_path / "absent"
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "mime_types_path": str(absent / "mime.types"),
+            "magic_path": str(absent / "magic.signatures"),
+            "active_types_path": str(absent / "active.types"),
+            "sidecar_path": str(absent / "sidecar.sqlite3"),
+            "backend": "sidecar",
+        }))
+        code = main(["--config", str(config),
+                     *_with_path(command, DATA_DIR / "mime.snapshot.types")])
+        captured = capsys.readouterr()
+        assert code == 0, captured.err
+        assert json.loads(captured.out)
+        assert not absent.exists()
 
     @pytest.mark.parametrize("key,value", CORRUPT_ATTRIBUTES)
     def test_corrupt_attribute_is_internal_error(self, capsys, config_file, tmp_path,

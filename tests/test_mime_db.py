@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import unicodedata
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from contentoracle.errors import MalformedMime
 from contentoracle.mime_db import (
@@ -11,6 +13,7 @@ from contentoracle.mime_db import (
     IANA_FAMILIES,
     MimeType,
     RegistrationClass,
+    _check_token,
     classify_registration,
     db_stats,
     load_extension_map,
@@ -166,6 +169,13 @@ class TestExtensionMap:
         ]
         assert ext_map.primary("zip").format() == "application/x-zip"
 
+    def test_each_line_keeps_its_own_type(self):
+        # equal types, spelled with a different parameter-name case
+        ext_map, _ = load_extension_map("a/b;charset=x one\na/b;Charset=x two")
+        assert ext_map.lookup("two")[0].format() == "a/b; Charset=x"
+        assert [m.format() for m in ext_map.reverse] == ["a/b; charset=x"]
+        assert ext_map.reverse[parse_mime_type("a/b;CHARSET=x")] == ("one", "two")
+
     def test_zero_extension_line_registers_type(self):
         ext_map, _ = load_extension_map("inode/directory")
         inode = parse_mime_type("inode/directory")
@@ -199,3 +209,207 @@ class TestDbStats:
         ext_map, _ = load_extension_map(TEN_LINE_FIXTURE)
         stats = db_stats(ext_map)
         assert sum(s.total for s in stats.values()) == len(ext_map.types())
+
+
+# --- the per-character parser and the loader that the present ones replaced
+
+
+_REFERENCE_TOKEN_CHARS = frozenset(
+    "!#$%&'*+-.^_`|~0123456789"
+    "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
+)
+
+
+def reference_check_token(token: str, context: str) -> None:
+    if not token:
+        raise MalformedMime(f"empty token in {context!r}")
+    bad = [c for c in token if c not in _REFERENCE_TOKEN_CHARS]
+    if bad:
+        raise MalformedMime(f"illegal character {bad[0]!r} in {context!r}")
+
+
+def reference_check_param_value(value: str, context: str) -> None:
+    for c in value:
+        if c == ";" or not (0x20 <= ord(c) <= 0x7E):
+            raise MalformedMime(f"illegal parameter value character {c!r} in {context!r}")
+
+
+def reference_parse_mime_type(text: str) -> MimeType:
+    """Every field checked one character at a time; the record is built
+    only from fields that passed."""
+    body = text.strip()
+    type_part, _, param_part = body.partition(";")
+    if "/" not in type_part:
+        raise MalformedMime(f"missing '/' separator in {text!r}")
+    family, _, subtype = type_part.partition("/")
+    params: list[tuple[str, str]] = []
+    for segment in param_part.split(";") if param_part else ():
+        segment = segment.strip()
+        if not segment:
+            continue
+        if "=" not in segment:
+            raise MalformedMime(f"parameter without '=' in {text!r}")
+        name, _, value = segment.partition("=")
+        params.append((name.strip(), value.strip()))
+    family, subtype = family.lower(), subtype.lower()
+    try:
+        reference_check_token(family, family)
+        reference_check_token(subtype, subtype)
+        if family != family.lower() or subtype != subtype.lower():
+            raise MalformedMime(f"family/subtype must be lowercase: {family}/{subtype}")
+        for name, value in params:
+            reference_check_token(name, name)
+            reference_check_param_value(value, name)
+    except MalformedMime as exc:
+        raise MalformedMime(f"{exc} (while parsing {text!r})") from None
+    return MimeType(family, subtype, tuple(params))
+
+
+def reference_equality_key(mime: MimeType) -> tuple:
+    """What two types compared and hashed by: parameter names lowercased."""
+    return (mime.family, mime.subtype,
+            tuple((name.lower(), value) for name, value in mime.parameters))
+
+
+def reference_normalize_extension(ext: str) -> str:
+    ext = unicodedata.normalize("NFC", ext.strip())
+    if ext.startswith("."):
+        ext = ext[1:]
+    return ext.lower()
+
+
+def reference_load_extension_map(source: str):
+    """The loader that looked its reverse index up by type once per
+    extension token. Of equal types, the reverse index keeps the first as
+    its key; each extension's list keeps each line's own type unless an
+    equal one is there already. Returns the entries, the reverse index's
+    (type, extensions) pairs in order, and the errors as tuples."""
+    entries: dict[str, list[MimeType]] = {}
+    reverse: dict[tuple, tuple[MimeType, list[str]]] = {}
+    errors: list[tuple[int, str, str]] = []
+    for line_no, raw in enumerate(source.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        fields = line.split()
+        try:
+            mime = reference_parse_mime_type(fields[0])
+        except MalformedMime as exc:
+            errors.append((line_no, raw, str(exc)))
+            continue
+        key = reference_equality_key(mime)
+        reverse.setdefault(key, (mime, []))
+        for token in fields[1:]:
+            ext = reference_normalize_extension(token)
+            if not ext:
+                errors.append((line_no, raw, f"empty extension token {token!r}"))
+                continue
+            bucket = entries.setdefault(ext, [])
+            if key not in [reference_equality_key(m) for m in bucket]:
+                bucket.append(mime)
+            if ext not in reverse[key][1]:
+                reverse[key][1].append(ext)
+    return entries, list(reverse.values()), errors
+
+
+def _spelled(mime: MimeType) -> tuple[str, str]:
+    # == ignores the case of parameter names; these do not
+    return (repr(mime), mime.format())
+
+
+def _parse_outcome(parse, text: str):
+    try:
+        return _spelled(parse(text))
+    except MalformedMime as exc:
+        return ("error", str(exc))
+
+
+# Small pools, so that lines share types (some only up to the case of a
+# parameter name) and extensions.
+_type_field = st.one_of(
+    st.sampled_from([
+        "text/plain", "TEXT/Plain", "a/b;charset=utf-8", "a/b;Charset=utf-8",
+        "a/b;x=1;Y=2", "a/b;X=1;y=2",
+    ]),
+    st.sampled_from([
+        "image/png", "application/x-zip", "a/b;CHARSET=utf-8", "a/b;charset=UTF-8",
+        "a/b;;x=1;",
+        # malformed: no "/", empty or illegal tokens, bad parameters
+        "badline", "text/", "/html", "a/b/c", "t\u00e9xt/plain", "text/pl@in",
+        "a/b;x", "a/b;=1", "a/b;n\u00e4me=1", "a/b;x=\x7f", "a/b;x=\u00e9",
+    ]),
+    st.text(alphabet="aB/;=x\u00e9-.@", min_size=1, max_size=8),
+)
+_extension = st.one_of(
+    st.sampled_from([
+        "pdf", "PDF", ".pdf", ".", "..", ".Zip", "zip", "caf\u00e9", "cafe\u0301",
+        "CAFE\u0301", "\u212b", "\u00c5", "A\u030a", "\ufb01le", "\u0130x", "\u00df",
+    ]),
+    st.text(alphabet="ab.E\u0301\u00e9\u212b", min_size=1, max_size=5),
+)
+_blank = st.sampled_from(["", " ", "\t", " \u00a0 "])
+_comment = st.builds(lambda lead, text: f"{lead}#{text}",
+                     st.sampled_from(["", "  "]), st.text(max_size=10))
+_entry = st.builds(
+    lambda lead, mime, exts, gap: lead + gap.join([mime, *exts]),
+    st.sampled_from(["", " ", "\t"]),
+    _type_field,
+    st.lists(_extension, max_size=4),
+    st.sampled_from([" ", "\t", "  ", "\u00a0"]),
+)
+_source = st.builds(
+    lambda lines, end: end.join(lines),
+    st.lists(st.one_of(_entry, _entry, _entry, _blank, _comment), max_size=12),
+    st.sampled_from(["\n", "\r\n", "\x85"]),
+)
+
+
+class TestLoaderMatchesReference:
+    @settings(max_examples=400)
+    @given(source=_source)
+    def test_load_extension_map(self, source):
+        ext_map, errors = load_extension_map(source)
+        entries, reverse, reference_errors = reference_load_extension_map(source)
+        assert {ext: [_spelled(m) for m in types] for ext, types in ext_map.entries.items()} \
+            == {ext: [_spelled(m) for m in types] for ext, types in entries.items()}
+        assert list(ext_map.entries) == list(entries)
+        assert [(_spelled(m), exts) for m, exts in ext_map.reverse.items()] \
+            == [(_spelled(m), tuple(exts)) for m, exts in reverse]
+        assert [tuple(e) for e in errors] == reference_errors
+
+    @settings(max_examples=400)
+    @given(text=st.one_of(_type_field, st.text(max_size=16)))
+    def test_parse_mime_type(self, text):
+        # load_signatures and load_active_registry parse each type with it
+        assert _parse_outcome(parse_mime_type, text) \
+            == _parse_outcome(reference_parse_mime_type, text)
+
+    @settings(max_examples=400)
+    @given(token=st.text(max_size=12), context=st.text(max_size=4))
+    def test_check_token_message(self, token, context):
+        def outcome(check):
+            try:
+                check(token, context)
+            except MalformedMime as exc:
+                return str(exc)
+            return None
+
+        assert outcome(_check_token) == outcome(reference_check_token)
+
+
+_small_type = st.builds(
+    MimeType,
+    st.sampled_from(["text", "application"]),
+    st.sampled_from(["html", "x-y"]),
+    st.lists(st.tuples(st.sampled_from(["charset", "Charset", "CHARSET", "q", "Q"]),
+                       st.sampled_from(["", "1", "UTF-8"])), max_size=2).map(tuple),
+)
+
+
+@given(a=_small_type, b=_small_type)
+def test_equal_types_hash_alike(a, b):
+    recased = MimeType(a.family, a.subtype, tuple((n.swapcase(), v) for n, v in a.parameters))
+    assert recased == a
+    assert hash(recased) == hash(a)
+    if a == b:
+        assert hash(a) == hash(b)
