@@ -14,7 +14,7 @@ import sys
 import time
 from pathlib import Path
 
-from .config import load_config
+from .config import load_config, read_data_file
 from .discrepancy_engine import evaluate
 from .errors import ConfigError, ContentOracleError, HttpError, NetworkError
 from .mime_db import db_stats, load_extension_map, parse_mime_type
@@ -78,7 +78,7 @@ def _load_model(name: str, models_dir: Path) -> DecisionTree:
         candidate = models_dir / f"{name}.tree"
     if not candidate.is_file():
         raise FileNotFoundError(f"model not found: {name}")
-    return load_tree(candidate.read_text("utf-8"), name=candidate.stem)
+    return load_tree(read_data_file(candidate), name=candidate.stem)
 
 
 def _attribute_path(path: str) -> str:
@@ -251,7 +251,7 @@ def cmd_fetch(args, runtime: Runtime) -> int:
 
 
 def cmd_db_stats(args, _) -> int:
-    ext_map, errors = load_extension_map(Path(args.file).read_text("utf-8"))
+    ext_map, errors = load_extension_map(read_data_file(Path(args.file)))
     emit(db_stats_document(db_stats(ext_map), len(errors)))
     return EX_OK
 

@@ -52,6 +52,15 @@ class Config(_ConfigFields):
         return config
 
 
+def read_data_file(path: Path) -> str:
+    """The text of a data file: a file that is not UTF-8 is a configuration
+    error whose message names it."""
+    try:
+        return path.read_text("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path} is not UTF-8 text: {exc}") from None
+
+
 def _user_config_path() -> Path:
     config_home = os.environ.get("XDG_CONFIG_HOME")
     base = Path(config_home) if config_home else Path.home() / ".config"

@@ -106,29 +106,27 @@ def evaluate(evidence: Evidence, active_set: "ActiveRegistry") -> DiscrepancyRep
     found: list[Discrepancy] = []
     top = evidence.sniff.top
     top_mime = top.mime if top else None
+    # each type witness that is present, with its one activity judgment
+    witnesses = {
+        source: (mime, active_set.is_active(mime))
+        for source, mime in (("extension", evidence.extension_mime), ("sniff", top_mime),
+                             ("declared", evidence.declared_mime))
+        if mime is not None
+    }
 
-    def differs(a: MimeType, b: MimeType) -> bool:
-        return a.key != b.key
-
-    if evidence.extension_mime and top_mime and differs(evidence.extension_mime, top_mime):
-        sev = _mismatch_severity(
-            active_set.is_active(evidence.extension_mime), active_set.is_active(top_mime)
-        )
-        found.append(Discrepancy(
-            DiscrepancyKind.EXTENSION_SNIFF_MISMATCH, sev,
-            f"extension says {evidence.extension_mime.format()}, content sniffs as {top_mime.format()}",
-            ("extension", "sniff"),
-        ))
-
-    if evidence.declared_mime and top_mime and differs(evidence.declared_mime, top_mime):
-        sev = _mismatch_severity(
-            active_set.is_active(evidence.declared_mime), active_set.is_active(top_mime)
-        )
-        found.append(Discrepancy(
-            DiscrepancyKind.DECLARED_SNIFF_MISMATCH, sev,
-            f"declared type {evidence.declared_mime.format()}, content sniffs as {top_mime.format()}",
-            ("declared", "sniff"),
-        ))
+    for source, kind, says in (
+        ("extension", DiscrepancyKind.EXTENSION_SNIFF_MISMATCH, "extension says"),
+        ("declared", DiscrepancyKind.DECLARED_SNIFF_MISMATCH, "declared type"),
+    ):
+        if source not in witnesses or top_mime is None:
+            continue
+        mime, active = witnesses[source]
+        if mime.key != top_mime.key:
+            found.append(Discrepancy(
+                kind, _mismatch_severity(active, witnesses["sniff"][1]),
+                f"{says} {mime.format()}, content sniffs as {top_mime.format()}",
+                (source, "sniff"),
+            ))
 
     fresh = [fv.view for fv in evidence.views if not fv.stale]
     resolved = _resolve_mime(evidence, fresh)
@@ -174,8 +172,7 @@ def evaluate(evidence: Evidence, active_set: "ActiveRegistry") -> DiscrepancyRep
     for anomaly in sorted(evidence.name_report.anomalies, key=lambda a: a.value):
         sev = _NAME_SEVERITY[anomaly]
         if (anomaly is NameAnomaly.DOUBLE_EXTENSION
-                and evidence.extension_mime is not None
-                and active_set.is_active(evidence.extension_mime)):
+                and "extension" in witnesses and witnesses["extension"][1]):
             sev = Severity.CRITICAL  # chained extensions ending in an active type
         found.append(Discrepancy(
             DiscrepancyKind.NAME_ANOMALY, sev,
@@ -183,15 +180,8 @@ def evaluate(evidence: Evidence, active_set: "ActiveRegistry") -> DiscrepancyRep
             ("name",),
         ))
 
-    judgments: list[tuple[str, bool]] = []
-    if evidence.extension_mime is not None:
-        judgments.append(("extension", active_set.is_active(evidence.extension_mime)))
-    if top_mime is not None:
-        judgments.append(("sniff", active_set.is_active(top_mime)))
-    if evidence.declared_mime is not None:
-        judgments.append(("declared", active_set.is_active(evidence.declared_mime)))
-    for view in fresh:
-        judgments.append((f"view:{view.app_id}", view.active))
+    judgments = [(source, active) for source, (_, active) in witnesses.items()]
+    judgments += [(f"view:{view.app_id}", view.active) for view in fresh]
     verdicts = {active for _, active in judgments}
     if len(verdicts) == 2:
         active_side = sorted(name for name, active in judgments if active)

@@ -134,6 +134,7 @@ def fetch(
     try:
         response = opener.open(request, timeout=timeout)
     except urllib.error.HTTPError as exc:
+        exc.close()  # it holds the response and its socket open
         if 300 <= exc.code < 400:
             raise NetworkError(f"redirect limit exceeded fetching {url}") from exc
         raise HttpError(exc.code, f"HTTP {exc.code} fetching {url}") from exc

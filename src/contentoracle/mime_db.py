@@ -177,15 +177,15 @@ class MalformedLine(NamedTuple):
 
 
 class ExtensionMap(NamedTuple):
-    """Forward extension->types and reverse type->extensions indexes.
+    """Extension->types index plus the set of distinct types.
 
-    Forward lists preserve source order; the first entry for an extension is
-    its primary mapping. ``reverse`` also carries types registered with zero
-    extensions (empty extension list).
+    Lists preserve source order; the first entry for an extension is its
+    primary mapping. ``type_set`` also holds types registered with zero
+    extensions and keeps the first spelling seen of equal types.
     """
 
     entries: Mapping[str, tuple[MimeType, ...]] = MappingProxyType({})
-    reverse: Mapping[MimeType, tuple[str, ...]] = MappingProxyType({})
+    type_set: frozenset[MimeType] = frozenset()
 
     def lookup(self, ext: str) -> tuple[MimeType, ...]:
         return self.entries.get(normalize_extension(ext), ())
@@ -194,11 +194,8 @@ class ExtensionMap(NamedTuple):
         types = self.lookup(ext)
         return types[0] if types else None
 
-    def extensions_for(self, mime: MimeType) -> tuple[str, ...]:
-        return self.reverse.get(mime, ())
-
     def types(self) -> frozenset[MimeType]:
-        return frozenset(self.reverse)
+        return self.type_set
 
     def known_extensions(self) -> KeysView[str]:
         return self.entries.keys()
@@ -212,9 +209,7 @@ def load_extension_map(source: str) -> tuple[ExtensionMap, list[MalformedLine]]:
     Bad lines are skipped and reported with their line number.
     """
     entries: dict[str, list[MimeType]] = {}
-    # keyed by each type's plain-tuple _cmp_key, which hashes in C; holds
-    # the first equal type seen, which becomes the key of ``reverse``
-    reverse: dict[tuple, tuple[MimeType, list[str]]] = {}
+    distinct: set[MimeType] = set()  # add keeps the first equal type seen
     errors: list[MalformedLine] = []
     for line_no, raw in enumerate(source.splitlines(), start=1):
         fields = raw.split()
@@ -225,11 +220,7 @@ def load_extension_map(source: str) -> tuple[ExtensionMap, list[MalformedLine]]:
         except MalformedMime as exc:
             errors.append(MalformedLine(line_no, raw, str(exc)))
             continue
-        key = mime._cmp_key()
-        first = reverse.get(key)
-        if first is None:
-            first = reverse[key] = (mime, [])
-        exts = first[1]
+        distinct.add(mime)
         for token in fields[1:]:
             ext = normalize_extension(token)
             if not ext:
@@ -242,12 +233,10 @@ def load_extension_map(source: str) -> tuple[ExtensionMap, list[MalformedLine]]:
                 entries[ext] = [mime]
             elif mime not in bucket:
                 bucket.append(mime)
-            if ext not in exts:
-                exts.append(ext)
     return (
         ExtensionMap(
             entries={ext: tuple(types) for ext, types in entries.items()},
-            reverse={mime: tuple(exts) for mime, exts in reverse.values()},
+            type_set=frozenset(distinct),
         ),
         errors,
     )

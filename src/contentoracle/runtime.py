@@ -16,7 +16,7 @@ import hashlib
 from pathlib import Path
 from typing import NamedTuple
 
-from .config import Config
+from .config import Config, read_data_file
 from .discrepancy_engine import DiscrepancyReport, Evidence, evaluate
 from .mime_db import ExtensionMap, MimeType, load_extension_map
 from .name_analyzer import analyze_name
@@ -71,9 +71,9 @@ class Runtime(NamedTuple):
     @classmethod
     def load(cls, config: Config | None = None) -> "Runtime":
         config = config or Config()
-        ext_map, _ = load_extension_map(config.mime_types_path.read_text("utf-8"))
-        sig_db = load_signatures(config.magic_path.read_text("utf-8"))
-        active = load_active_registry(config.active_types_path.read_text("utf-8"))
+        ext_map, _ = load_extension_map(read_data_file(config.mime_types_path))
+        sig_db = load_signatures(read_data_file(config.magic_path))
+        active = load_active_registry(read_data_file(config.active_types_path))
         return cls(
             ext_map=ext_map,
             sig_db=sig_db,

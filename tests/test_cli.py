@@ -8,6 +8,7 @@ import io
 import json
 import os
 import re
+import socket
 import subprocess
 import sys
 from pathlib import Path
@@ -168,6 +169,33 @@ class TestScan:
         for doc in lines:
             jsonschema.validate(doc, REPORT_SCHEMA)
         assert code == 0
+
+    def test_hostile_tree_reports_each_regular_file(self, capsys, config_file, tmp_path,
+                                                    monkeypatch):
+        inbox = tmp_path / "inbox"
+        inbox.mkdir()
+        (inbox / "ok.pdf").write_bytes(b"%PDF-1.4 ok")
+        (inbox / "loop").symlink_to("loop")
+        (inbox / "x").symlink_to("ok.pdf/child")
+        (inbox / "dangling").symlink_to("missing")
+        os.mkfifo(inbox / "pipe")
+        monkeypatch.chdir(inbox)  # a socket path must be short
+        with socket.socket(socket.AF_UNIX) as sock:
+            sock.bind("sock")
+        deep = inbox.joinpath(*["d"] * 60, "deep.txt")
+        deep.parent.mkdir(parents=True)
+        deep.write_bytes(b"plain text\n")
+        expected = 2
+        try:
+            (inbox / os.fsdecode(b"bad\xff.txt")).write_bytes(b"plain text\n")
+            expected += 1
+        except OSError:  # a filesystem that takes UTF-8 names only
+            pass
+        code, out = run_cli(capsys, "--config", config_file, "scan", str(inbox))
+        docs = [report_of(line) for line in out.splitlines()]
+        assert code == 0
+        assert len(docs) == expected
+        assert {Path(doc["path"]).name for doc in docs} >= {"ok.pdf", "deep.txt"}
 
     def test_worst_verdict_wins(self, capsys, config_file, tmp_path):
         inbox = tmp_path / "inbox"
@@ -414,6 +442,30 @@ class TestExitCodes:
         bad = tmp_path / "extra.json"
         bad.write_text(json.dumps({"surprise": 1}))
         assert main(["--config", str(bad), "trust", "get", "x"]) == EX_CONFIG
+
+    @pytest.mark.parametrize("key", ["mime_types_path", "magic_path", "active_types_path"])
+    def test_data_file_not_utf8_is_78(self, capsys, tmp_path, key):
+        bad = tmp_path / "data.txt"
+        bad.write_bytes(b"\xff\xfe")
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({key: str(bad), "backend": "sidecar",
+                                      "sidecar_path": str(tmp_path / "sidecar.sqlite3")}))
+        target = tmp_path / "doc.pdf"
+        target.write_bytes(b"%PDF-1.4 body")
+        assert main(["--config", str(config), "check", str(target)]) == EX_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{bad} is not UTF-8" in captured.err
+
+    @pytest.mark.parametrize("command", [
+        "db stats", "browser diff firefox-like", "browser run --ctx {}"])
+    def test_named_file_not_utf8_is_78(self, capsys, config_file, tmp_path, command):
+        bad = tmp_path / "model.tree"
+        bad.write_bytes(b"\xff\xfe")
+        assert main(["--config", config_file, *command.split(), str(bad)]) == EX_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{bad} is not UTF-8" in captured.err
 
     def test_sidecar_not_a_database_is_78(self, capsys, config_file, tmp_path):
         target = tmp_path / "doc.pdf"

@@ -4,10 +4,18 @@ from __future__ import annotations
 
 import itertools
 
+from hypothesis import given, settings, strategies as st
+
 from contentoracle.discrepancy_engine import (
+    _NAME_SEVERITY,
+    Discrepancy,
     DiscrepancyKind,
+    DiscrepancyReport,
     Evidence,
     Severity,
+    _mismatch_severity,
+    _resolve_mime,
+    _sort_key,
     evaluate,
 )
 from contentoracle.mime_db import MimeType
@@ -300,3 +308,187 @@ class TestResolvedMime:
 
     def test_no_sources_no_resolution(self):
         assert evaluate(_evidence(), REGISTRY).resolved_mime is None
+
+
+class _CountingRegistry:
+    """An active registry that counts its ``is_active`` calls."""
+
+    def __init__(self, registry: ActiveRegistry):
+        self.registry = registry
+        self.calls = 0
+
+    def is_active(self, mime: MimeType) -> bool:
+        self.calls += 1
+        return self.registry.is_active(mime)
+
+
+class TestWitnessTable:
+    def test_each_type_witness_judged_once(self):
+        # all three witnesses, both mismatches and a double extension
+        # ending in an active type
+        name = NameReport("inv.pdf.js", "js", ("pdf", "js"),
+                          frozenset({NameAnomaly.DOUBLE_EXTENSION}))
+        registry = _CountingRegistry(REGISTRY)
+        report = evaluate(
+            _evidence(ext=JS, sniff=_sniff(PDF), declared=GIF, name=name), registry
+        )
+        assert {DiscrepancyKind.EXTENSION_SNIFF_MISMATCH,
+                DiscrepancyKind.DECLARED_SNIFF_MISMATCH} <= set(kinds(report))
+        assert registry.calls == 3
+
+
+# --- the evaluate that judged each witness once per use, kept to compare with
+
+
+def reference_evaluate(evidence: Evidence, active_set: "ActiveRegistry") -> DiscrepancyReport:
+    """Compare all present sources; absence is never treated as disagreement.
+
+    Type comparisons look at (family, subtype) only, so charset and similar
+    parameters cannot raise alarms. Activity judgments come from the active
+    registry for type-derived sources and from each application's own flag
+    for its recorded view.
+    """
+    found: list[Discrepancy] = []
+    top = evidence.sniff.top
+    top_mime = top.mime if top else None
+
+    def differs(a: MimeType, b: MimeType) -> bool:
+        return a.key != b.key
+
+    if evidence.extension_mime and top_mime and differs(evidence.extension_mime, top_mime):
+        sev = _mismatch_severity(
+            active_set.is_active(evidence.extension_mime), active_set.is_active(top_mime)
+        )
+        found.append(Discrepancy(
+            DiscrepancyKind.EXTENSION_SNIFF_MISMATCH, sev,
+            f"extension says {evidence.extension_mime.format()}, content sniffs as {top_mime.format()}",
+            ("extension", "sniff"),
+        ))
+
+    if evidence.declared_mime and top_mime and differs(evidence.declared_mime, top_mime):
+        sev = _mismatch_severity(
+            active_set.is_active(evidence.declared_mime), active_set.is_active(top_mime)
+        )
+        found.append(Discrepancy(
+            DiscrepancyKind.DECLARED_SNIFF_MISMATCH, sev,
+            f"declared type {evidence.declared_mime.format()}, content sniffs as {top_mime.format()}",
+            ("declared", "sniff"),
+        ))
+
+    fresh = [fv.view for fv in evidence.views if not fv.stale]
+    resolved = _resolve_mime(evidence, fresh)
+    for fv in evidence.views:
+        if fv.stale:
+            found.append(Discrepancy(
+                DiscrepancyKind.STALE_VIEW, Severity.INFO,
+                f"view by {fv.view.app_id} predates the current file contents",
+                (f"view:{fv.view.app_id}",),
+            ))
+
+    # Divergence is measured against the resolved consensus rather than
+    # pairwise between views: a confirming view must never make the report
+    # worse. Splits purely on the activity flag surface as ActivityFlip.
+    if resolved is not None:
+        dissenters = sorted(
+            {v.mime.format() for v in fresh if v.mime.key != resolved.key}
+        )
+        if dissenters:
+            involved_active = active_set.is_active(resolved) or any(
+                active_set.is_active(v.mime) for v in fresh if v.mime.key != resolved.key
+            )
+            found.append(Discrepancy(
+                DiscrepancyKind.VIEW_DIVERGENCE,
+                Severity.WARNING if involved_active else Severity.INFO,
+                f"application views ({', '.join(dissenters)}) depart from "
+                f"the resolved type {resolved.format()}",
+                tuple(sorted(
+                    f"view:{v.app_id}" for v in fresh if v.mime.key != resolved.key
+                )),
+            ))
+
+    if evidence.sniff.is_polyglot:
+        any_active = any(active_set.is_active(c.mime) for c in evidence.sniff.candidates)
+        names = ", ".join(sorted({c.mime.format() for c in evidence.sniff.candidates}))
+        found.append(Discrepancy(
+            DiscrepancyKind.POLYGLOT,
+            Severity.CRITICAL if any_active else Severity.WARNING,
+            f"content matches multiple types: {names}",
+            ("sniff",),
+        ))
+
+    for anomaly in sorted(evidence.name_report.anomalies, key=lambda a: a.value):
+        sev = _NAME_SEVERITY[anomaly]
+        if (anomaly is NameAnomaly.DOUBLE_EXTENSION
+                and evidence.extension_mime is not None
+                and active_set.is_active(evidence.extension_mime)):
+            sev = Severity.CRITICAL  # chained extensions ending in an active type
+        found.append(Discrepancy(
+            DiscrepancyKind.NAME_ANOMALY, sev,
+            f"filename anomaly: {anomaly.value}",
+            ("name",),
+        ))
+
+    judgments: list[tuple[str, bool]] = []
+    if evidence.extension_mime is not None:
+        judgments.append(("extension", active_set.is_active(evidence.extension_mime)))
+    if top_mime is not None:
+        judgments.append(("sniff", active_set.is_active(top_mime)))
+    if evidence.declared_mime is not None:
+        judgments.append(("declared", active_set.is_active(evidence.declared_mime)))
+    for view in fresh:
+        judgments.append((f"view:{view.app_id}", view.active))
+    verdicts = {active for _, active in judgments}
+    if len(verdicts) == 2:
+        active_side = sorted(name for name, active in judgments if active)
+        inactive_side = sorted(name for name, active in judgments if not active)
+        found.append(Discrepancy(
+            DiscrepancyKind.ACTIVITY_FLIP, Severity.CRITICAL,
+            f"active per {', '.join(active_side)} but inactive per {', '.join(inactive_side)}",
+            tuple(active_side + inactive_side),
+        ))
+
+    return DiscrepancyReport(
+        discrepancies=tuple(sorted(found, key=_sort_key)),
+        resolved_mime=resolved,
+    )
+
+
+# Types with and without parameters; equal keys, different parameters.
+_TYPE_POOL = [
+    PDF, ZIP, GIF, JS, MimeType("application", "x-shellscript"),
+    MimeType("application", "pdf", (("charset", "binary"),)),
+    MimeType("text", "javascript", (("Charset", "utf-8"),)),
+]
+_types = st.sampled_from(_TYPE_POOL)
+_registries = st.builds(
+    lambda keys: ActiveRegistry(base_active=frozenset(keys)),
+    st.sets(st.sampled_from(sorted({m.key for m in _TYPE_POOL}))),
+)
+_sniffs = st.builds(
+    lambda mimes, polyglot: _sniff(*mimes, polyglot=polyglot),
+    st.lists(_types, max_size=3),
+    st.one_of(st.none(), st.booleans()),
+)
+_views = st.lists(
+    st.builds(_view, st.sampled_from(["a", "b", "c"]), _types, st.booleans(), st.booleans()),
+    max_size=4,
+)
+_names = st.builds(
+    lambda anomalies: NameReport("f.pdf.js", "js", ("pdf", "js"), frozenset(anomalies)),
+    st.sets(st.sampled_from(list(NameAnomaly))),
+)
+_evidences = st.builds(
+    _evidence,
+    ext=st.one_of(st.none(), _types),
+    sniff=_sniffs,
+    declared=st.one_of(st.none(), _types),
+    views=_views,
+    name=_names,
+)
+
+
+class TestEvaluateMatchesReference:
+    @settings(max_examples=400)
+    @given(evidence=_evidences, registry=_registries)
+    def test_same_report(self, evidence, registry):
+        assert repr(evaluate(evidence, registry)) == repr(reference_evaluate(evidence, registry))

@@ -86,6 +86,16 @@ class TestFetch:
         with pytest.raises(NetworkError):
             fetch(url, tmp_path, runtime.store)
 
+    def test_error_response_closed(self, http_server, runtime, tmp_path):
+        # the HTTPError behind each refused fetch holds the response open
+        url = http_server.add("/closed/end", b"x")
+        for i in range(7):
+            url = http_server.add_redirect(f"/closed/{i}", url)
+        for target, error in ((http_server.url("/missing"), HttpError), (url, NetworkError)):
+            with pytest.raises(error) as excinfo:
+                fetch(target, tmp_path, runtime.store)
+            assert excinfo.value.__cause__.fp.closed
+
     def test_connection_refused_is_network_error(self, runtime, tmp_path):
         with pytest.raises(NetworkError):
             fetch("http://127.0.0.1:9/nothing", tmp_path, runtime.store, timeout=2)

@@ -173,23 +173,18 @@ class TestExtensionMap:
         # equal types, spelled with a different parameter-name case
         ext_map, _ = load_extension_map("a/b;charset=x one\na/b;Charset=x two")
         assert ext_map.lookup("two")[0].format() == "a/b; Charset=x"
-        assert [m.format() for m in ext_map.reverse] == ["a/b; charset=x"]
-        assert ext_map.reverse[parse_mime_type("a/b;CHARSET=x")] == ("one", "two")
+        assert [m.format() for m in ext_map.types()] == ["a/b; charset=x"]
 
     def test_zero_extension_line_registers_type(self):
         ext_map, _ = load_extension_map("inode/directory")
         inode = parse_mime_type("inode/directory")
-        assert inode in ext_map.types()
-        assert ext_map.extensions_for(inode) == ()
+        assert ext_map.types() == {inode}
+        assert ext_map.entries == {}
 
-    def test_reverse_index_consistency(self):
+    def test_every_mapped_type_is_listed(self):
         ext_map, _ = load_extension_map(TEN_LINE_FIXTURE)
-        for ext, types in ext_map.entries.items():
-            for mime in types:
-                assert ext in ext_map.extensions_for(mime)
-        for mime, exts in ext_map.reverse.items():
-            for ext in exts:
-                assert mime in ext_map.lookup(ext)
+        for types in ext_map.entries.values():
+            assert set(types) <= ext_map.types()
 
 
 class TestDbStats:
@@ -373,8 +368,7 @@ class TestLoaderMatchesReference:
         assert {ext: [_spelled(m) for m in types] for ext, types in ext_map.entries.items()} \
             == {ext: [_spelled(m) for m in types] for ext, types in entries.items()}
         assert list(ext_map.entries) == list(entries)
-        assert [(_spelled(m), exts) for m, exts in ext_map.reverse.items()] \
-            == [(_spelled(m), tuple(exts)) for m, exts in reverse]
+        assert {_spelled(m) for m in ext_map.types()} == {_spelled(m) for m, _ in reverse}
         assert [tuple(e) for e in errors] == reference_errors
 
     @settings(max_examples=400)
