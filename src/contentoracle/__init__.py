@@ -34,7 +34,6 @@ from .view_registry import (
     XattrStore,
     content_identity,
     get_trust,
-    read_provenance,
     read_views,
     record_view,
     set_trust,
@@ -53,7 +52,6 @@ from .policy_engine import (
     PolicyDecision,
     Verdict,
     decide,
-    get_allowed_handlers,
     load_active_registry,
     set_handler_policy,
 )

@@ -22,13 +22,15 @@ from .policy_engine import (
     DENY_ALL,
     HandlerPolicy,
     Verdict,
-    get_allowed_handlers,
+    policy_from,
     set_handler_policy,
 )
 from .report import build_report, db_stats_document, diff_document, emit, view_obj
 from .runtime import Runtime, assess_path, build_evidence, judge, make_store
 from .view_registry import (
     MAX_NOTE_BYTES,
+    POLICY_KEY,
+    VIEWS_KEY,
     AttributeStore,
     ContentView,
     FlaggedView,
@@ -38,6 +40,7 @@ from .view_registry import (
     read_views,
     record_view,
     set_trust,
+    views_from,
 )
 
 EX_OK = 0
@@ -190,7 +193,8 @@ def cmd_view_list(args, store: AttributeStore) -> int:
 
 def cmd_trust_set(args, store: AttributeStore) -> int:
     set_trust(store, args.path, args.state == "trusted", now=args.now)
-    return cmd_trust_get(args, store)
+    emit({"trust": args.state})
+    return EX_OK
 
 
 def cmd_trust_get(args, store: AttributeStore) -> int:
@@ -209,7 +213,7 @@ def cmd_policy_set(args, store: AttributeStore) -> int:
 
 
 def cmd_policy_get(args, store: AttributeStore) -> int:
-    policy = get_allowed_handlers(store, _attribute_path(args.path))
+    policy = policy_from(store.read(_attribute_path(args.path), (POLICY_KEY,)))
     emit({"deny_all": policy.deny_all, "handlers": list(policy.allowed),
           "restricts": policy.restricts})
     return EX_OK
@@ -243,7 +247,7 @@ def cmd_fetch(args, runtime: Runtime) -> int:
     evidence, _, _ = ingest.assess_record(record, runtime, now=args.now)
     # the report is that assessment with the views as just recorded, the
     # ingest view among them, so the body is read and hashed only once
-    views = read_views(runtime.store, record.body_path, evidence.content_hash)
+    views = views_from(runtime.store.read(record.body_path, (VIEWS_KEY,)), evidence.content_hash)
     evidence = evidence._replace(views=tuple(views))
     report, decision = judge(runtime, evidence)
     emit(build_report(record.body_path, evidence, report, decision, url=record.url))

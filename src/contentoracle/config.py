@@ -14,6 +14,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .errors import ConfigError
+from .view_registry import open_regular
 
 ENV_VAR = "CONTENTORACLE_CONFIG"
 
@@ -53,10 +54,11 @@ class Config(_ConfigFields):
 
 
 def read_data_file(path: Path) -> str:
-    """The text of a data file: a file that is not UTF-8 is a configuration
-    error whose message names it."""
+    """The text of a data file, a regular file (a FIFO fails at once): a file
+    that is not UTF-8 is a configuration error whose message names it."""
     try:
-        return path.read_text("utf-8")
+        with open_regular(path) as fh:
+            return fh.read().decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path} is not UTF-8 text: {exc}") from None
 
@@ -88,7 +90,8 @@ def load_config(explicit_path: str | None = None) -> Config:
     if path is None:
         return config
     try:
-        doc = json.loads(path.read_text("utf-8"))
+        with open_regular(path) as fh:  # a FIFO fails, as a data file does
+            doc = json.loads(fh.read().decode("utf-8"))
     except FileNotFoundError:
         if required:
             raise ConfigError(f"config file not found: {path}") from None

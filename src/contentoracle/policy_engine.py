@@ -83,10 +83,6 @@ def policy_from(attrs: dict[str, bytes]) -> HandlerPolicy:
     )
 
 
-def get_allowed_handlers(store: AttributeStore, path: str | Path) -> HandlerPolicy:
-    return policy_from(store.read(path, (POLICY_KEY,)))
-
-
 class Verdict(Enum):
     ALLOW = "allow"
     WARN = "warn"

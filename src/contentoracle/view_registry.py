@@ -7,8 +7,8 @@ a sidecar SQLite database stands in, one row per (file, key); both
 backends satisfy the same black-box contract, and both raise ``OSError``
 for a file that does not exist.
 
-An assessment reads a file's attributes with one store ``read`` and decodes
-them with the ``*_from`` functions, which the public readers share.
+Every reader takes a file's attributes from one store ``read`` and decodes
+that snapshot with the ``*_from`` functions.
 
 Read-modify-write cycles hold a lock: an advisory lock on the target file
 for xattrs, a write transaction for the sidecar. A write in progress is
@@ -381,16 +381,9 @@ def views_from(attrs: dict[str, bytes], content_hash: bytes) -> list[FlaggedView
     ]
 
 
-def read_views(
-    store: AttributeStore, path: str | Path, content_hash: bytes | None = None
-) -> list[FlaggedView]:
-    """All recorded views, sorted by app id, with computed staleness flags.
-
-    Staleness is judged against ``content_hash`` when given (the digest of
-    bytes already read), otherwise against the file's current contents.
-    """
-    current = content_identity(path) if content_hash is None else content_hash
-    return views_from(store.read(path, (VIEWS_KEY,)), current)
+def read_views(store: AttributeStore, path: str | Path) -> list[FlaggedView]:
+    """All recorded views, sorted by app id, stale unless recorded for the current contents."""
+    return views_from(store.read(path, (VIEWS_KEY,)), content_identity(path))
 
 
 class TrustState(Enum):
@@ -422,14 +415,11 @@ def trust_from(attrs: dict[str, bytes], content_hash: bytes) -> TrustState:
     return TrustState.TRUSTED if doc["trusted"] else TrustState.UNTRUSTED
 
 
-def get_trust(
-    store: AttributeStore, path: str | Path, content_hash: bytes | None = None
-) -> TrustState:
-    """Trust state for the file's *current* contents, or for ``content_hash``'s."""
+def get_trust(store: AttributeStore, path: str | Path) -> TrustState:
+    """Trust state for the file's *current* contents."""
     attrs = store.read(path, (TRUST_KEY,))
-    if attrs and content_hash is None:  # hash the file only if trust was recorded
-        content_hash = content_identity(path)
-    return trust_from(attrs, content_hash)
+    # the file is hashed only if trust was recorded
+    return trust_from(attrs, content_identity(path) if attrs else None)
 
 
 class Provenance(NamedTuple):
@@ -451,7 +441,3 @@ def provenance_from(attrs: dict[str, bytes]) -> Provenance:
         referrer_url=_text(REFERRER_KEY),
         quarantine=attrs.get(QUARANTINE_KEY),
     )
-
-
-def read_provenance(store: AttributeStore, path: str | Path) -> Provenance:
-    return provenance_from(store.read(path, (ORIGIN_KEY, REFERRER_KEY, QUARANTINE_KEY)))

@@ -11,12 +11,14 @@ import re
 import socket
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import jsonschema
 import pytest
 
 import contentoracle
+from contentoracle import cli, view_registry
 from contentoracle.cli import (
     EX_CONFIG,
     EX_IOERR,
@@ -27,7 +29,13 @@ from contentoracle.cli import (
 from contentoracle.config import DATA_DIR, load_config
 from contentoracle.report import REPORT_SCHEMA
 from contentoracle.runtime import Runtime
-from contentoracle.view_registry import POLICY_KEY, TRUST_KEY, VIEWS_KEY
+from contentoracle.view_registry import (
+    POLICY_KEY,
+    TRUST_KEY,
+    VIEWS_KEY,
+    content_identity,
+    set_trust,
+)
 from tests.conftest import zip_with_script
 
 #: Attribute values that do not decode as the expected record, as JSON or at all.
@@ -241,6 +249,40 @@ class TestViewTrustPolicy:
         doc = json.loads(out)
         assert doc["handlers"] == ["a", "b"]
         assert doc["restricts"] is True
+
+    @pytest.mark.parametrize("command,trusted,reads,hashes", [
+        ("view record {} --app a --mime text/plain", False, 1, 1),
+        ("view list {}", False, 1, 1),
+        ("trust set {} trusted", False, 0, 1),
+        ("trust get {}", False, 1, 0),
+        ("trust get {}", True, 1, 1),
+        ("policy handlers set {} --deny-all", False, 0, 0),
+        ("policy handlers get {}", False, 1, 0),
+    ])
+    def test_store_reads_and_hashes_per_command(self, capsys, config_file, backend,
+                                                monkeypatch, command, trusted, reads, hashes):
+        target = backend.workdir / "doc.pdf"
+        target.write_bytes(b"%PDF-1.4")
+        if trusted:
+            set_trust(backend.store, target, True, now=1)
+        calls = Counter()
+        read = backend.store.read
+
+        def counted_read(path, keys):
+            calls["read"] += 1
+            return read(path, keys)
+
+        def counted_hash(path):
+            calls["hash"] += 1
+            return content_identity(path)
+
+        monkeypatch.setattr(backend.store, "read", counted_read)
+        monkeypatch.setattr(view_registry, "content_identity", counted_hash)
+        monkeypatch.setattr(cli, "content_identity", counted_hash)
+        monkeypatch.setattr(cli, "make_store", lambda config: backend.store)
+        code, _ = run_cli(capsys, "--config", config_file, *_with_path(command, target))
+        assert code == 0
+        assert (calls["read"], calls["hash"]) == (reads, hashes)
 
 
 class TestBrowser:
@@ -509,6 +551,34 @@ class TestExitCodes:
              *_with_path(command, fifo)],
             env=env, capture_output=True, text=True, timeout=60)
         assert proc.returncode == EX_IOERR, proc.stderr
+        assert proc.stdout == ""
+        assert "not a regular file" in proc.stderr
+
+    @pytest.mark.parametrize("command,code", [
+        ("--config {config} db stats {fifo}", EX_IOERR),
+        ("--config {fifo} check {target}", EX_CONFIG),
+        ("--config {fifo_config} check {target}", EX_IOERR),
+    ])
+    def test_fifo_data_or_config_file_fails_without_waiting_for_a_writer(
+            self, config_file, tmp_path, command, code):
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        fifo_config = tmp_path / "fifo-config.json"
+        fifo_config.write_text(json.dumps({
+            "mime_types_path": str(fifo),
+            "sidecar_path": str(tmp_path / "sidecar.sqlite3"),
+            "backend": "sidecar",
+        }))
+        target = tmp_path / "a.pdf"
+        target.write_bytes(b"%PDF-1.4 body")
+        argv = [word.format(config=config_file, fifo=fifo, fifo_config=fifo_config,
+                            target=target) for word in command.split()]
+        env = dict(os.environ, PYTHONPATH=str(Path(contentoracle.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys; from contentoracle.cli import main;"
+             " sys.exit(main(sys.argv[1:]))", *argv],
+            env=env, capture_output=True, text=True, timeout=30)
+        assert proc.returncode == code, proc.stderr
         assert proc.stdout == ""
         assert "not a regular file" in proc.stderr
 

@@ -20,9 +20,10 @@ from contentoracle.ingest import (
     fetch,
     sanitize_url_filename,
 )
-from contentoracle.policy_engine import Verdict, decide, get_allowed_handlers
+from contentoracle.policy_engine import Verdict, decide, policy_from
 from contentoracle.view_registry import (
     ORIGIN_KEY,
+    POLICY_KEY,
     REFERRER_KEY,
     get_trust,
     read_views,
@@ -313,7 +314,7 @@ class TestAssess:
             expected_report,
             trust=get_trust(runtime.store, record.body_path),
             handler=None,
-            policy=get_allowed_handlers(runtime.store, record.body_path),
+            policy=policy_from(runtime.store.read(record.body_path, (POLICY_KEY,))),
         )
         got_evidence, got_report, got_decision = assess_record(record, runtime, now=90)
         assert got_evidence == evidence

@@ -24,10 +24,9 @@ PUBLIC_NAMES = [
     "Verdict", "XattrStore", "analyze_name", "assess_path", "browser_model",
     "build_evidence", "classify_registration", "config", "content_identity", "db_stats",
     "decide", "differential", "discrepancy_engine", "enumerate_grid", "errors", "evaluate",
-    "fetch", "get_allowed_handlers", "get_trust", "ingest", "is_text",
-    "load_active_registry", "load_config", "load_extension_map", "load_signatures",
-    "load_tree", "mime_db", "name_analyzer", "parse_mime_type", "policy_engine",
-    "read_provenance", "read_views", "record_view", "run", "runtime",
+    "fetch", "get_trust", "ingest", "is_text", "load_active_registry", "load_config",
+    "load_extension_map", "load_signatures", "load_tree", "mime_db", "name_analyzer",
+    "parse_mime_type", "policy_engine", "read_views", "record_view", "run", "runtime",
     "set_handler_policy", "set_trust", "sniff", "sniffer", "view_registry",
 ]
 

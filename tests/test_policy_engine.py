@@ -19,11 +19,11 @@ from contentoracle.policy_engine import (
     NO_RESTRICTION,
     Verdict,
     decide,
-    get_allowed_handlers,
     load_active_registry,
+    policy_from,
     set_handler_policy,
 )
-from contentoracle.view_registry import TrustState
+from contentoracle.view_registry import POLICY_KEY, TrustState
 
 JS = MimeType("text", "javascript")
 GIF = MimeType("image", "gif")
@@ -146,20 +146,20 @@ class TestHandlerPersistence:
         path = backend.workdir / "f.bin"
         path.write_bytes(b"x")
         set_handler_policy(backend.store, path, HandlerPolicy(allowed=("viewerA",)))
-        policy = get_allowed_handlers(backend.store, path)
+        policy = policy_from(backend.store.read(path, (POLICY_KEY,)))
         assert policy.allowed == ("viewerA",)
         assert policy.restricts
 
     def test_unset_file_has_no_restriction(self, backend):
         path = backend.workdir / "f.bin"
         path.write_bytes(b"x")
-        assert get_allowed_handlers(backend.store, path) == NO_RESTRICTION
+        assert policy_from(backend.store.read(path, (POLICY_KEY,))) == NO_RESTRICTION
 
     def test_deny_all_round_trips_and_denies(self, backend):
         path = backend.workdir / "f.bin"
         path.write_bytes(b"x")
         set_handler_policy(backend.store, path, DENY_ALL)
-        policy = get_allowed_handlers(backend.store, path)
+        policy = policy_from(backend.store.read(path, (POLICY_KEY,)))
         assert policy.deny_all is True
         assert decide(report_with(None), TrustState.UNSET, "anyApp", policy).verdict \
             is Verdict.DENY
@@ -168,10 +168,10 @@ class TestHandlerPersistence:
         path = backend.workdir / "f.bin"
         path.write_bytes(b"x")
         set_handler_policy(backend.store, path, HandlerPolicy(allowed=()))
-        policy = get_allowed_handlers(backend.store, path)
+        policy = policy_from(backend.store.read(path, (POLICY_KEY,)))
         assert not policy.restricts
         assert policy.permits("anything")
 
     def test_missing_file_raises(self, backend):
         with pytest.raises(OSError):
-            get_allowed_handlers(backend.store, backend.workdir / "missing")
+            policy_from(backend.store.read(backend.workdir / "missing", (POLICY_KEY,)))

@@ -25,13 +25,14 @@ from contentoracle.policy_engine import (
     DENY_ALL,
     HandlerPolicy,
     Verdict,
-    get_allowed_handlers,
+    policy_from,
     set_handler_policy,
 )
 from contentoracle.runtime import assess_path, build_evidence
 from contentoracle.sniffer import sniff
 from contentoracle.view_registry import (
     ORIGIN_KEY,
+    POLICY_KEY,
     AttributeStore,
     ContentView,
     content_identity,
@@ -160,7 +161,7 @@ def test_verdict_judges_the_attributes_the_report_saw(backend, monkeypatch, caps
     # the deny-all policy lands after the snapshot, so this check does not see it
     assert main(argv) == 0
     assert json.loads(capsys.readouterr().out)["verdict"] == "allow"
-    assert get_allowed_handlers(backend.store, path).deny_all
+    assert policy_from(backend.store.read(path, (POLICY_KEY,))).deny_all
     # the next check's snapshot holds it
     assert main(argv) == 2
     assert json.loads(capsys.readouterr().out)["verdict"] == "deny"

@@ -24,15 +24,17 @@ from contentoracle import view_registry
 from contentoracle.mime_db import MimeType
 from contentoracle.policy_engine import (
     DENY_ALL,
-    get_allowed_handlers,
+    policy_from,
     set_handler_policy,
 )
 from contentoracle.view_registry import (
+    ATTRIBUTE_KEYS,
     AutoStore,
     ContentView,
     FlaggedView,
     OVERFLOW_STUB,
     ORIGIN_KEY,
+    POLICY_KEY,
     QUARANTINE_KEY,
     REFERRER_KEY,
     SidecarStore,
@@ -44,7 +46,7 @@ from contentoracle.view_registry import (
     decode_views,
     encode_views,
     get_trust,
-    read_provenance,
+    provenance_from,
     read_views,
     record_view,
     set_trust,
@@ -230,7 +232,7 @@ class TestBackendContract:
 
     def test_provenance_absent_by_default(self, backend):
         path = _file(backend)
-        prov = read_provenance(backend.store, path)
+        prov = provenance_from(backend.store.read(path, ATTRIBUTE_KEYS))
         assert prov.origin_url is None
         assert prov.referrer_url is None
         assert prov.quarantine is None
@@ -239,7 +241,7 @@ class TestBackendContract:
         path = _file(backend)
         backend.store.set(path, ORIGIN_KEY, b"https://a.example/f.pdf")
         backend.store.set(path, REFERRER_KEY, b"https://ref.example/")
-        prov = read_provenance(backend.store, path)
+        prov = provenance_from(backend.store.read(path, ATTRIBUTE_KEYS))
         assert prov.origin_url == "https://a.example/f.pdf"
         assert prov.referrer_url == "https://ref.example/"
 
@@ -254,9 +256,9 @@ class TestBackendContract:
         with pytest.raises(OSError):
             set_trust(backend.store, missing, True, now=1)
         with pytest.raises(OSError):
-            read_provenance(backend.store, missing)
+            provenance_from(backend.store.read(missing, ATTRIBUTE_KEYS))
         with pytest.raises(OSError):
-            get_allowed_handlers(backend.store, missing)
+            policy_from(backend.store.read(missing, (POLICY_KEY,)))
         with pytest.raises(OSError):
             set_handler_policy(backend.store, missing, DENY_ALL)
 
@@ -286,7 +288,7 @@ class TestQuarantinePassThrough:
         path.write_bytes(b"x")
         raw = b"0083;5f4e1c2d;Safari;ABCD-EF01"
         store.set(path, QUARANTINE_KEY, raw)
-        assert read_provenance(store, path).quarantine == raw
+        assert provenance_from(store.read(path, ATTRIBUTE_KEYS)).quarantine == raw
 
     def test_arbitrary_bytes_uninterpreted(self, tmp_path):
         store = SidecarStore(tmp_path / "journal.jsonl")
@@ -294,7 +296,7 @@ class TestQuarantinePassThrough:
         path.write_bytes(b"x")
         raw = bytes(range(256))
         store.set(path, QUARANTINE_KEY, raw)
-        assert read_provenance(store, path).quarantine == raw
+        assert provenance_from(store.read(path, ATTRIBUTE_KEYS)).quarantine == raw
 
     def test_xattr_backend_reports_absent(self, xattr_dir):
         # the attribute lives outside the Linux user namespace, so the xattr
@@ -302,7 +304,7 @@ class TestQuarantinePassThrough:
         store = XattrStore(overflow=SidecarStore(xattr_dir / "overflow.jsonl"))
         path = xattr_dir / "download.bin"
         path.write_bytes(b"x")
-        assert read_provenance(store, path).quarantine is None
+        assert provenance_from(store.read(path, ATTRIBUTE_KEYS)).quarantine is None
 
 
 class TestOverflow:
