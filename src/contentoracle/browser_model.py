@@ -16,8 +16,10 @@ from __future__ import annotations
 
 import itertools
 from enum import Enum
+from pathlib import Path
 from typing import Iterable, NamedTuple, Union
 
+from .config import read_data_file
 from .errors import MalformedTree
 from .mime_db import MimeType, parse_mime_type
 
@@ -52,7 +54,7 @@ class RequestContext(NamedTuple):
 #: The fields of a :class:`RequestContext` by type, as trees and ``--ctx`` name them.
 MIME_FIELDS = ("sniffed_mime", "extension_mime", "content_type")
 BOOL_FIELDS = ("nosniff", "auto_download", "auto_open")
-FIELDS = MIME_FIELDS + BOOL_FIELDS + ("content_disposition",)
+FIELDS = RequestContext._fields
 
 #: A predicate's literal, parsed when the tree is loaded (:func:`_parse_predicate`).
 PredicateValue = Union[None, str, bool, Disposition, frozenset[tuple[str, str]]]
@@ -204,23 +206,56 @@ DEFAULT_MIME_PANEL: tuple[MimeType | None, ...] = (
 
 
 def enumerate_grid() -> list[RequestContext]:
-    """Cartesian product over the finite field alphabets (~5k points for the
-    default six-type panel)."""
-    mimes = DEFAULT_MIME_PANEL
-    grid = []
-    for sniffed, ext, ct, disp, nosniff, auto_dl, auto_open in itertools.product(
-        mimes, mimes, mimes, Disposition, (False, True), (False, True), (False, True)
-    ):
-        grid.append(RequestContext(
-            sniffed_mime=sniffed,
-            extension_mime=ext,
-            content_type=ct,
-            content_disposition=disp,
-            nosniff=nosniff,
-            auto_download=auto_dl,
-            auto_open=auto_open,
-        ))
-    return grid
+    """Cartesian product over the finite field alphabets, in field order
+    (~5k points for the default six-type panel)."""
+    mimes, flags = DEFAULT_MIME_PANEL, (False, True)
+    return [RequestContext(*point)
+            for point in itertools.product(mimes, mimes, mimes, Disposition, flags, flags, flags)]
+
+
+def context_to_obj(ctx: RequestContext) -> dict:
+    """``ctx`` as a JSON object: as ``browser diff`` prints it and
+    ``browser run --ctx`` reads it (:func:`context_from_obj`)."""
+    obj = ctx._asdict()
+    for key in MIME_FIELDS:
+        if obj[key] is not None:
+            obj[key] = obj[key].format()
+    obj["content_disposition"] = ctx.content_disposition.value
+    return obj
+
+
+def context_from_obj(obj) -> RequestContext:
+    """The request context a decoded JSON object names, absent keys at their
+    defaults; ``ValueError`` for anything else, naming the first fault."""
+    if not isinstance(obj, dict):
+        raise ValueError("not a JSON object")
+    unknown = sorted(obj.keys() - set(FIELDS))
+    if unknown:
+        raise ValueError(f"unknown key {unknown[0]!r}")
+    for key in BOOL_FIELDS:
+        if not isinstance(obj.get(key, False), bool):
+            raise ValueError(f"{key} must be true or false")
+
+    def mime(key):
+        value = obj.get(key)
+        if value is not None and not isinstance(value, str):
+            raise ValueError(f"{key} must be a string")
+        return parse_mime_type(value) if value else None
+
+    return RequestContext(
+        **{key: mime(key) for key in MIME_FIELDS},
+        **{key: obj.get(key, False) for key in BOOL_FIELDS},
+        content_disposition=Disposition(obj.get("content_disposition", "none")),
+    )
+
+
+def load_model(name: str, models_dir: Path) -> DecisionTree:
+    """The tree at path ``name`` if it contains ``/``, else ``<models_dir>/<name>.tree``,
+    so a file in the working directory never shadows a bundled model."""
+    path = Path(name) if "/" in name else models_dir / f"{name}.tree"
+    if not path.is_file():
+        raise FileNotFoundError(f"model not found: {name}")
+    return load_tree(read_data_file(path), name=path.stem)
 
 
 def context_sort_key(ctx: RequestContext):

@@ -72,18 +72,6 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EX_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _load_model(name: str, models_dir: Path) -> DecisionTree:
-    # the browser models are imported by the browser commands only
-    from .browser_model import load_tree
-
-    candidate = Path(name)
-    if not candidate.is_file():
-        candidate = models_dir / f"{name}.tree"
-    if not candidate.is_file():
-        raise FileNotFoundError(f"model not found: {name}")
-    return load_tree(read_data_file(candidate), name=candidate.stem)
-
-
 def _attribute_path(path: str) -> str:
     """``path``, if ``check`` could read it: no attribute is read or set on
     a directory, FIFO or device, which no check could ever assess."""
@@ -114,32 +102,13 @@ def _note(text: str) -> str:
 
 
 def _request_context(text: str) -> RequestContext:
-    """``--ctx``: a JSON object of request-context fields, checked while the
-    arguments are parsed so a bad one is a usage error."""
-    from .browser_model import BOOL_FIELDS, FIELDS, MIME_FIELDS, Disposition, RequestContext
+    """``--ctx``: a request context as ``browser diff`` prints one, checked
+    while the arguments are parsed so a bad one is a usage error."""
+    # the browser models are imported by the browser commands only
+    from .browser_model import context_from_obj
 
     try:
-        obj = json.loads(text)
-        if not isinstance(obj, dict):
-            raise ValueError("not a JSON object")
-        unknown = sorted(obj.keys() - set(FIELDS))
-        if unknown:
-            raise ValueError(f"unknown key {unknown[0]!r}")
-        for key in BOOL_FIELDS:
-            if not isinstance(obj.get(key, False), bool):
-                raise ValueError(f"{key} must be true or false")
-
-        def mime(key):
-            value = obj.get(key)
-            if value is not None and not isinstance(value, str):
-                raise ValueError(f"{key} must be a string")
-            return parse_mime_type(value) if value else None
-
-        return RequestContext(
-            **{key: mime(key) for key in MIME_FIELDS},
-            **{key: obj.get(key, False) for key in BOOL_FIELDS},
-            content_disposition=Disposition(obj.get("content_disposition", "none")),
-        )
+        return context_from_obj(json.loads(text))
     except ValueError as exc:  # MalformedMime and JSONDecodeError among them
         raise argparse.ArgumentTypeError(f"bad request context: {exc}") from None
 
@@ -220,18 +189,18 @@ def cmd_policy_get(args, store: AttributeStore) -> int:
 
 
 def cmd_browser_run(args, models_dir: Path) -> int:
-    from .browser_model import run as run_tree
+    from .browser_model import load_model, run as run_tree
 
-    tree = _load_model(args.model, models_dir)
+    tree = load_model(args.model, models_dir)
     emit({"model": tree.name, "action": run_tree(tree, args.ctx).value})
     return EX_OK
 
 
 def cmd_browser_diff(args, models_dir: Path) -> int:
-    from .browser_model import differential, enumerate_grid
+    from .browser_model import differential, enumerate_grid, load_model
 
-    tree_a = _load_model(args.model_a, models_dir)
-    tree_b = _load_model(args.model_b, models_dir)
+    tree_a = load_model(args.model_a, models_dir)
+    tree_b = load_model(args.model_b, models_dir)
     grid = enumerate_grid()
     emit(diff_document(tree_a, tree_b, grid, differential(tree_a, tree_b, grid)))
     return EX_OK

@@ -20,11 +20,6 @@ ENV_VAR = "CONTENTORACLE_CONFIG"
 
 DATA_DIR = Path(__file__).resolve().parent / "data"
 
-_CONFIG_KEYS = {
-    "mime_types_path", "magic_path", "active_types_path",
-    "models_dir", "sidecar_path", "backend",
-}
-
 _BACKENDS = ("auto", "xattr", "sidecar")
 
 
@@ -100,7 +95,7 @@ def load_config(explicit_path: str | None = None) -> Config:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     if not isinstance(doc, dict):
         raise ConfigError(f"config {path} must hold a JSON object")
-    unknown = set(doc) - _CONFIG_KEYS
+    unknown = set(doc) - set(Config._fields)
     if unknown:
         raise ConfigError(f"unknown config keys in {path}: {', '.join(sorted(unknown))}")
     if "backend" in doc and doc["backend"] not in _BACKENDS:

@@ -133,15 +133,7 @@ def build_report(
 def diff_document(tree_a: DecisionTree, tree_b: DecisionTree,
                   grid: list[RequestContext], points: list) -> dict:
     """``browser diff``: each grid point where the two models act differently."""
-    from .browser_model import BOOL_FIELDS, MIME_FIELDS
-
-    def context(ctx: RequestContext) -> dict:
-        obj = {key: getattr(ctx, key) for key in BOOL_FIELDS}
-        for key in MIME_FIELDS:
-            mime = getattr(ctx, key)
-            obj[key] = mime.format() if mime is not None else None
-        obj["content_disposition"] = ctx.content_disposition.value
-        return obj
+    from .browser_model import context_to_obj
 
     return {
         "model_a": tree_a.name,
@@ -149,7 +141,7 @@ def diff_document(tree_a: DecisionTree, tree_b: DecisionTree,
         "grid_size": len(grid),
         "divergence_count": len(points),
         "divergences": [
-            {"context": context(ctx), "a": act_a.value, "b": act_b.value}
+            {"context": context_to_obj(ctx), "a": act_a.value, "b": act_b.value}
             for ctx, act_a, act_b in points
         ],
     }

@@ -3,6 +3,7 @@ differential runner."""
 
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
@@ -12,7 +13,9 @@ from contentoracle.browser_model import (
     Action,
     Disposition,
     RequestContext,
+    context_from_obj,
     context_sort_key,
+    context_to_obj,
     differential,
     enumerate_grid,
     load_tree,
@@ -196,6 +199,39 @@ class TestDifferential:
 
         monkeypatch.setattr(browser_model, "parse_mime_type", fail)
         assert differential(firefox, opera, grid) == expected
+
+
+class TestRequestContextCodec:
+    def test_every_grid_point_round_trips_through_json(self):
+        for ctx in enumerate_grid():
+            assert context_from_obj(json.loads(json.dumps(context_to_obj(ctx)))) == ctx
+
+    def test_json_form(self):
+        ctx = RequestContext(content_type=PDF, content_disposition=Disposition.INLINE,
+                             auto_open=True)
+        assert context_to_obj(ctx) == {
+            "sniffed_mime": None, "extension_mime": None, "content_type": "application/pdf",
+            "content_disposition": "inline",
+            "nosniff": False, "auto_download": False, "auto_open": True,
+        }
+
+    def test_grid_is_the_panel_product_in_order(self):
+        panel, flags = browser_model.DEFAULT_MIME_PANEL, (False, True)
+        expected = []
+        for sniffed in panel:
+            for ext in panel:
+                for ct in panel:
+                    for disp in Disposition:
+                        for nosniff in flags:
+                            for auto_dl in flags:
+                                for auto_open in flags:
+                                    expected.append(RequestContext(
+                                        sniffed_mime=sniffed, extension_mime=ext,
+                                        content_type=ct, content_disposition=disp,
+                                        nosniff=nosniff, auto_download=auto_dl,
+                                        auto_open=auto_open,
+                                    ))
+        assert enumerate_grid() == expected
 
 
 class TestPredicates:

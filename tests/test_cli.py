@@ -303,6 +303,39 @@ class TestBrowser:
         assert code == EX_USAGE
         assert out == ""
 
+    def test_model_name_never_names_a_file_in_the_working_directory(
+            self, capsys, config_file, tmp_path, monkeypatch):
+        (tmp_path / "firefox-like").write_text("! Render\n")
+        monkeypatch.chdir(tmp_path)
+        ctx = json.dumps({"content_disposition": "attachment", "auto_download": True})
+        for model, action in [("firefox-like", "Download"), ("./firefox-like", "Render"),
+                              (str(tmp_path / "firefox-like"), "Render")]:
+            code, out = run_cli(capsys, "--config", config_file,
+                                "browser", "run", model, "--ctx", ctx)
+            assert code == 0
+            assert json.loads(out) == {"model": "firefox-like", "action": action}
+
+    def test_missing_model_is_io_error(self, capsys, config_file):
+        code = main(["--config", config_file, "browser", "diff", "firefox-like", "absent"])
+        captured = capsys.readouterr()
+        assert code == EX_IOERR
+        assert captured.out == ""
+        assert "model not found: absent" in captured.err
+
+    def test_run_takes_the_context_diff_prints(self, capsys, config_file):
+        _, out = run_cli(capsys, "--config", config_file,
+                         "browser", "diff", "firefox-like", "opera-like")
+        first = {}  # the first context of each distinct pair of actions
+        for point in json.loads(out)["divergences"]:
+            first.setdefault((point["a"], point["b"]), point["context"])
+        assert len(first) == 14
+        for actions, context in first.items():
+            for model, action in zip(("firefox-like", "opera-like"), actions):
+                code, out = run_cli(capsys, "--config", config_file,
+                                    "browser", "run", model, "--ctx", json.dumps(context))
+                assert code == 0
+                assert json.loads(out)["action"] == action
+
     def test_diff_bundled_models(self, capsys, config_file, runtime):
         from contentoracle.browser_model import differential, enumerate_grid, load_tree
 

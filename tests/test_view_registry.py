@@ -406,6 +406,45 @@ class TestAutoStore:
         record_view(store, path, _view(path=path))
         assert len(read_views(store, path)) == 1
 
+    @staticmethod
+    def _refuse(monkeypatch, code, names):
+        def refused(*args, **kwargs):
+            raise OSError(code, os.strerror(code))
+
+        for name in names:
+            monkeypatch.setattr(os, name, refused)
+
+    @pytest.mark.parametrize("code,names", [
+        (errno.ENOTSUP, ("setxattr", "listxattr", "getxattr")),
+        (errno.EPERM, ("setxattr",)),
+    ])
+    def test_records_land_in_the_sidecar_where_xattrs_are_refused(self, tmp_path, monkeypatch,
+                                                                  code, names):
+        # runs on every filesystem, where test_falls_back_where_xattrs_unsupported
+        # runs only on one without user xattrs
+        sidecar = SidecarStore(tmp_path / "sidecar.sqlite3")
+        store = AutoStore(XattrStore(overflow=sidecar), sidecar)
+        path = tmp_path / "f.bin"
+        path.write_bytes(b"x")
+        self._refuse(monkeypatch, code, names)
+        record_view(store, path, _view(path=path))
+        set_trust(store, path, True, now=1000)
+        stored = sidecar.read(path, (VIEWS_KEY, TRUST_KEY))
+        assert set(stored) == {VIEWS_KEY, TRUST_KEY}
+        assert store.read(path, (VIEWS_KEY, TRUST_KEY)) == stored
+        assert [fv.view.app_id for fv in read_views(store, path)] == ["viewer"]
+        assert get_trust(store, path) is TrustState.TRUSTED
+
+    def test_large_value_reads_back_whole_where_xattrs_are_unsupported(self, tmp_path,
+                                                                       monkeypatch):
+        sidecar = SidecarStore(tmp_path / "sidecar.sqlite3")
+        store = AutoStore(XattrStore(overflow=sidecar), sidecar)
+        path = tmp_path / "f.bin"
+        path.write_bytes(b"x")
+        self._refuse(monkeypatch, errno.ENOTSUP, ("setxattr", "listxattr", "getxattr"))
+        store.set(path, VIEWS_KEY, b"v" * 5000)
+        assert store.read(path, (VIEWS_KEY,)) == {VIEWS_KEY: b"v" * 5000}
+
     def test_xattr_value_overrides_the_sidecar_value(self, xattr_dir):
         sidecar = SidecarStore(xattr_dir / "journal.jsonl")
         store = AutoStore(XattrStore(overflow=sidecar), sidecar)
