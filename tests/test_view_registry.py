@@ -24,6 +24,7 @@ from contentoracle import view_registry
 from contentoracle.mime_db import MimeType
 from contentoracle.policy_engine import (
     DENY_ALL,
+    HandlerPolicy,
     policy_from,
     set_handler_policy,
 )
@@ -164,6 +165,21 @@ class TestCanonicalEncoding:
             "active": True, "app": "a", "hash": "00" * 32, "mime": "application/pdf",
             "note": "n", "t": 5,
         }]
+
+    def test_stored_records_keep_their_bytes(self, backend):
+        # one record of each kind, as stored for a file holding "x" at t=1
+        path = _file(backend, data=b"x")
+        digest = "2d711642b726b04401627ca9fbac32f5c8530fb1903cc4db02258717921a4881"
+        store = backend.store
+        set_trust(store, path, True, now=1)
+        set_handler_policy(store, path, HandlerPolicy(allowed=("viewer",)))
+        record_view(store, path, _view(app="a", path=path, t=1))
+        assert store.read(path, (TRUST_KEY, POLICY_KEY, VIEWS_KEY)) == {
+            TRUST_KEY: b'{"hash":"%s","t":1,"trusted":true,"v":1}' % digest.encode(),
+            POLICY_KEY: b'{"deny_all":false,"handlers":["viewer"],"v":1}',
+            VIEWS_KEY: b'{"v":1,"views":[{"active":false,"app":"a","hash":"%s",'
+                       b'"mime":"application/pdf","t":1}]}' % digest.encode(),
+        }
 
 
 class TestBackendContract:
