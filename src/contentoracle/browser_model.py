@@ -255,7 +255,7 @@ def load_model(name: str, models_dir: Path) -> DecisionTree:
     path = Path(name) if "/" in name else models_dir / f"{name}.tree"
     if not path.is_file():
         raise FileNotFoundError(f"model not found: {name}")
-    return load_tree(read_data_file(path), name=path.stem)
+    return read_data_file(path, lambda source: load_tree(source, name=path.stem))
 
 
 def context_sort_key(ctx: RequestContext):

@@ -224,7 +224,7 @@ def cmd_fetch(args, runtime: Runtime) -> int:
 
 
 def cmd_db_stats(args, _) -> int:
-    ext_map, errors = load_extension_map(read_data_file(Path(args.file)))
+    ext_map, errors = read_data_file(Path(args.file), load_extension_map)
     emit(db_stats_document(db_stats(ext_map), len(errors)))
     return EX_OK
 

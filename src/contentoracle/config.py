@@ -11,9 +11,9 @@ from __future__ import annotations
 import json
 import os
 from pathlib import Path
-from typing import NamedTuple
+from typing import Any, Callable, NamedTuple
 
-from .errors import ConfigError
+from .errors import ConfigError, ContentOracleError
 from .view_registry import open_regular
 
 ENV_VAR = "CONTENTORACLE_CONFIG"
@@ -48,14 +48,17 @@ class Config(_ConfigFields):
         return config
 
 
-def read_data_file(path: Path) -> str:
-    """The text of a data file, a regular file (a FIFO fails at once): a file
-    that is not UTF-8 is a configuration error whose message names it."""
+def read_data_file(path: Path, parse: Callable[[str], Any]) -> Any:
+    """``parse`` of the text of a data file, a regular file (a FIFO fails at
+    once): a file that is not UTF-8, or that ``parse`` rejects, is a
+    configuration error whose message names it."""
     try:
         with open_regular(path) as fh:
-            return fh.read().decode("utf-8")
+            return parse(fh.read().decode("utf-8"))
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path} is not UTF-8 text: {exc}") from None
+    except ContentOracleError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
 
 
 def _user_config_path() -> Path:

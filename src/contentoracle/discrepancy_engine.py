@@ -129,7 +129,16 @@ def evaluate(evidence: Evidence, active_set: "ActiveRegistry") -> DiscrepancyRep
             ))
 
     fresh = [fv.view for fv in evidence.views if not fv.stale]
-    resolved = _resolve_mime(evidence, fresh)
+    # The resolved type is the first witness present, content bytes being
+    # the least forgeable source; without one, the fresh views' majority.
+    resolved, resolved_active = next(
+        (witnesses[source] for source in ("sniff", "declared", "extension") if source in witnesses),
+        (None, False),
+    )
+    if resolved is None and fresh:
+        counts = Counter(v.mime for v in fresh)
+        resolved = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0].format()))[0][0]
+        resolved_active = active_set.is_active(resolved)
     for fv in evidence.views:
         if fv.stale:
             found.append(Discrepancy(
@@ -141,23 +150,17 @@ def evaluate(evidence: Evidence, active_set: "ActiveRegistry") -> DiscrepancyRep
     # Divergence is measured against the resolved consensus rather than
     # pairwise between views: a confirming view must never make the report
     # worse. Splits purely on the activity flag surface as ActivityFlip.
-    if resolved is not None:
-        dissenters = sorted(
-            {v.mime.format() for v in fresh if v.mime.key != resolved.key}
-        )
-        if dissenters:
-            involved_active = active_set.is_active(resolved) or any(
-                active_set.is_active(v.mime) for v in fresh if v.mime.key != resolved.key
-            )
-            found.append(Discrepancy(
-                DiscrepancyKind.VIEW_DIVERGENCE,
-                Severity.WARNING if involved_active else Severity.INFO,
-                f"application views ({', '.join(dissenters)}) depart from "
-                f"the resolved type {resolved.format()}",
-                tuple(sorted(
-                    f"view:{v.app_id}" for v in fresh if v.mime.key != resolved.key
-                )),
-            ))
+    # Without a resolved type there are no fresh views to dissent.
+    dissenting = [v for v in fresh if v.mime.key != resolved.key]
+    if dissenting:
+        involved_active = resolved_active or any(active_set.is_active(v.mime) for v in dissenting)
+        found.append(Discrepancy(
+            DiscrepancyKind.VIEW_DIVERGENCE,
+            Severity.WARNING if involved_active else Severity.INFO,
+            f"application views ({', '.join(sorted({v.mime.format() for v in dissenting}))}) "
+            f"depart from the resolved type {resolved.format()}",
+            tuple(sorted(f"view:{v.app_id}" for v in dissenting)),
+        ))
 
     if evidence.sniff.is_polyglot:
         any_active = any(active_set.is_active(c.mime) for c in evidence.sniff.candidates)
@@ -197,19 +200,3 @@ def evaluate(evidence: Evidence, active_set: "ActiveRegistry") -> DiscrepancyRep
         resolved_mime=resolved,
     )
 
-
-def _resolve_mime(evidence: Evidence, fresh_views) -> MimeType | None:
-    """Single best type. Content bytes are the least forgeable source, so:
-    sniffed top candidate, then declared header, then extension, then the
-    majority opinion of fresh views.
-    """
-    if evidence.sniff.top is not None:
-        return evidence.sniff.top.mime
-    if evidence.declared_mime is not None:
-        return evidence.declared_mime
-    if evidence.extension_mime is not None:
-        return evidence.extension_mime
-    if fresh_views:
-        counts = Counter(v.mime for v in fresh_views)
-        return sorted(counts.items(), key=lambda kv: (-kv[1], kv[0].format()))[0][0]
-    return None

@@ -122,9 +122,9 @@ def fetch(
     """Download ``url`` into ``dest_dir`` and stamp provenance attributes.
 
     Redirects are followed to depth 5 and the final URL is what gets
-    recorded as the origin. Non-success statuses raise
-    :class:`HttpError`, and a body over :data:`MAX_BODY` bytes raises
-    :class:`NetworkError`; both persist nothing.
+    recorded as the origin. Non-success statuses raise :class:`HttpError`,
+    a body over :data:`MAX_BODY` bytes raises :class:`NetworkError`, and a
+    failed stamp raises its ``OSError``; none of them leaves a file.
     """
     dest_dir = Path(dest_dir)
     opener = urllib.request.build_opener(_BoundedRedirects())
@@ -166,14 +166,15 @@ def fetch(
                     if size > MAX_BODY:
                         raise NetworkError(f"response from {url} exceeds {MAX_BODY} bytes")
                     out.write(chunk)
+            # stamped first: the body appears under its name with its provenance
+            store.set(partial, ORIGIN_KEY, final_url.encode("utf-8"))
+            if referrer:
+                store.set(partial, REFERRER_KEY, referrer.encode("utf-8"))
             os.replace(partial, dest)
         except BaseException:
             os.unlink(partial)
             raise
 
-    store.set(dest, ORIGIN_KEY, final_url.encode("utf-8"))
-    if referrer:
-        store.set(dest, REFERRER_KEY, referrer.encode("utf-8"))
     return FetchRecord(
         url=url,
         final_url=final_url,

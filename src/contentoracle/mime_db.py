@@ -7,6 +7,7 @@ values, so shared instances are safe for unsynchronized concurrent reads.
 from __future__ import annotations
 
 import unicodedata
+from collections import Counter
 from enum import Enum
 from types import MappingProxyType
 from typing import KeysView, Mapping, NamedTuple
@@ -258,16 +259,12 @@ def db_stats(ext_map: ExtensionMap) -> dict[str, FamilyStats]:
     The three counters partition the distinct types of each family, so the
     grand total equals the number of distinct types in the map.
     """
-    buckets: dict[str, dict[RegistrationClass, int]] = {}
-    for mime in ext_map.types():
-        per_class = buckets.setdefault(mime.family, {})
-        cls = classify_registration(mime)
-        per_class[cls] = per_class.get(cls, 0) + 1
+    counts = Counter((mime.family, classify_registration(mime)) for mime in ext_map.types())
     return {
         family: FamilyStats(
-            official=per_class.get(RegistrationClass.OFFICIAL_FAMILY, 0),
-            unofficial_subtype=per_class.get(RegistrationClass.UNOFFICIAL_SUBTYPE, 0),
-            unknown_family=per_class.get(RegistrationClass.UNKNOWN_FAMILY, 0),
+            official=counts[family, RegistrationClass.OFFICIAL_FAMILY],
+            unofficial_subtype=counts[family, RegistrationClass.UNOFFICIAL_SUBTYPE],
+            unknown_family=counts[family, RegistrationClass.UNKNOWN_FAMILY],
         )
-        for family, per_class in sorted(buckets.items())
+        for family in sorted({family for family, _ in counts})
     }

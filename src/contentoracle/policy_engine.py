@@ -9,7 +9,7 @@ from typing import NamedTuple
 
 from .discrepancy_engine import DiscrepancyReport, Severity
 from .mime_db import MimeType, parse_mime_type
-from .view_registry import AttributeStore, POLICY_KEY, TrustState, _canonical_json
+from .view_registry import AttributeStore, POLICY_KEY, TrustState, encode_record
 
 
 class ActiveRegistry(NamedTuple):
@@ -63,11 +63,7 @@ DENY_ALL = HandlerPolicy(deny_all=True)
 
 
 def set_handler_policy(store: AttributeStore, path: str | Path, policy: HandlerPolicy) -> None:
-    payload = _canonical_json({
-        "v": 1,
-        "deny_all": policy.deny_all,
-        "handlers": list(policy.allowed),
-    })
+    payload = encode_record(deny_all=policy.deny_all, handlers=list(policy.allowed))
     with store.lock(path):
         store.set(path, POLICY_KEY, payload)
 
@@ -108,7 +104,7 @@ def decide(
     it flipped. Warnings (or an invalidated trust record) warn; everything
     else is allowed.
     """
-    if handler is not None and policy.restricts and not policy.permits(handler):
+    if handler is not None and not policy.permits(handler):
         reason = "handler policy denies all applications" if policy.deny_all else \
             f"handler {handler!r} not in allowed list [{', '.join(policy.allowed)}]"
         return PolicyDecision(Verdict.DENY, (reason,))
@@ -120,9 +116,10 @@ def decide(
             Verdict.DENY,
             (f"critical discrepancies: {', '.join(kinds)}", f"trust state: {trust.value}"),
         )
-    if (max_sev is not None and max_sev >= Severity.WARNING) or trust is TrustState.INVALIDATED:
+    warns = max_sev is not None and max_sev >= Severity.WARNING
+    if warns or trust is TrustState.INVALIDATED:
         reasons = []
-        if max_sev is not None and max_sev >= Severity.WARNING:
+        if warns:
             reasons.append(f"discrepancies at or above warning: {', '.join(kinds)}")
         if max_sev == Severity.CRITICAL:
             reasons.append("critical findings downgraded by valid trust record")

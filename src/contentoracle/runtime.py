@@ -71,9 +71,9 @@ class Runtime(NamedTuple):
     @classmethod
     def load(cls, config: Config | None = None) -> "Runtime":
         config = config or Config()
-        ext_map, _ = load_extension_map(read_data_file(config.mime_types_path))
-        sig_db = load_signatures(read_data_file(config.magic_path))
-        active = load_active_registry(read_data_file(config.active_types_path))
+        ext_map, _ = read_data_file(config.mime_types_path, load_extension_map)
+        sig_db = read_data_file(config.magic_path, load_signatures)
+        active = read_data_file(config.active_types_path, load_active_registry)
         return cls(
             ext_map=ext_map,
             sig_db=sig_db,

@@ -27,7 +27,7 @@ import stat
 import threading
 import time
 import weakref
-from contextlib import contextmanager
+from contextlib import AbstractContextManager, contextmanager
 from enum import Enum
 from pathlib import Path
 from typing import BinaryIO, Collection, Iterator, NamedTuple
@@ -62,8 +62,11 @@ if hasattr(errno, "ENOATTR"):
     _ABSENT_ERRNOS.add(errno.ENOATTR)
 
 
-def _canonical_json(obj) -> bytes:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=False).encode("utf-8")
+def encode_record(**fields) -> bytes:
+    """A stored record: ``fields`` and the schema version ``"v": 1`` as JSON
+    with sorted keys and no padding, so equal records are equal bytes."""
+    return json.dumps({"v": 1, **fields}, sort_keys=True, separators=(",", ":"),
+                      ensure_ascii=False).encode("utf-8")
 
 
 def open_regular(path: str | Path) -> BinaryIO:
@@ -264,10 +267,8 @@ class AutoStore(AttributeStore):
             else:
                 raise
 
-    @contextmanager
-    def lock(self, path: str | Path) -> Iterator[None]:
-        with self.xattr.lock(path):
-            yield
+    def lock(self, path: str | Path) -> AbstractContextManager[None]:
+        return self.xattr.lock(path)
 
 
 def xattrs_supported(directory: str | Path) -> bool:
@@ -352,7 +353,7 @@ def encode_views(views: list[ContentView]) -> bytes:
     non-canonical ordering encodes to the same bytes.
     """
     ordered = sorted(views, key=lambda v: v.app_id)
-    return _canonical_json({"v": 1, "views": [view_to_obj(v) for v in ordered]})
+    return encode_record(views=[view_to_obj(v) for v in ordered])
 
 
 def decode_views(data: bytes) -> list[ContentView]:
@@ -395,12 +396,11 @@ class TrustState(Enum):
 
 def set_trust(store: AttributeStore, path: str | Path, trusted: bool, now: int | None = None) -> None:
     """Record a trust decision bound to the file's current content hash."""
-    payload = _canonical_json({
-        "v": 1,
-        "trusted": trusted,
-        "hash": content_identity(path).hex(),
-        "t": int(time.time()) if now is None else now,
-    })
+    payload = encode_record(
+        trusted=trusted,
+        hash=content_identity(path).hex(),
+        t=int(time.time()) if now is None else now,
+    )
     with store.lock(path):
         store.set(path, TRUST_KEY, payload)
 

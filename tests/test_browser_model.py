@@ -88,6 +88,23 @@ class TestLoadTree:
         with pytest.raises(MalformedTree):
             load_tree("# nothing here\n")
 
+    @pytest.mark.parametrize("source,message", [
+        ("? nosniff present", "line 1: 'present' only applies to type fields, not 'nosniff'"),
+        ("? content_type present text/html", "line 1: 'present' takes no value"),
+        ("? nosniff is yes", "line 1: boolean literal expected, got 'yes'"),
+        ("? content_disposition is sideways", "line 1: unknown disposition 'sideways'"),
+        ("? content_type agrees nosniff", "line 1: 'agrees' compares two type fields"),
+        ("? nosniff in text/html", "line 1: 'in' only applies to type fields, not 'nosniff'"),
+        ("? content_type in", "line 1: 'in' needs a non-empty list"),
+        ("  ! Download", "line 1: expected depth 0, found 1"),
+        ("Download", "line 1: node must start with '?' or '!'"),
+        ("? nosniff", "line 1: predicate needs a field and an op"),
+    ])
+    def test_rejection_names_the_fault(self, source, message):
+        with pytest.raises(MalformedTree) as excinfo:
+            load_tree(source + "\n  ! Download\n  ! Render")
+        assert str(excinfo.value) == message
+
 
 class TestRunFirefoxLike:
     """Each input tuple drives one figure path of the transcription."""

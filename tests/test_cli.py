@@ -3,7 +3,9 @@ golden determinism."""
 
 from __future__ import annotations
 
+import base64
 import builtins
+import errno
 import io
 import json
 import os
@@ -31,6 +33,7 @@ from contentoracle.report import REPORT_SCHEMA
 from contentoracle.runtime import Runtime
 from contentoracle.view_registry import (
     POLICY_KEY,
+    QUARANTINE_KEY,
     TRUST_KEY,
     VIEWS_KEY,
     content_identity,
@@ -151,6 +154,56 @@ class TestCheck:
                             "check", str(target))
         assert first == second
 
+    def test_quarantine_is_reported_base64_encoded(self, capsys, config_file, tmp_path):
+        target = tmp_path / "doc.pdf"
+        target.write_bytes(b"%PDF-1.4 body")
+        set_raw(config_file, target, QUARANTINE_KEY, b"0083;\xff;Safari;")
+        code, out = run_cli(capsys, "--config", config_file, "check", str(target))
+        assert code == 0
+        assert report_of(out)["provenance"]["quarantine"] == \
+            base64.b64encode(b"0083;\xff;Safari;").decode("ascii")
+
+
+class TestAutoBackend:
+    """The default backend, as a config without ``backend`` selects it."""
+
+    @staticmethod
+    def _config(tmp_path) -> str:
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"sidecar_path": str(tmp_path / "sidecar.sqlite3")}))
+        return str(config)
+
+    @staticmethod
+    def _record_then_check(capsys, config, target) -> dict:
+        assert main(["--config", config, "view", "record", str(target),
+                     "--app", "viewer", "--mime", "application/pdf"]) == 0
+        capsys.readouterr()
+        code, out = run_cli(capsys, "--config", config, "check", str(target))
+        assert code == 0
+        return report_of(out)
+
+    def test_view_lands_in_the_xattr(self, capsys, xattr_dir):
+        target = xattr_dir / "doc.pdf"
+        target.write_bytes(b"%PDF-1.4 body")
+        doc = self._record_then_check(capsys, self._config(xattr_dir), target)
+        assert [view["app"] for view in doc["views"]] == ["viewer"]
+        assert json.loads(os.getxattr(target, VIEWS_KEY))["views"][0]["app"] == "viewer"
+        assert not (xattr_dir / "sidecar.sqlite3").exists()
+
+    def test_view_lands_in_the_sidecar_where_xattrs_are_unsupported(self, capsys, tmp_path,
+                                                                     monkeypatch):
+        def unsupported(*args, **kwargs):
+            raise OSError(errno.ENOTSUP, os.strerror(errno.ENOTSUP))
+
+        for name in ("setxattr", "listxattr", "getxattr"):
+            monkeypatch.setattr(os, name, unsupported)
+        target = tmp_path / "doc.pdf"
+        target.write_bytes(b"%PDF-1.4 body")
+        doc = self._record_then_check(capsys, self._config(tmp_path), target)
+        assert [view["app"] for view in doc["views"]] == ["viewer"]
+        sidecar = view_registry.SidecarStore(tmp_path / "sidecar.sqlite3")
+        assert VIEWS_KEY in sidecar.read(target, (VIEWS_KEY,))
+
 
 class TestIdentify:
     def test_reports_without_verdict(self, capsys, config_file, tmp_path):
@@ -204,6 +257,15 @@ class TestScan:
         assert code == 0
         assert len(docs) == expected
         assert {Path(doc["path"]).name for doc in docs} >= {"ok.pdf", "deep.txt"}
+
+    def test_path_that_is_not_a_directory_is_74(self, capsys, config_file, tmp_path):
+        target = tmp_path / "doc.pdf"
+        target.write_bytes(b"%PDF-1.4 body")
+        code = main(["--config", config_file, "scan", str(target)])
+        captured = capsys.readouterr()
+        assert code == EX_IOERR
+        assert captured.out == ""
+        assert f"not a directory: {target}" in captured.err
 
     def test_worst_verdict_wins(self, capsys, config_file, tmp_path):
         inbox = tmp_path / "inbox"
@@ -531,6 +593,49 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"{bad} is not UTF-8" in captured.err
+
+    @pytest.mark.parametrize("key,text,reason", [
+        ("magic_path", "# signatures\nbroken line\n", "line 2: expected 7 fields, got 1"),
+        ("active_types_path", "not a type\n", "missing '/' separator in 'not a type'"),
+    ])
+    def test_data_file_that_does_not_parse_is_78(self, capsys, tmp_path, key, text, reason):
+        bad = tmp_path / "data.txt"
+        bad.write_text(text)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({key: str(bad), "backend": "sidecar",
+                                      "sidecar_path": str(tmp_path / "sidecar.sqlite3")}))
+        target = tmp_path / "doc.pdf"
+        target.write_bytes(b"%PDF-1.4 body")
+        assert main(["--config", str(config), "check", str(target)]) == EX_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"config error: {bad}: {reason}" in captured.err
+
+    def test_bad_mime_types_line_is_skipped(self, capsys, tmp_path):
+        types = tmp_path / "mime.types"
+        types.write_text("not-a-type x\napplication/pdf pdf\n")
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"mime_types_path": str(types), "backend": "sidecar",
+                                      "sidecar_path": str(tmp_path / "sidecar.sqlite3")}))
+        target = tmp_path / "doc.pdf"
+        target.write_bytes(b"plain words\n")  # sniffs as nothing: the extension resolves
+        code, out = run_cli(capsys, "--config", str(config), "check", str(target))
+        assert code == 0
+        assert report_of(out)["resolved_mime"] == "application/pdf"
+
+    @pytest.mark.parametrize("model", ["bad", "./bad.tree"])
+    def test_tree_that_does_not_parse_is_78(self, capsys, tmp_path, monkeypatch, model):
+        models = tmp_path / "models"
+        models.mkdir()
+        (models / "bad.tree").write_text("? bogus present\n")
+        monkeypatch.chdir(models)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"models_dir": str(models)}))
+        assert main(["--config", str(config), "browser", "run", model, "--ctx", "{}"]) \
+            == EX_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "bad.tree: line 1: unknown field 'bogus'" in captured.err
 
     @pytest.mark.parametrize("command", [
         "db stats", "browser diff firefox-like", "browser run --ctx {}"])

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 
 from hypothesis import given, settings, strategies as st
 
@@ -14,7 +15,6 @@ from contentoracle.discrepancy_engine import (
     Evidence,
     Severity,
     _mismatch_severity,
-    _resolve_mime,
     _sort_key,
     evaluate,
 )
@@ -336,6 +336,17 @@ class TestWitnessTable:
                 DiscrepancyKind.DECLARED_SNIFF_MISMATCH} <= set(kinds(report))
         assert registry.calls == 3
 
+    def test_resolved_type_is_judged_in_the_table(self):
+        # three inactive witnesses; two fresh views name other inactive types
+        registry = _CountingRegistry(REGISTRY)
+        report = evaluate(
+            _evidence(ext=GIF, sniff=_sniff(PDF), declared=PDF,
+                      views=[_view("a", ZIP, False), _view("b", GIF, False)]),
+            registry,
+        )
+        assert DiscrepancyKind.VIEW_DIVERGENCE in kinds(report)
+        assert registry.calls == 5
+
 
 # --- the evaluate that judged each witness once per use, kept to compare with
 
@@ -451,6 +462,23 @@ def reference_evaluate(evidence: Evidence, active_set: "ActiveRegistry") -> Disc
         discrepancies=tuple(sorted(found, key=_sort_key)),
         resolved_mime=resolved,
     )
+
+
+def _resolve_mime(evidence: Evidence, fresh_views) -> MimeType | None:
+    """Single best type. Content bytes are the least forgeable source, so:
+    sniffed top candidate, then declared header, then extension, then the
+    majority opinion of fresh views.
+    """
+    if evidence.sniff.top is not None:
+        return evidence.sniff.top.mime
+    if evidence.declared_mime is not None:
+        return evidence.declared_mime
+    if evidence.extension_mime is not None:
+        return evidence.extension_mime
+    if fresh_views:
+        counts = Counter(v.mime for v in fresh_views)
+        return sorted(counts.items(), key=lambda kv: (-kv[1], kv[0].format()))[0][0]
+    return None
 
 
 # Types with and without parameters; equal keys, different parameters.

@@ -4,7 +4,9 @@ server; no external network is touched."""
 
 from __future__ import annotations
 
+import errno
 import hashlib
+import os
 from pathlib import Path
 
 import pytest
@@ -22,6 +24,7 @@ from contentoracle.ingest import (
 )
 from contentoracle.policy_engine import Verdict, decide, policy_from
 from contentoracle.view_registry import (
+    AttributeStore,
     ORIGIN_KEY,
     POLICY_KEY,
     REFERRER_KEY,
@@ -137,6 +140,30 @@ class TestFetch:
         with pytest.raises(NetworkError, match="exceeds 16 bytes"):
             fetch(over, tmp_path / "b", runtime.store)
         assert list((tmp_path / "b").iterdir()) == []
+
+    def test_body_appears_already_stamped(self, http_server, runtime, tmp_path, monkeypatch):
+        url = http_server.add("/stamp/first.pdf", b"%PDF-1.4 stamped")
+        replace = os.replace
+        origins = []
+
+        def replace_after_reading_origin(src, dst):
+            origins.append(runtime.store.get(src, ORIGIN_KEY))
+            replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", replace_after_reading_origin)
+        record = fetch(url, tmp_path, runtime.store)
+        assert origins == [url.encode()]
+        assert runtime.store.get(record.body_path, ORIGIN_KEY) == url.encode()
+
+    def test_failed_stamp_leaves_no_file(self, http_server, runtime, tmp_path):
+        class RefusingStore(AttributeStore):
+            def set(self, path, key, value):
+                raise OSError(errno.ENOTSUP, "attributes refused")
+
+        url = http_server.add("/stamp/refused.pdf", b"%PDF-1.4 refused")
+        with pytest.raises(OSError, match="attributes refused"):
+            fetch(url, tmp_path, RefusingStore())
+        assert list(tmp_path.iterdir()) == []
 
     def test_raw_non_ascii_url_is_percent_encoded(self, http_server, runtime, tmp_path):
         http_server.add("/iri/%C3%A9t%C3%A9.pdf?q=%C3%A9%20x", b"%PDF-1.4 iri")
