@@ -28,7 +28,6 @@ from .policy_engine import (
 from .report import build_report, db_stats_document, diff_document, emit, view_obj
 from .runtime import Runtime, assess_path, build_evidence, judge, make_store
 from .view_registry import (
-    MAX_NOTE_BYTES,
     POLICY_KEY,
     VIEWS_KEY,
     AttributeStore,
@@ -79,12 +78,6 @@ def _attribute_path(path: str) -> str:
     return path
 
 
-def _app_id(text: str) -> str:
-    if not text:
-        raise argparse.ArgumentTypeError("application id must be non-empty")
-    return text
-
-
 def _app_ids(text: str) -> tuple[str, ...]:
     """``--apps``: comma-separated ids, none empty or padded with
     whitespace, so a typo cannot record a list that matches no handler."""
@@ -93,12 +86,6 @@ def _app_ids(text: str) -> tuple[str, ...]:
         if not app or app != app.strip():
             raise argparse.ArgumentTypeError(f"bad application id {app!r} in {text!r}")
     return ids
-
-
-def _note(text: str) -> str:
-    if len(text.encode("utf-8")) > MAX_NOTE_BYTES:
-        raise argparse.ArgumentTypeError(f"note must be at most {MAX_NOTE_BYTES} bytes")
-    return text
 
 
 def _request_context(text: str) -> RequestContext:
@@ -142,14 +129,17 @@ def cmd_scan(args, runtime: Runtime) -> int:
 
 
 def cmd_view_record(args, store: AttributeStore) -> int:
-    view = ContentView(
-        app_id=args.app,
-        mime=parse_mime_type(args.mime),
-        active=args.active,
-        content_hash=content_identity(args.path),
-        recorded_at=args.now if args.now is not None else int(time.time()),
-        note=args.note,
-    )
+    try:
+        view = ContentView(
+            app_id=args.app,
+            mime=parse_mime_type(args.mime),
+            active=args.active,
+            content_hash=content_identity(args.path),
+            recorded_at=args.now if args.now is not None else int(time.time()),
+            note=args.note,
+        )
+    except ValueError as exc:  # a malformed type, an empty app id or an overlong note
+        raise ContentOracleError(str(exc)) from None
     record_view(store, args.path, view)
     emit({"recorded": view_obj(FlaggedView(view, stale=False))})
     return EX_OK
@@ -253,10 +243,10 @@ def _build_view(p: _Parser) -> None:
     view_sub = p.add_subparsers(dest="view_command", required=True)
     pr = view_sub.add_parser("record")
     pr.add_argument("path")
-    pr.add_argument("--app", required=True, type=_app_id)
+    pr.add_argument("--app", required=True)
     pr.add_argument("--mime", required=True)
     pr.add_argument("--active", action="store_true")
-    pr.add_argument("--note", type=_note)
+    pr.add_argument("--note")
     pr.set_defaults(func=cmd_view_record)
     pl = view_sub.add_parser("list")
     pl.add_argument("path")

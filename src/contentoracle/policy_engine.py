@@ -2,14 +2,13 @@
 
 from __future__ import annotations
 
-import json
 from enum import Enum
 from pathlib import Path
 from typing import NamedTuple
 
 from .discrepancy_engine import DiscrepancyReport, Severity
 from .mime_db import MimeType, parse_mime_type
-from .view_registry import AttributeStore, POLICY_KEY, TrustState, encode_record
+from .view_registry import AttributeStore, POLICY_KEY, TrustState, decode_record, encode_record
 
 
 class ActiveRegistry(NamedTuple):
@@ -63,20 +62,16 @@ DENY_ALL = HandlerPolicy(deny_all=True)
 
 
 def set_handler_policy(store: AttributeStore, path: str | Path, policy: HandlerPolicy) -> None:
-    payload = encode_record(deny_all=policy.deny_all, handlers=list(policy.allowed))
-    with store.lock(path):
-        store.set(path, POLICY_KEY, payload)
+    store.set(path, POLICY_KEY, encode_record(deny_all=policy.deny_all,
+                                              handlers=list(policy.allowed)))
 
 
 def policy_from(attrs: dict[str, bytes]) -> HandlerPolicy:
     """The handler policy among a file's attributes."""
     if POLICY_KEY not in attrs:
         return NO_RESTRICTION
-    doc = json.loads(attrs[POLICY_KEY])
-    return HandlerPolicy(
-        allowed=tuple(doc.get("handlers", ())),
-        deny_all=bool(doc.get("deny_all", False)),
-    )
+    doc = decode_record(attrs[POLICY_KEY])
+    return HandlerPolicy(allowed=tuple(doc["handlers"]), deny_all=bool(doc["deny_all"]))
 
 
 class Verdict(Enum):

@@ -10,10 +10,11 @@ for a file that does not exist.
 Every reader takes a file's attributes from one store ``read`` and decodes
 that snapshot with the ``*_from`` functions.
 
-Read-modify-write cycles hold a lock: an advisory lock on the target file
-for xattrs, a write transaction for the sidecar. A write in progress is
-never observable as a torn value, because an xattr update is a single
-syscall and a sidecar write is a single committed statement.
+Only a read-modify-write cycle holds a lock: an advisory lock on the target
+file for xattrs, a write transaction for the sidecar. A single write needs
+none and is never observable as a torn value: an xattr update is one
+syscall, a sidecar write one committed statement, and a spilled value
+lands in the sidecar before its stub.
 """
 
 from __future__ import annotations
@@ -69,6 +70,15 @@ def encode_record(**fields) -> bytes:
                       ensure_ascii=False).encode("utf-8")
 
 
+def decode_record(data: bytes) -> dict:
+    """The fields of a record as ``encode_record`` writes it: a JSON object
+    holding ``"v": 1``. Anything else raises ``ValueError``."""
+    doc = json.loads(data)
+    if not isinstance(doc, dict) or doc.get("v") != 1:
+        raise ValueError("not a version-1 record")
+    return doc
+
+
 def open_regular(path: str | Path) -> BinaryIO:
     """``path`` opened for reading if it is a regular file; else ``OSError``.
 
@@ -111,11 +121,9 @@ class AttributeStore:
     def set(self, path: str | Path, key: str, value: bytes) -> None:
         raise NotImplementedError
 
-    @contextmanager
-    def lock(self, path: str | Path) -> Iterator[None]:
+    def lock(self, path: str | Path) -> AbstractContextManager[None]:
         """Advisory exclusive lock serializing read-modify-write cycles."""
         raise NotImplementedError
-        yield
 
 
 class SidecarStore(AttributeStore):
@@ -164,34 +172,41 @@ class SidecarStore(AttributeStore):
         self._conn = conn
         return conn
 
+    def _execute(self, sql: str, params: tuple = ()) -> list:
+        """The rows of ``sql`` on the store's connection, opened on first use;
+        a database that stays busy or locked is an ``OSError``."""
+        import sqlite3
+
+        try:
+            return (self._conn or self._connect()).execute(sql, params).fetchall()
+        except sqlite3.OperationalError as exc:
+            raise OSError(f"sidecar {self.path}: {exc}") from exc
+
     def read(self, path: str | Path, keys: Collection[str]) -> dict[str, bytes]:
         ident = self.identity(path)
         with self._mutex:
             if self._conn is None and not self.path.exists():
                 return {}  # a read creates no database
-            rows = (self._conn or self._connect()).execute(
-                "SELECT key, value FROM attrs WHERE ident = ?", (ident,)).fetchall()
+            rows = self._execute("SELECT key, value FROM attrs WHERE ident = ?", (ident,))
         return {key: value for key, value in rows if key in keys}
 
     def set(self, path: str | Path, key: str, value: bytes) -> None:
         ident = self.identity(path)
         with self._mutex:
-            conn = self._conn or self._connect()
-            conn.execute("INSERT OR REPLACE INTO attrs VALUES (?, ?, ?)", (ident, key, value))
+            self._execute("INSERT OR REPLACE INTO attrs VALUES (?, ?, ?)", (ident, key, value))
 
     @contextmanager
     def lock(self, path: str | Path) -> Iterator[None]:
         # One write transaction on the whole database: it serializes
         # read-modify-write cycles across threads (the mutex) and processes.
         with self._mutex:
-            conn = self._conn or self._connect()
-            conn.execute("BEGIN IMMEDIATE")
+            self._execute("BEGIN IMMEDIATE")
             try:
                 yield
-                conn.execute("COMMIT")
+                self._execute("COMMIT")
             except BaseException:
-                if conn.in_transaction:
-                    conn.execute("ROLLBACK")
+                if self._conn.in_transaction:
+                    self._execute("ROLLBACK")
                 raise
 
 
@@ -357,10 +372,10 @@ def encode_views(views: list[ContentView]) -> bytes:
 
 
 def decode_views(data: bytes) -> list[ContentView]:
-    doc = json.loads(data)
-    if doc.get("v") != 1 or not isinstance(doc.get("views"), list):
+    views = decode_record(data)["views"]
+    if not isinstance(views, list):
         raise ValueError("unrecognized view payload")
-    return [_view_from_obj(obj) for obj in doc["views"]]
+    return [_view_from_obj(obj) for obj in views]
 
 
 def record_view(store: AttributeStore, path: str | Path, view: ContentView) -> None:
@@ -396,20 +411,18 @@ class TrustState(Enum):
 
 def set_trust(store: AttributeStore, path: str | Path, trusted: bool, now: int | None = None) -> None:
     """Record a trust decision bound to the file's current content hash."""
-    payload = encode_record(
+    store.set(path, TRUST_KEY, encode_record(
         trusted=trusted,
         hash=content_identity(path).hex(),
         t=int(time.time()) if now is None else now,
-    )
-    with store.lock(path):
-        store.set(path, TRUST_KEY, payload)
+    ))
 
 
 def trust_from(attrs: dict[str, bytes], content_hash: bytes) -> TrustState:
     """Trust state for ``content_hash``'s contents; one recorded for others is ``INVALIDATED``."""
     if TRUST_KEY not in attrs:
         return TrustState.UNSET
-    doc = json.loads(attrs[TRUST_KEY])
+    doc = decode_record(attrs[TRUST_KEY])
     if bytes.fromhex(doc["hash"]) != content_hash:
         return TrustState.INVALIDATED
     return TrustState.TRUSTED if doc["trusted"] else TrustState.UNTRUSTED

@@ -10,6 +10,7 @@ import io
 import json
 import os
 import re
+import shlex
 import socket
 import subprocess
 import sys
@@ -48,6 +49,9 @@ CORRUPT_ATTRIBUTES = [
     (POLICY_KEY, b"[]"),
     (VIEWS_KEY, b"not json"),
     (TRUST_KEY, b"not json"),
+    (POLICY_KEY, b'{"v":1}'),
+    (POLICY_KEY, b'{"deny_all":true,"handlers":[]}'),
+    (TRUST_KEY, b'{"hash":"00","t":1,"trusted":true}'),
 ]
 
 
@@ -526,6 +530,14 @@ class TestExitCodes:
         _, out = run_cli(capsys, "--config", config_file, "view", "list", str(target))
         assert json.loads(out)["views"] == []
 
+    def test_view_of_a_missing_file_is_an_io_error_before_a_bad_view(self, capsys,
+                                                                       config_file, tmp_path):
+        # the file is hashed before the view is built and checked
+        code, out = run_cli(capsys, "--config", config_file, "view", "record",
+                            str(tmp_path / "missing.txt"), "--mime", "text/plain", "--app", "")
+        assert code == EX_IOERR
+        assert out == ""
+
     @pytest.mark.parametrize("ctx", [
         '{"content_disposition":"bogus"}',
         "[]",
@@ -813,6 +825,39 @@ class TestExitCodes:
         assert code == EX_SOFTWARE
         assert "internal error" in capsys.readouterr().err
 
+    def test_busy_sidecar_is_an_io_error(self, capsys, config_file, tmp_path, monkeypatch):
+        # another process holds the sidecar's write lock past the busy timeout
+        target = tmp_path / "doc.pdf"
+        target.write_bytes(b"%PDF-1.4 body")
+        assert main(["--config", config_file, "trust", "set", str(target), "trusted"]) == 0
+        holder = subprocess.Popen([sys.executable, "-c", (
+            "import sqlite3, sys\n"
+            "conn = sqlite3.connect(sys.argv[1], isolation_level=None)\n"
+            "conn.execute('BEGIN IMMEDIATE')\n"
+            "print('held', flush=True)\n"
+            "sys.stdin.read()\n"
+        ), str(tmp_path / "sidecar.jsonl")], stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+            text=True)
+        try:
+            assert holder.stdout.readline() == "held\n"
+            monkeypatch.setattr(view_registry, "_BUSY_TIMEOUT", 0.2)
+            capsys.readouterr()
+            for argv in (["policy", "handlers", "set", str(target), "--deny-all"],
+                         ["view", "record", str(target), "--app", "a",
+                          "--mime", "application/pdf"],
+                         ["trust", "set", str(target), "untrusted"]):
+                assert main(["--config", config_file, *argv]) == EX_IOERR, argv
+                out, err = capsys.readouterr()
+                assert out == ""
+                assert "database is locked" in err and "internal error" not in err
+            # readers do not wait for the writer
+            assert main(["--config", config_file, "check", str(target)]) == 0
+            report_of(capsys.readouterr().out)
+        finally:
+            holder.communicate("", timeout=60)
+        assert main(["--config", config_file, "trust", "get", str(target)]) == 0
+        assert json.loads(capsys.readouterr().out) == {"trust": "trusted"}
+
     def test_scan_emits_reports_before_internal_error(self, capsys, config_file, tmp_path):
         inbox = tmp_path / "inbox"
         inbox.mkdir()
@@ -847,3 +892,17 @@ class TestGoldenUsage:
         commands = re.search(r"\{(.*)\}", GOLDEN["--help"]).group(1).split(",")
         assert len(commands) == 9
         assert {f"{c} --help" for c in commands} <= set(GOLDEN)
+
+
+def test_readme_cli_lines_parse_and_reach_every_command():
+    """Each line of README's CLI block, without its comment and with its
+    optional ``[ ]`` arguments given, parses; together they reach every
+    ``cmd_*`` function."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text("utf-8")
+    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    reached = set()
+    for line in block.splitlines():
+        words = shlex.split(line.replace("[", "").replace("]", ""), comments=True)
+        assert words[0] == "contentoracle", line
+        reached.add(cli.build_parser().parse_args(words[1:]).func)
+    assert reached == {getattr(cli, name) for name in dir(cli) if name.startswith("cmd_")}

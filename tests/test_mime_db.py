@@ -53,6 +53,10 @@ class TestParse:
         m = parse_mime_type("a/b; z=1; a=2; m=3")
         assert [name for name, _ in m.parameters] == ["z", "a", "m"]
 
+    def test_constructor_refuses_uppercase(self):
+        with pytest.raises(MalformedMime):
+            MimeType("Text", "plain")
+
     def test_trailing_semicolon_tolerated(self):
         assert parse_mime_type("text/html;") == MimeType("text", "html")
 

@@ -150,3 +150,8 @@ def test_total_over_unicode_strings(name):
         assert report.logical_extension == report.extension_chain[-1]
     # purity
     assert analyze_name(name, KNOWN) == report
+
+
+@pytest.mark.parametrize("name", ["doc.pdfα", "doc.pdf中"])
+def test_latin_extension_mixed_with_greek_or_another_script(name):
+    assert X in analyze_name(name, KNOWN).anomalies

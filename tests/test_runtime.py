@@ -148,6 +148,19 @@ def test_assessment_reads_the_store_once(runtime, backend):
     assert decision.verdict is Verdict.ALLOW
 
 
+@pytest.mark.parametrize("write", [
+    lambda store, path: set_trust(store, path, True, now=1),
+    lambda store, path: set_handler_policy(store, path, DENY_ALL),
+], ids=["trust", "policy"])
+def test_one_record_write_takes_no_lock(backend, write):
+    # one set is atomic on both backends; only a read-modify-write locks
+    path = backend.workdir / "doc.pdf"
+    path.write_bytes(ORIGINAL)
+    store = CountingStore(backend.store)
+    write(store, path)
+    assert store.calls == ["set"]
+
+
 def test_verdict_judges_the_attributes_the_report_saw(backend, monkeypatch, capsys):
     sidecar = backend.store.path if backend.name == "sidecar" else backend.store.overflow.path
     config = backend.workdir / "config.json"

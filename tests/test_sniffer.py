@@ -63,6 +63,14 @@ class TestLoadSignatures:
         with pytest.raises(MalformedSignature):
             load_signatures(line)
 
+    def test_bad_weight_rejected(self):
+        with pytest.raises(MalformedSignature, match="bad weight 'x'"):
+            load_signatures("x | image/gif | 0 | 47 | - | x | 0")
+
+    def test_empty_name_rejected(self):
+        with pytest.raises(MalformedSignature):
+            Signature("", MimeType("image", "gif"), 0, b"G")
+
     def test_explicit_weight_override(self):
         db = load_signatures("x | image/gif | 0 | 47 | - | 99 | 0")
         assert db.signatures[0].weight == 99

@@ -44,13 +44,16 @@ from contentoracle.view_registry import (
     VIEWS_KEY,
     XattrStore,
     content_identity,
+    decode_record,
     decode_views,
+    encode_record,
     encode_views,
     get_trust,
     provenance_from,
     read_views,
     record_view,
     set_trust,
+    xattrs_supported,
 )
 
 PDF = MimeType("application", "pdf")
@@ -180,6 +183,16 @@ class TestCanonicalEncoding:
             VIEWS_KEY: b'{"v":1,"views":[{"active":false,"app":"a","hash":"%s",'
                        b'"mime":"application/pdf","t":1}]}' % digest.encode(),
         }
+
+
+class TestRecordEnvelope:
+    def test_returns_the_fields_written(self):
+        assert decode_record(encode_record(a=1)) == {"a": 1, "v": 1}
+
+    @pytest.mark.parametrize("data", [b"[]", b'"text"', b'{"v":2}', b'{"a":1}'])
+    def test_refuses_what_the_encoder_does_not_write(self, data):
+        with pytest.raises(ValueError):
+            decode_record(data)
 
 
 class TestBackendContract:
@@ -396,6 +409,18 @@ class TestRead:
         monkeypatch.setattr(os, "getxattr", vanishing)
         assert store.read(path, (VIEWS_KEY, TRUST_KEY)) == {VIEWS_KEY: b"views"}
 
+    def test_other_getxattr_error_is_raised(self, tmp_path, monkeypatch):
+        def failing(*args, **kwargs):
+            raise OSError(errno.EIO, os.strerror(errno.EIO))
+
+        monkeypatch.setattr(os, "listxattr", lambda *args, **kwargs: [VIEWS_KEY])
+        monkeypatch.setattr(os, "getxattr", failing)
+        path = tmp_path / "subject.bin"
+        path.write_bytes(b"data")
+        with pytest.raises(OSError) as info:
+            self._store(tmp_path).read(path, (VIEWS_KEY, TRUST_KEY))
+        assert info.value.errno == errno.EIO
+
     def test_unsupported_listing_reads_as_empty(self, tmp_path, monkeypatch):
         def unsupported(*args, **kwargs):
             raise OSError(errno.ENOTSUP, os.strerror(errno.ENOTSUP))
@@ -460,6 +485,22 @@ class TestAutoStore:
         self._refuse(monkeypatch, errno.ENOTSUP, ("setxattr", "listxattr", "getxattr"))
         store.set(path, VIEWS_KEY, b"v" * 5000)
         assert store.read(path, (VIEWS_KEY,)) == {VIEWS_KEY: b"v" * 5000}
+
+    def test_other_refusal_is_raised_and_nothing_reaches_the_sidecar(self, tmp_path,
+                                                                        monkeypatch):
+        sidecar = SidecarStore(tmp_path / "sidecar.sqlite3")
+        store = AutoStore(XattrStore(overflow=sidecar), sidecar)
+        path = tmp_path / "f.bin"
+        path.write_bytes(b"x")
+        self._refuse(monkeypatch, errno.EACCES, ("setxattr",))
+        with pytest.raises(PermissionError):
+            store.set(path, VIEWS_KEY, b"views")
+        assert not sidecar.path.exists()
+
+    def test_probe_fails_where_setxattr_is_refused(self, tmp_path, monkeypatch):
+        self._refuse(monkeypatch, errno.ENOTSUP, ("setxattr",))
+        assert xattrs_supported(tmp_path) is False
+        assert list(tmp_path.iterdir()) == []  # the probe file is gone
 
     def test_xattr_value_overrides_the_sidecar_value(self, xattr_dir):
         sidecar = SidecarStore(xattr_dir / "journal.jsonl")
