@@ -45,8 +45,8 @@ class Discrepancy(NamedTuple):
 class Evidence(NamedTuple):
     """Everything known about one file, gathered from independent sources.
 
-    ``content_hash`` is the SHA-256 of the bytes the sniff report judged and
-    the views and trust were checked against; reports do not emit it.
+    ``content_hash`` is the SHA-256 of the sniffed bytes, which views and trust
+    are checked against; ``None`` for a file with neither. Reports omit it.
     ``policy`` is ``None`` where no attributes were read.
     """
 

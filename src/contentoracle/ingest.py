@@ -220,7 +220,7 @@ def assess_record(
         runtime,
         record.body_path,
         declared_mime=declared_mime(record),
-        nosniff=nosniff(record),
+        nosniff=nosniff(record), always_hash=True,
     )
     resolved = report.resolved_mime or MimeType("application", "octet-stream")
     view = ContentView(

@@ -71,7 +71,10 @@ def policy_from(attrs: dict[str, bytes]) -> HandlerPolicy:
     if POLICY_KEY not in attrs:
         return NO_RESTRICTION
     doc = decode_record(attrs[POLICY_KEY])
-    return HandlerPolicy(allowed=tuple(doc["handlers"]), deny_all=bool(doc["deny_all"]))
+    if not isinstance(doc["deny_all"], bool) or not isinstance(doc["handlers"], list) \
+            or not all(isinstance(h, str) for h in doc["handlers"]):
+        raise ValueError("not a policy record")
+    return HandlerPolicy(allowed=tuple(doc["handlers"]), deny_all=doc["deny_all"])
 
 
 class Verdict(Enum):

@@ -2,12 +2,12 @@
 the ingest pipeline.
 
 Evidence comes from one streamed pass per file: the file is opened and
-read once, in chunks that both update one SHA-256 and feed the sniffer's
-scan. Views, trust and the sniff report are all judged against that one
-digest, so a file rewritten while it is assessed cannot yield evidence
-about two different contents. One store ``read`` after that pass gives all
-the attributes (views, trust, handler policy, provenance); no other stage
-reads the store, so ``evaluate`` and ``decide`` judge one version of them.
+read once, in chunks that feed the sniffer's scan and, where the store may
+hold views or trust for the file, one SHA-256 that they and the sniff report
+are judged against, so a rewrite during the check cannot mix two contents.
+One store ``read`` after that pass gives all the attributes (views, trust,
+handler policy, provenance), less views and trust on an unhashed file; no
+other stage reads the store, so ``evaluate`` and ``decide`` judge one version.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from .policy_engine import (
 from .sniffer import EMPTY_REPORT, SignatureDb, SniffScan, load_signatures
 from .view_registry import (
     ATTRIBUTE_KEYS,
+    HASH_BOUND_KEYS,
     AttributeStore,
     AutoStore,
     SidecarStore,
@@ -88,25 +89,28 @@ def build_evidence(
     path: str | Path,
     declared_mime: MimeType | None = None,
     nosniff: bool = False,
+    *, always_hash: bool = False,
 ) -> Evidence:
     """Gather every evidence source for one on-disk file.
 
-    The file is read once, then its attributes; the file's digest becomes
-    ``Evidence.content_hash``. ``nosniff`` suppresses the sniffer's
-    contribution the same way the browser models treat the corresponding
-    response header; the content is still hashed.
+    The file is read once, then its attributes. Its digest, taken if
+    ``always_hash`` is set or the store may hold views or trust for it,
+    becomes ``Evidence.content_hash``. ``nosniff`` suppresses the sniffer's
+    contribution as the browser models treat that response header.
     """
     path = Path(path)
-    digest = hashlib.sha256()
     scan = None if nosniff else SniffScan(runtime.sig_db)
     # opened before the name is analysed: "." and "/" have no name, and
     # fail here as the directories they are
     with open_regular(path) as fh:
+        hashed = always_hash or runtime.store.may_hold(fh.fileno(), HASH_BOUND_KEYS)
+        digest = hashlib.sha256() if hashed else None
         while chunk := fh.read(CHUNK_SIZE):
-            digest.update(chunk)
+            if hashed:
+                digest.update(chunk)
             if scan is not None:
                 scan.feed(chunk)
-    content_hash = digest.digest()
+    content_hash = digest.digest() if hashed else None
     name_report = analyze_name(path.name, runtime.ext_map.known_extensions())
     extension_mime = (
         runtime.ext_map.primary(name_report.logical_extension)
@@ -114,6 +118,8 @@ def build_evidence(
         else None
     )
     attrs = runtime.store.read(path, ATTRIBUTE_KEYS)
+    if not hashed:  # any views or trust there were written during the check
+        attrs = {key: value for key, value in attrs.items() if key not in HASH_BOUND_KEYS}
     return Evidence(
         extension_mime=extension_mime,
         sniff=EMPTY_REPORT if scan is None else scan.report(),
@@ -133,9 +139,10 @@ def assess_path(
     declared_mime: MimeType | None = None,
     nosniff: bool = False,
     handler: str | None = None,
+    *, always_hash: bool = False,
 ) -> tuple[Evidence, DiscrepancyReport, PolicyDecision]:
     """Evidence, discrepancy report, and policy decision for one file."""
-    evidence = build_evidence(runtime, path, declared_mime, nosniff)
+    evidence = build_evidence(runtime, path, declared_mime, nosniff, always_hash=always_hash)
     return (evidence, *judge(runtime, evidence, handler))
 
 

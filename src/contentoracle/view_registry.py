@@ -42,8 +42,10 @@ POLICY_KEY = "user.contentoracle.policy"
 ORIGIN_KEY = "user.xdg.origin.url"
 REFERRER_KEY = "user.xdg.referrer.url"
 QUARANTINE_KEY = "com.apple.quarantine"
+#: The attributes judged against a file's content hash.
+HASH_BOUND_KEYS = (VIEWS_KEY, TRUST_KEY)
 #: Every attribute an assessment reads, in one store lookup.
-ATTRIBUTE_KEYS = (VIEWS_KEY, TRUST_KEY, POLICY_KEY, ORIGIN_KEY, REFERRER_KEY, QUARANTINE_KEY)
+ATTRIBUTE_KEYS = (*HASH_BOUND_KEYS, POLICY_KEY, ORIGIN_KEY, REFERRER_KEY, QUARANTINE_KEY)
 
 #: Conservative per-attribute size floor across filesystems; larger values
 #: overflow to the sidecar behind a stub attribute.
@@ -72,9 +74,9 @@ def encode_record(**fields) -> bytes:
 
 def decode_record(data: bytes) -> dict:
     """The fields of a record as ``encode_record`` writes it: a JSON object
-    holding ``"v": 1``. Anything else raises ``ValueError``."""
+    holding the int ``"v": 1``. Anything else raises ``ValueError``."""
     doc = json.loads(data)
-    if not isinstance(doc, dict) or doc.get("v") != 1:
+    if not isinstance(doc, dict) or type(doc.get("v")) is not int or doc["v"] != 1:
         raise ValueError("not a version-1 record")
     return doc
 
@@ -117,6 +119,10 @@ class AttributeStore:
 
     def get(self, path: str | Path, key: str) -> bytes | None:
         return self.read(path, (key,)).get(key)
+
+    def may_hold(self, fd: int, keys: Collection[str]) -> bool:
+        """False only if the file open on ``fd`` certainly has none of ``keys``."""
+        return True
 
     def set(self, path: str | Path, key: str, value: bytes) -> None:
         raise NotImplementedError
@@ -182,6 +188,9 @@ class SidecarStore(AttributeStore):
         except sqlite3.OperationalError as exc:
             raise OSError(f"sidecar {self.path}: {exc}") from exc
 
+    def may_hold(self, fd: int, keys: Collection[str]) -> bool:
+        return self._conn is not None or self.path.exists()  # a query costs more than a hash
+
     def read(self, path: str | Path, keys: Collection[str]) -> dict[str, bytes]:
         ident = self.identity(path)
         with self._mutex:
@@ -240,6 +249,12 @@ class XattrStore(AttributeStore):
             del values[key]
         return {**values, **self.overflow.read(path, spilled)} if spilled else values
 
+    def may_hold(self, fd: int, keys: Collection[str]) -> bool:
+        try:  # a spilled value's stub is listed under its key
+            return not set(keys).isdisjoint(os.listxattr(fd))
+        except OSError as exc:  # any but "no xattrs here" is for the read to raise
+            return exc.errno not in _ABSENT_ERRNOS
+
     def set(self, path: str | Path, key: str, value: bytes) -> None:
         if len(value) > XATTR_VALUE_LIMIT:
             self._spill(path, key, value)
@@ -272,6 +287,9 @@ class AutoStore(AttributeStore):
 
     def read(self, path: str | Path, keys: Collection[str]) -> dict[str, bytes]:
         return {**self.sidecar.read(path, keys), **self.xattr.read(path, keys)}
+
+    def may_hold(self, fd: int, keys: Collection[str]) -> bool:
+        return self.xattr.may_hold(fd, keys) or self.sidecar.may_hold(fd, keys)
 
     def set(self, path: str | Path, key: str, value: bytes) -> None:
         try:
@@ -423,6 +441,8 @@ def trust_from(attrs: dict[str, bytes], content_hash: bytes) -> TrustState:
     if TRUST_KEY not in attrs:
         return TrustState.UNSET
     doc = decode_record(attrs[TRUST_KEY])
+    if not isinstance(doc["trusted"], bool) or not isinstance(doc["hash"], str):
+        raise ValueError("not a trust record")
     if bytes.fromhex(doc["hash"]) != content_hash:
         return TrustState.INVALIDATED
     return TrustState.TRUSTED if doc["trusted"] else TrustState.UNTRUSTED

@@ -6,6 +6,7 @@ from __future__ import annotations
 import base64
 import builtins
 import errno
+import hashlib
 import io
 import json
 import os
@@ -42,7 +43,10 @@ from contentoracle.view_registry import (
 )
 from tests.conftest import zip_with_script
 
-#: Attribute values that do not decode as the expected record, as JSON or at all.
+_BODY_HASH = hashlib.sha256(b"%PDF-1.4 body").hexdigest().encode()
+
+#: Attribute values that do not decode as the expected record, as JSON or at
+#: all, or whose fields are of another JSON type than their writer stores.
 CORRUPT_ATTRIBUTES = [
     (TRUST_KEY, b'{"v":1}'),
     (VIEWS_KEY, b'{"v":2}'),
@@ -52,6 +56,14 @@ CORRUPT_ATTRIBUTES = [
     (POLICY_KEY, b'{"v":1}'),
     (POLICY_KEY, b'{"deny_all":true,"handlers":[]}'),
     (TRUST_KEY, b'{"hash":"00","t":1,"trusted":true}'),
+    (TRUST_KEY, b'{"hash":"' + _BODY_HASH + b'","t":1,"trusted":"false","v":1}'),
+    (TRUST_KEY, b'{"hash":"' + _BODY_HASH + b'","t":1,"trusted":true,"v":true}'),
+    (TRUST_KEY, b'{"hash":1,"t":1,"trusted":true,"v":1}'),
+    (VIEWS_KEY, b'{"v":true,"views":[]}'),
+    (POLICY_KEY, b'{"deny_all":false,"handlers":"viewer","v":1}'),
+    (POLICY_KEY, b'{"deny_all":false,"handlers":[1],"v":1}'),
+    (POLICY_KEY, b'{"deny_all":"false","handlers":[],"v":1}'),
+    (POLICY_KEY, b'{"deny_all":false,"handlers":[],"v":1.0}'),
 ]
 
 
@@ -453,6 +465,22 @@ class TestFetchCommand:
         assert code == 0
         assert report_of(out)["views"][0]["app"] == "contentoracle.ingest"
         assert len(opens) == 1
+
+    def test_fetch_records_a_view_of_the_body_on_either_backend(self, capsys, backend,
+                                                                http_server):
+        sidecar = backend.store.path if backend.name == "sidecar" else backend.store.overflow.path
+        config = backend.workdir / "config.json"
+        config.write_text(json.dumps({"backend": backend.name, "sidecar_path": str(sidecar)}))
+        body = b"%PDF-1.4 fetched onto " + backend.name.encode()
+        url = http_server.add(f"/cli/either-{backend.name}.pdf", body,
+                              headers=[("Content-Type", "application/pdf")])
+        code, out = run_cli(capsys, "--config", str(config), "--now", "123",
+                            "fetch", url, "--out", str(backend.workdir / "downloads"))
+        assert code == 0
+        (view,) = report_of(out)["views"]
+        assert view["app"] == "contentoracle.ingest"
+        assert view["hash"] == hashlib.sha256(body).hexdigest()
+        assert view["stale"] is False
 
     def test_fetch_raw_non_ascii_url(self, capsys, config_file, tmp_path, http_server):
         http_server.add("/cli/%C3%A9%C3%A9%C3%A9", b"%PDF-1.4 accents")

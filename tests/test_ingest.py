@@ -285,6 +285,21 @@ class TestAssess:
         (view,) = [fv.view for fv in read_views(runtime.store, record.body_path)]
         assert view.content_hash == hashlib.sha256(body).digest()
 
+    def test_ingest_view_binds_the_body_on_either_backend(self, http_server, runtime,
+                                                          backend):
+        # a fresh download carries provenance only, so nothing else asks for
+        # its digest; the ingest view still needs it
+        body = b"%PDF-1.5 fetched onto " + backend.name.encode()
+        url = http_server.add(f"/either/{backend.name}.pdf", body,
+                              headers=[("Content-Type", "application/pdf")])
+        record = fetch(url, backend.workdir / "downloads", backend.store)
+        evidence, _, _ = assess_record(record, runtime._replace(store=backend.store), now=56)
+        assert evidence.content_hash == hashlib.sha256(body).digest()
+        (flagged,) = read_views(backend.store, record.body_path)
+        assert flagged.view.app_id == INGEST_APP_ID
+        assert flagged.view.content_hash == hashlib.sha256(body).digest()
+        assert flagged.stale is False
+
     def test_motivating_shape_zip_as_pdf_extensionless(self, http_server, runtime, tmp_path):
         url = http_server.add(
             "/attach/report", zip_with_script(),

@@ -1,6 +1,7 @@
-"""Tests for the one-pass evidence snapshot: one read and one digest per
-assessment, shared by the sniff report, the views and trust, and one store
-read per assessment, shared by the discrepancy report and the verdict."""
+"""Tests for the one-pass evidence snapshot: one read per assessment, and
+one digest where views or trust may need it, shared by the sniff report,
+the views and trust, and one store read per assessment, shared by the
+discrepancy report and the verdict."""
 
 from __future__ import annotations
 
@@ -28,19 +29,28 @@ from contentoracle.policy_engine import (
     policy_from,
     set_handler_policy,
 )
+from contentoracle.report import build_report
 from contentoracle.runtime import assess_path, build_evidence
 from contentoracle.sniffer import sniff
 from contentoracle.view_registry import (
     ORIGIN_KEY,
+    OVERFLOW_STUB,
     POLICY_KEY,
+    VIEWS_KEY,
     AttributeStore,
+    AutoStore,
     ContentView,
+    SidecarStore,
+    TrustState,
+    XattrStore,
     content_identity,
+    encode_views,
     record_view,
     set_trust,
 )
 
 ORIGINAL = b"%PDF-1.4 the assessed contents"
+PDF = MimeType("application", "pdf")
 
 
 class RewritingStore(AttributeStore):
@@ -106,6 +116,77 @@ class DenyAfterReadStore(AttributeStore):
 
     def lock(self, path):
         return self.inner.lock(path)
+
+
+class RecordingStore(AttributeStore):
+    """Delegates to ``inner``; its first read records trust and a view for
+    the file's current bytes before it reads, as another process could
+    while a check runs."""
+
+    def __init__(self, inner: AttributeStore):
+        self.inner = inner
+        self.recorded = False
+
+    def may_hold(self, fd, keys):
+        return self.inner.may_hold(fd, keys)
+
+    def read(self, path, keys):
+        if not self.recorded:
+            self.recorded = True
+            set_trust(self.inner, path, True, now=1)
+            record_view(self.inner, path, ContentView("viewer", PDF, False,
+                                                      content_identity(path), 1))
+        return self.inner.read(path, keys)
+
+    def set(self, path, key, value):
+        self.inner.set(path, key, value)
+
+    def lock(self, path):
+        return self.inner.lock(path)
+
+
+class CountingHashlib:
+    """Stands in for ``hashlib`` in ``runtime``: counts the digests begun."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def sha256(self):
+        self.calls += 1
+        return hashlib.sha256()
+
+
+@pytest.fixture
+def hashes(monkeypatch) -> CountingHashlib:
+    counter = CountingHashlib()
+    monkeypatch.setattr(runtime_module, "hashlib", counter)
+    return counter
+
+
+def _count_opens(monkeypatch, path: Path) -> list:
+    """The opens of ``path`` by name, through ``open`` or ``os.open``, from now on."""
+    opened = []
+
+    def counting(real):
+        def opener(file, *args, **kwargs):
+            if not isinstance(file, int) and os.fspath(file) == os.fspath(path):
+                opened.append(file)
+            return real(file, *args, **kwargs)
+        return opener
+
+    for module in (builtins, os):
+        monkeypatch.setattr(module, "open", counting(module.open))
+    return opened
+
+
+def _xattr_runtime(runtime, directory: Path):
+    return runtime._replace(store=XattrStore(overflow=SidecarStore(directory / "overflow.db")))
+
+
+def _views(path: Path, count: int, note: str | None = None) -> bytes:
+    digest = content_identity(path)
+    return encode_views([ContentView(f"app-{i:02d}", PDF, False, digest, 1, note)
+                         for i in range(count)])
 
 
 def _trusted_pdf(runtime, tmp_path) -> Path:
@@ -182,20 +263,11 @@ def test_verdict_judges_the_attributes_the_report_saw(backend, monkeypatch, caps
 
 def test_file_is_read_and_hashed_once(runtime, tmp_path, monkeypatch):
     path = _trusted_pdf(runtime, tmp_path)
-    opened = []
-
-    def counting(real):
-        def opener(file, *args, **kwargs):
-            if not isinstance(file, int) and os.fspath(file) == os.fspath(path):
-                opened.append(file)
-            return real(file, *args, **kwargs)
-        return opener
 
     def no_rehash(path):
         raise AssertionError("assessment hashed the file a second time")
 
-    for module in (builtins, os):
-        monkeypatch.setattr(module, "open", counting(module.open))
+    opened = _count_opens(monkeypatch, path)
     monkeypatch.setattr(view_registry, "content_identity", no_rehash)
     _, _, decision = assess_path(runtime, path)
     assert len(opened) == 1
@@ -215,11 +287,106 @@ def test_evidence_does_not_depend_on_the_chunk_size(runtime, tmp_path, monkeypat
     path = tmp_path / "big.bin"
     path.write_bytes(data)
     monkeypatch.setattr(runtime_module, "CHUNK_SIZE", chunk_size)
-    evidence = build_evidence(runtime, path)
+    evidence = build_evidence(runtime, path, always_hash=True)
     assert evidence.sniff == sniff(data, runtime.sig_db)
     assert {c.signature: c.offset for c in evidence.sniff.candidates}["script-tag"] \
         == (1 << 18) - 1
     assert evidence.content_hash == hashlib.sha256(data).digest()
+
+
+def test_file_without_views_or_trust_is_not_hashed(runtime, xattr_dir, hashes, monkeypatch):
+    rt = _xattr_runtime(runtime, xattr_dir)
+    path = xattr_dir / "doc.pdf"
+    path.write_bytes(ORIGINAL)
+    set_handler_policy(rt.store, path, HandlerPolicy(allowed=("viewer",)))
+    rt.store.set(path, ORIGIN_KEY, b"https://example.test/doc.pdf")
+    opened = _count_opens(monkeypatch, path)
+    evidence, report, decision = assess_path(rt, path, handler="viewer")
+    assert len(opened) == 1
+    assert hashes.calls == 0
+    assert evidence.content_hash is None
+    assert evidence.provenance.origin_url == "https://example.test/doc.pdf"
+    # the same evidence and report as when every file was hashed, bar the digest
+    hashed = assess_path(rt, path, handler="viewer", always_hash=True)
+    assert hashes.calls == 1
+    assert evidence == hashed[0]._replace(content_hash=None)
+    assert json.dumps(build_report(path, evidence, report, decision), sort_keys=True) \
+        == json.dumps(build_report(path, *hashed), sort_keys=True)
+
+
+#: Ways to give a file a hash-bound record; 20 views of 250-byte notes spill.
+HASH_BOUND_WRITES = {
+    "views": lambda store, path: store.set(path, VIEWS_KEY, _views(path, 1)),
+    "trust": lambda store, path: set_trust(store, path, True, now=1),
+    "spilled-views": lambda store, path: store.set(path, VIEWS_KEY,
+                                                   _views(path, 20, note="x" * 250)),
+}
+
+
+@pytest.mark.parametrize("kind", HASH_BOUND_WRITES)
+def test_file_with_views_or_trust_is_hashed_once(runtime, xattr_dir, hashes, kind):
+    rt = _xattr_runtime(runtime, xattr_dir)
+    path = xattr_dir / "doc.pdf"
+    path.write_bytes(ORIGINAL)
+    HASH_BOUND_WRITES[kind](rt.store, path)
+    if kind == "spilled-views":
+        assert os.getxattr(path, VIEWS_KEY) == OVERFLOW_STUB
+    evidence, _, _ = assess_path(rt, path)
+    assert hashes.calls == 1
+    assert evidence.content_hash == hashlib.sha256(ORIGINAL).digest()
+    assert evidence.views or evidence.trust is TrustState.TRUSTED
+    assert not any(fv.stale for fv in evidence.views)
+
+
+@pytest.mark.parametrize("sidecar_exists", [False, True])
+def test_auto_store_hashes_only_with_a_sidecar(runtime, xattr_dir, hashes, sidecar_exists):
+    sidecar = SidecarStore(xattr_dir / "sidecar.db")
+    store = AutoStore(XattrStore(overflow=sidecar), sidecar)
+    if sidecar_exists:  # for another file
+        other = xattr_dir / "other.pdf"
+        other.write_bytes(ORIGINAL)
+        sidecar.set(other, ORIGIN_KEY, b"https://example.test/other.pdf")
+    path = xattr_dir / "doc.pdf"
+    path.write_bytes(ORIGINAL)
+    assess_path(runtime._replace(store=store), path)
+    assert hashes.calls == int(sidecar_exists)
+    assert sidecar.path.exists() == sidecar_exists
+
+
+def test_sidecar_store_hashes_without_another_statement(runtime, tmp_path, hashes,
+                                                        monkeypatch):
+    store = SidecarStore(tmp_path / "sidecar.db")
+    other = tmp_path / "other.pdf"
+    other.write_bytes(ORIGINAL)
+    store.set(other, ORIGIN_KEY, b"https://example.test/other.pdf")
+    path = tmp_path / "doc.pdf"
+    path.write_bytes(ORIGINAL)
+    statements = []
+    execute = store._execute
+    monkeypatch.setattr(store, "_execute",
+                        lambda sql, params=(): statements.append(sql) or execute(sql, params))
+    assess_path(runtime._replace(store=store), path)
+    assert hashes.calls == 1
+    assert statements == ["SELECT key, value FROM attrs WHERE ident = ?"]
+
+
+def test_views_and_trust_recorded_during_an_unhashed_check_show_in_the_next(
+        runtime, backend, corpus):
+    name, data = corpus["gif-script"]
+    path = backend.workdir / name
+    path.write_bytes(data)
+    rt = runtime._replace(store=backend.store)
+    _, unrecorded_report, unrecorded_decision = assess_path(rt, path)
+    assert unrecorded_decision.verdict is Verdict.DENY
+    store = RecordingStore(backend.store)
+    evidence, report, decision = assess_path(runtime._replace(store=store), path)
+    assert store.recorded
+    assert evidence.trust is TrustState.UNSET and evidence.views == ()
+    assert (report, decision) == (unrecorded_report, unrecorded_decision)
+    evidence, _, decision = assess_path(rt, path)
+    assert evidence.trust is TrustState.TRUSTED
+    assert [(fv.view.app_id, fv.stale) for fv in evidence.views] == [("viewer", False)]
+    assert decision.verdict is Verdict.WARN
 
 
 def test_large_file_memory_is_bounded(tmp_path):
