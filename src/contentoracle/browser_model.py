@@ -22,6 +22,7 @@ from typing import Iterable, NamedTuple, Union
 from .config import read_data_file
 from .errors import MalformedTree
 from .mime_db import MimeType, parse_mime_type
+from .view_registry import BOOLEAN, Field, from_obj
 
 
 class Action(Enum):
@@ -224,29 +225,24 @@ def context_to_obj(ctx: RequestContext) -> dict:
     return obj
 
 
+#: A request context's fields as ``--ctx`` takes them, in field order; an
+#: absent one, or a null or empty type, takes its default.
+_CONTEXT_FIELDS = {
+    **dict.fromkeys(MIME_FIELDS, Field(
+        "a media type string or null", lambda v: v is None or type(v) is str,
+        lambda v: parse_mime_type(v) if v else None, required=False)),
+    "content_disposition": Field(
+        "one of " + ", ".join(d.value for d in Disposition),
+        lambda v: v in [d.value for d in Disposition], Disposition, required=False),
+    **dict.fromkeys(BOOL_FIELDS, BOOLEAN._replace(required=False)),
+}
+
+
 def context_from_obj(obj) -> RequestContext:
     """The request context a decoded JSON object names, absent keys at their
     defaults; ``ValueError`` for anything else, naming the first fault."""
-    if not isinstance(obj, dict):
-        raise ValueError("not a JSON object")
-    unknown = sorted(obj.keys() - set(FIELDS))
-    if unknown:
-        raise ValueError(f"unknown key {unknown[0]!r}")
-    for key in BOOL_FIELDS:
-        if not isinstance(obj.get(key, False), bool):
-            raise ValueError(f"{key} must be true or false")
-
-    def mime(key):
-        value = obj.get(key)
-        if value is not None and not isinstance(value, str):
-            raise ValueError(f"{key} must be a string")
-        return parse_mime_type(value) if value else None
-
-    return RequestContext(
-        **{key: mime(key) for key in MIME_FIELDS},
-        **{key: obj.get(key, False) for key in BOOL_FIELDS},
-        content_disposition=Disposition(obj.get("content_disposition", "none")),
-    )
+    values = zip(_CONTEXT_FIELDS, from_obj(_CONTEXT_FIELDS, obj))
+    return RequestContext(**{key: value for key, value in values if value is not None})
 
 
 def load_model(name: str, models_dir: Path) -> DecisionTree:

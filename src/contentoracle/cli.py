@@ -28,7 +28,9 @@ from .policy_engine import (
 from .report import build_report, db_stats_document, diff_document, emit, view_obj
 from .runtime import Runtime, assess_path, build_evidence, judge, make_store
 from .view_registry import (
+    APP_ID,
     POLICY_KEY,
+    RECORDS,
     VIEWS_KEY,
     AttributeStore,
     ContentView,
@@ -39,6 +41,7 @@ from .view_registry import (
     read_views,
     record_view,
     set_trust,
+    to_obj,
     views_from,
 )
 
@@ -79,11 +82,11 @@ def _attribute_path(path: str) -> str:
 
 
 def _app_ids(text: str) -> tuple[str, ...]:
-    """``--apps``: comma-separated ids, none empty or padded with
-    whitespace, so a typo cannot record a list that matches no handler."""
+    """``--apps``: comma-separated application ids, as a stored policy must
+    hold them, so a typo cannot record a list that matches no handler."""
     ids = tuple(text.split(","))
     for app in ids:
-        if not app or app != app.strip():
+        if not APP_ID.accepts(app):
             raise argparse.ArgumentTypeError(f"bad application id {app!r} in {text!r}")
     return ids
 
@@ -130,14 +133,9 @@ def cmd_scan(args, runtime: Runtime) -> int:
 
 def cmd_view_record(args, store: AttributeStore) -> int:
     try:
-        view = ContentView(
-            app_id=args.app,
-            mime=parse_mime_type(args.mime),
-            active=args.active,
-            content_hash=content_identity(args.path),
-            recorded_at=args.now if args.now is not None else int(time.time()),
-            note=args.note,
-        )
+        t = int(time.time()) if args.now is None else args.now
+        view = ContentView(args.app, parse_mime_type(args.mime), args.active,
+                           content_identity(args.path), t, args.note)
     except ValueError as exc:  # a malformed type, an empty app id or an overlong note
         raise ContentOracleError(str(exc)) from None
     record_view(store, args.path, view)
@@ -167,14 +165,13 @@ def cmd_policy_set(args, store: AttributeStore) -> int:
         raise ContentOracleError("policy handlers set: give exactly one of --apps and --deny-all")
     policy = DENY_ALL if args.deny_all else HandlerPolicy(allowed=args.apps)
     set_handler_policy(store, _attribute_path(args.path), policy)
-    emit({"deny_all": policy.deny_all, "handlers": list(policy.allowed)})
+    emit(to_obj(RECORDS[POLICY_KEY], policy))
     return EX_OK
 
 
 def cmd_policy_get(args, store: AttributeStore) -> int:
     policy = policy_from(store.read(_attribute_path(args.path), (POLICY_KEY,)))
-    emit({"deny_all": policy.deny_all, "handlers": list(policy.allowed),
-          "restricts": policy.restricts})
+    emit({**to_obj(RECORDS[POLICY_KEY], policy), "restricts": policy.restricts})
     return EX_OK
 
 

@@ -26,13 +26,9 @@ class ActiveRegistry(NamedTuple):
 
 def load_active_registry(source: str) -> ActiveRegistry:
     """Load the base active set: one type per line, "#" comments."""
-    base: set[tuple[str, str]] = set()
-    for raw in source.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        base.add(parse_mime_type(line).key)
-    return ActiveRegistry(base_active=frozenset(base))
+    lines = (raw.strip() for raw in source.splitlines())
+    return ActiveRegistry(frozenset(parse_mime_type(line).key
+                                    for line in lines if line and not line.startswith("#")))
 
 
 class HandlerPolicy(NamedTuple):
@@ -50,11 +46,7 @@ class HandlerPolicy(NamedTuple):
         return self.deny_all or bool(self.allowed)
 
     def permits(self, app_id: str) -> bool:
-        if self.deny_all:
-            return False
-        if not self.allowed:
-            return True
-        return app_id in self.allowed
+        return not self.deny_all and (not self.allowed or app_id in self.allowed)
 
 
 NO_RESTRICTION = HandlerPolicy()
@@ -62,19 +54,14 @@ DENY_ALL = HandlerPolicy(deny_all=True)
 
 
 def set_handler_policy(store: AttributeStore, path: str | Path, policy: HandlerPolicy) -> None:
-    store.set(path, POLICY_KEY, encode_record(deny_all=policy.deny_all,
-                                              handlers=list(policy.allowed)))
+    store.set(path, POLICY_KEY, encode_record(POLICY_KEY, policy))
 
 
 def policy_from(attrs: dict[str, bytes]) -> HandlerPolicy:
     """The handler policy among a file's attributes."""
     if POLICY_KEY not in attrs:
         return NO_RESTRICTION
-    doc = decode_record(attrs[POLICY_KEY])
-    if not isinstance(doc["deny_all"], bool) or not isinstance(doc["handlers"], list) \
-            or not all(isinstance(h, str) for h in doc["handlers"]):
-        raise ValueError("not a policy record")
-    return HandlerPolicy(allowed=tuple(doc["handlers"]), deny_all=doc["deny_all"])
+    return HandlerPolicy(*decode_record(POLICY_KEY, attrs[POLICY_KEY]))
 
 
 class Verdict(Enum):

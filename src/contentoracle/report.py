@@ -12,7 +12,7 @@ from pathlib import Path
 from .discrepancy_engine import DiscrepancyReport, Evidence
 from .mime_db import FamilyStats
 from .policy_engine import PolicyDecision
-from .view_registry import FlaggedView, view_to_obj
+from .view_registry import VIEW_FIELDS, FlaggedView, to_obj
 
 #: JSON Schema for the audit report emitted by identify/check/scan/fetch.
 REPORT_SCHEMA = {
@@ -53,7 +53,7 @@ REPORT_SCHEMA = {
             "type": "array",
             "items": {
                 "type": "object",
-                "required": ["app", "mime", "active", "hash", "t", "stale"],
+                "required": [*(name for name, f in VIEW_FIELDS.items() if f.required), "stale"],
             },
         },
         "provenance": {
@@ -77,7 +77,7 @@ REPORT_SCHEMA = {
 
 def view_obj(flagged: FlaggedView) -> dict:
     """A view as reports list it: the stored object and whether it is stale."""
-    return {**view_to_obj(flagged.view), "stale": flagged.stale}
+    return {**to_obj(VIEW_FIELDS, flagged.view), "stale": flagged.stale}
 
 
 def build_report(

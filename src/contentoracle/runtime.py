@@ -72,13 +72,10 @@ class Runtime(NamedTuple):
     @classmethod
     def load(cls, config: Config | None = None) -> "Runtime":
         config = config or Config()
-        ext_map, _ = read_data_file(config.mime_types_path, load_extension_map)
-        sig_db = read_data_file(config.magic_path, load_signatures)
-        active = read_data_file(config.active_types_path, load_active_registry)
         return cls(
-            ext_map=ext_map,
-            sig_db=sig_db,
-            active=active,
+            ext_map=read_data_file(config.mime_types_path, load_extension_map)[0],
+            sig_db=read_data_file(config.magic_path, load_signatures),
+            active=read_data_file(config.active_types_path, load_active_registry),
             store=make_store(config),
             models_dir=config.models_dir,
         )

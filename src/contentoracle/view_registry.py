@@ -7,8 +7,8 @@ a sidecar SQLite database stands in, one row per (file, key); both
 backends satisfy the same black-box contract, and both raise ``OSError``
 for a file that does not exist.
 
-Every reader takes a file's attributes from one store ``read`` and decodes
-that snapshot with the ``*_from`` functions.
+Every reader takes a file's attributes from one store ``read``; the ``*_from``
+functions decode each record with ``decode_record``, against its table in ``RECORDS``.
 
 Only a read-modify-write cycle holds a lock: an advisory lock on the target
 file for xattrs, a write transaction for the sidecar. A single write needs
@@ -31,7 +31,7 @@ import weakref
 from contextlib import AbstractContextManager, contextmanager
 from enum import Enum
 from pathlib import Path
-from typing import BinaryIO, Collection, Iterator, NamedTuple
+from typing import BinaryIO, Callable, Collection, Iterator, NamedTuple
 
 from .errors import ConfigError
 from .mime_db import MimeType, parse_mime_type
@@ -65,20 +65,94 @@ if hasattr(errno, "ENOATTR"):
     _ABSENT_ERRNOS.add(errno.ENOATTR)
 
 
-def encode_record(**fields) -> bytes:
-    """A stored record: ``fields`` and the schema version ``"v": 1`` as JSON
-    with sorted keys and no padding, so equal records are equal bytes."""
-    return json.dumps({"v": 1, **fields}, sort_keys=True, separators=(",", ":"),
-                      ensure_ascii=False).encode("utf-8")
+class Field(NamedTuple):
+    """One field of a stored record: the JSON value it must be, as errors and
+    README say it, its check, and its conversions to and from the program's value."""
+
+    must_be: str
+    accepts: Callable[[object], bool]
+    load: Callable = lambda value: value
+    dump: Callable = lambda value: value
+    required: bool = True
 
 
-def decode_record(data: bytes) -> dict:
-    """The fields of a record as ``encode_record`` writes it: a JSON object
-    holding the int ``"v": 1``. Anything else raises ``ValueError``."""
-    doc = json.loads(data)
-    if not isinstance(doc, dict) or type(doc.get("v")) is not int or doc["v"] != 1:
-        raise ValueError("not a version-1 record")
-    return doc
+VERSION = Field("the integer 1", lambda v: type(v) is int and v == 1)
+STRING = Field("a string", lambda v: type(v) is str)
+BOOLEAN = Field("a boolean", lambda v: type(v) is bool)  # JSON true is no integer,
+INTEGER = Field("an integer", lambda v: type(v) is int)  # nor is 5.9
+#: A SHA-256 digest exactly as ``bytes.hex`` writes it.
+DIGEST = Field("a string of 64 lower-case hex digits",
+               lambda v: type(v) is str and len(v) == 64 and not v.strip("0123456789abcdef"),
+               bytes.fromhex, bytes.hex)
+#: What ``--apps`` takes and a stored policy lists.
+APP_ID = Field("a non-empty string without leading or trailing whitespace",
+               lambda v: type(v) is str and v != "" and v == v.strip())
+
+#: A view entry's fields, in the order of :class:`ContentView`'s.
+VIEW_FIELDS = {
+    "app": STRING,
+    "mime": STRING._replace(load=parse_mime_type, dump=MimeType.format),
+    "active": BOOLEAN,
+    "hash": DIGEST,
+    "t": INTEGER,
+    "note": STRING._replace(required=False),
+}
+
+#: Each stored record's fields, by the attribute that holds it, in the order
+#: of the values it loads as; every record also holds ``"v"``, the integer 1.
+RECORDS = {
+    VIEWS_KEY: {"views": Field(
+        "a list of view entries", lambda v: type(v) is list,
+        lambda objs: [ContentView(*from_obj(VIEW_FIELDS, obj)) for obj in objs],
+        lambda views: [to_obj(VIEW_FIELDS, view) for view in views])},
+    TRUST_KEY: {"hash": DIGEST, "trusted": BOOLEAN, "t": INTEGER},
+    POLICY_KEY: {  # in the order of policy_engine.HandlerPolicy's fields
+        "handlers": Field("a list of application ids",
+                          lambda v: type(v) is list and all(map(APP_ID.accepts, v)), tuple, list),
+        "deny_all": BOOLEAN,
+    },
+}
+
+
+def to_obj(fields: dict[str, Field], values: tuple) -> dict:
+    """``values``, in the order of ``fields``, as a JSON object; a None is left out."""
+    return {name: field.dump(value)
+            for (name, field), value in zip(fields.items(), values) if value is not None}
+
+
+def from_obj(fields: dict[str, Field], obj: object) -> tuple:
+    """The values of ``obj``, in the order of ``fields``, None for an absent
+    optional one. ``ValueError`` unless ``obj`` is a JSON object with every
+    required field, each as its table entry says, and no other field."""
+    if type(obj) is not dict:
+        raise ValueError("not a JSON object")
+    if not obj.keys() <= fields.keys():
+        raise ValueError(f"unknown field {next(name for name in obj if name not in fields)!r}")
+    values = []
+    for name, (must_be, accepts, load, _, required) in fields.items():
+        if name not in obj and required:
+            raise ValueError(f"field {name!r} is missing")
+        if name in obj and not accepts(obj[name]):
+            raise ValueError(f"field {name!r} must be {must_be}")
+        values.append(load(obj[name]) if name in obj else None)
+    return tuple(values)
+
+
+def encode_record(key: str, values: tuple) -> bytes:
+    """The record of ``values`` to store under ``key``, with ``"v": 1``, as
+    JSON with sorted keys and no padding: equal records are equal bytes."""
+    return json.dumps({"v": 1, **to_obj(RECORDS[key], values)}, sort_keys=True,
+                      separators=(",", ":"), ensure_ascii=False).encode("utf-8")
+
+
+def decode_record(key: str, data: bytes) -> tuple:
+    """The values of the record stored under ``key``, as ``encode_record``
+    takes them; ``ValueError``, naming ``key``, for any other value. A field
+    the table does not declare is refused: a new format takes a new ``"v"``."""
+    try:
+        return from_obj({"v": VERSION, **RECORDS[key]}, json.loads(data))[1:]
+    except ValueError as exc:  # MalformedMime and JSONDecodeError among them
+        raise ValueError(f"{key}: {exc}") from None
 
 
 def open_regular(path: str | Path) -> BinaryIO:
@@ -256,18 +330,14 @@ class XattrStore(AttributeStore):
             return exc.errno not in _ABSENT_ERRNOS
 
     def set(self, path: str | Path, key: str, value: bytes) -> None:
-        if len(value) > XATTR_VALUE_LIMIT:
-            self._spill(path, key, value)
-            return
         try:
-            os.setxattr(path, key, value)
+            if len(value) <= XATTR_VALUE_LIMIT:
+                os.setxattr(path, key, value)
+                return
         except OSError as exc:
-            if exc.errno in (errno.E2BIG, errno.ENOSPC):
-                self._spill(path, key, value)
-            else:
+            if exc.errno not in (errno.E2BIG, errno.ENOSPC):
                 raise
-
-    def _spill(self, path: str | Path, key: str, value: bytes) -> None:
+        # too large for an attribute: the value spills to the sidecar, then its stub lands
         self.overflow.set(path, key, value)
         os.setxattr(path, key, OVERFLOW_STUB)
 
@@ -354,65 +424,28 @@ class FlaggedView(NamedTuple):
     stale: bool
 
 
-def view_to_obj(view: ContentView) -> dict:
-    """A view as the JSON object that stores and reports hold."""
-    obj = {
-        "app": view.app_id,
-        "mime": view.mime.format(),
-        "active": view.active,
-        "hash": view.content_hash.hex(),
-        "t": view.recorded_at,
-    }
-    if view.note is not None:
-        obj["note"] = view.note
-    return obj
-
-
-def _view_from_obj(obj: dict) -> ContentView:
-    return ContentView(
-        app_id=obj["app"],
-        mime=parse_mime_type(obj["mime"]),
-        active=bool(obj["active"]),
-        content_hash=bytes.fromhex(obj["hash"]),
-        recorded_at=int(obj["t"]),
-        note=obj.get("note"),
-    )
-
-
 def encode_views(views: list[ContentView]) -> bytes:
-    """Canonical encoding: views sorted by app id, sorted keys, no padding.
-
-    Encoding then decoding round-trips byte-identically, and any equivalent
-    non-canonical ordering encodes to the same bytes.
-    """
-    ordered = sorted(views, key=lambda v: v.app_id)
-    return encode_record(views=[view_to_obj(v) for v in ordered])
+    """The views record, sorted by app id: equal sets of views are equal bytes."""
+    return encode_record(VIEWS_KEY, (sorted(views, key=lambda v: v.app_id),))
 
 
 def decode_views(data: bytes) -> list[ContentView]:
-    views = decode_record(data)["views"]
-    if not isinstance(views, list):
-        raise ValueError("unrecognized view payload")
-    return [_view_from_obj(obj) for obj in views]
+    return decode_record(VIEWS_KEY, data)[0]
 
 
 def record_view(store: AttributeStore, path: str | Path, view: ContentView) -> None:
     """Append (or replace, latest-wins per application) one view on a file."""
     with store.lock(path):
         raw = store.get(path, VIEWS_KEY)
-        views = decode_views(raw) if raw else []
-        views = [v for v in views if v.app_id != view.app_id]
-        views.append(view)
-        store.set(path, VIEWS_KEY, encode_views(views))
+        views = [v for v in (decode_views(raw) if raw else []) if v.app_id != view.app_id]
+        store.set(path, VIEWS_KEY, encode_views([*views, view]))
 
 
 def views_from(attrs: dict[str, bytes], content_hash: bytes) -> list[FlaggedView]:
     """A file's views, sorted by app id, with staleness judged against ``content_hash``."""
     views = decode_views(attrs[VIEWS_KEY]) if attrs.get(VIEWS_KEY) else []
-    return [
-        FlaggedView(view=v, stale=v.content_hash != content_hash)
-        for v in sorted(views, key=lambda v: v.app_id)
-    ]
+    return [FlaggedView(v, v.content_hash != content_hash)
+            for v in sorted(views, key=lambda v: v.app_id)]
 
 
 def read_views(store: AttributeStore, path: str | Path) -> list[FlaggedView]:
@@ -429,23 +462,18 @@ class TrustState(Enum):
 
 def set_trust(store: AttributeStore, path: str | Path, trusted: bool, now: int | None = None) -> None:
     """Record a trust decision bound to the file's current content hash."""
-    store.set(path, TRUST_KEY, encode_record(
-        trusted=trusted,
-        hash=content_identity(path).hex(),
-        t=int(time.time()) if now is None else now,
-    ))
+    t = int(time.time()) if now is None else now
+    store.set(path, TRUST_KEY, encode_record(TRUST_KEY, (content_identity(path), trusted, t)))
 
 
 def trust_from(attrs: dict[str, bytes], content_hash: bytes) -> TrustState:
     """Trust state for ``content_hash``'s contents; one recorded for others is ``INVALIDATED``."""
     if TRUST_KEY not in attrs:
         return TrustState.UNSET
-    doc = decode_record(attrs[TRUST_KEY])
-    if not isinstance(doc["trusted"], bool) or not isinstance(doc["hash"], str):
-        raise ValueError("not a trust record")
-    if bytes.fromhex(doc["hash"]) != content_hash:
+    digest, trusted, _ = decode_record(TRUST_KEY, attrs[TRUST_KEY])
+    if digest != content_hash:
         return TrustState.INVALIDATED
-    return TrustState.TRUSTED if doc["trusted"] else TrustState.UNTRUSTED
+    return TrustState.TRUSTED if trusted else TrustState.UNTRUSTED
 
 
 def get_trust(store: AttributeStore, path: str | Path) -> TrustState:
@@ -465,12 +493,6 @@ class Provenance(NamedTuple):
 
 def provenance_from(attrs: dict[str, bytes]) -> Provenance:
     """The provenance among a file's attributes, uninterpreted."""
-    def _text(key: str) -> str | None:
-        raw = attrs.get(key)
-        return raw.decode("utf-8", "surrogateescape") if raw is not None else None
-
-    return Provenance(
-        origin_url=_text(ORIGIN_KEY),
-        referrer_url=_text(REFERRER_KEY),
-        quarantine=attrs.get(QUARANTINE_KEY),
-    )
+    origin, referrer = (attrs[key].decode("utf-8", "surrogateescape") if key in attrs else None
+                        for key in (ORIGIN_KEY, REFERRER_KEY))
+    return Provenance(origin, referrer, attrs.get(QUARANTINE_KEY))

@@ -45,8 +45,19 @@ from tests.conftest import zip_with_script
 
 _BODY_HASH = hashlib.sha256(b"%PDF-1.4 body").hexdigest().encode()
 
+
+def _views(**entry) -> bytes:
+    """A views record of one view of the body, as stored, with ``entry``'s
+    fields set to the given JSON text instead."""
+    fields = {"active": b"false", "app": b'"a"', "hash": b'"%s"' % _BODY_HASH,
+              "mime": b'"application/pdf"', "t": b"1", **entry}
+    body = b",".join(b'"%s":%s' % (name.encode(), fields[name]) for name in sorted(fields))
+    return b'{"v":1,"views":[{%s}]}' % body
+
+
 #: Attribute values that do not decode as the expected record, as JSON or at
-#: all, or whose fields are of another JSON type than their writer stores.
+#: all, whose fields are of another JSON type than their writer stores, or
+#: that lack a field or hold one that the record's table does not declare.
 CORRUPT_ATTRIBUTES = [
     (TRUST_KEY, b'{"v":1}'),
     (VIEWS_KEY, b'{"v":2}'),
@@ -64,6 +75,21 @@ CORRUPT_ATTRIBUTES = [
     (POLICY_KEY, b'{"deny_all":false,"handlers":[1],"v":1}'),
     (POLICY_KEY, b'{"deny_all":"false","handlers":[],"v":1}'),
     (POLICY_KEY, b'{"deny_all":false,"handlers":[],"v":1.0}'),
+    (TRUST_KEY, b'{"hash":"' + _BODY_HASH + b'","trusted":true,"v":1}'),
+    (TRUST_KEY, b'{"hash":"' + _BODY_HASH + b'","t":"x","trusted":true,"v":1}'),
+    (TRUST_KEY, b'{"hash":"' + _BODY_HASH.upper() + b'","t":1,"trusted":true,"v":1}'),
+    (TRUST_KEY, b'{"hash":"' + _BODY_HASH[:32] + b" " + _BODY_HASH[32:]
+     + b'","t":1,"trusted":true,"v":1}'),
+    (TRUST_KEY, b'{"hash":"' + _BODY_HASH + b'","t":1,"trusted":true,"v":1,"x":1}'),
+    (VIEWS_KEY, _views(active=b'"false"')),
+    (VIEWS_KEY, _views(t=b'"5"')),
+    (VIEWS_KEY, _views(t=b"true")),
+    (VIEWS_KEY, _views(t=b"5.9")),
+    (VIEWS_KEY, _views(app=b"5")),
+    (VIEWS_KEY, _views(note=b"5")),
+    (VIEWS_KEY, _views(mime=b'"bogus"')),
+    (POLICY_KEY, b'{"deny_all":false,"handlers":[""],"v":1}'),
+    (POLICY_KEY, b'{"deny_all":false,"handlers":[" viewer"],"v":1}'),
 ]
 
 
@@ -851,7 +877,8 @@ class TestExitCodes:
         set_raw(config_file, target, key, value)
         code = main(["--config", config_file, "check", str(target)])
         assert code == EX_SOFTWARE
-        assert "internal error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "internal error" in err and key in err
 
     def test_busy_sidecar_is_an_io_error(self, capsys, config_file, tmp_path, monkeypatch):
         # another process holds the sidecar's write lock past the busy timeout

@@ -3,6 +3,7 @@ plus canonical-encoding and overflow behavior."""
 
 from __future__ import annotations
 
+import copy
 import errno
 import gc
 import json
@@ -18,10 +19,11 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import contentoracle
 from contentoracle import view_registry
-from contentoracle.mime_db import MimeType
+from contentoracle.mime_db import MimeType, parse_mime_type
 from contentoracle.policy_engine import (
     DENY_ALL,
     HandlerPolicy,
@@ -37,6 +39,7 @@ from contentoracle.view_registry import (
     ORIGIN_KEY,
     POLICY_KEY,
     QUARANTINE_KEY,
+    RECORDS,
     REFERRER_KEY,
     SidecarStore,
     TRUST_KEY,
@@ -53,6 +56,7 @@ from contentoracle.view_registry import (
     read_views,
     record_view,
     set_trust,
+    trust_from,
     xattrs_supported,
 )
 
@@ -187,12 +191,110 @@ class TestCanonicalEncoding:
 
 class TestRecordEnvelope:
     def test_returns_the_fields_written(self):
-        assert decode_record(encode_record(a=1)) == {"a": 1, "v": 1}
+        values = (bytes(range(32)), True, 1)
+        assert decode_record(TRUST_KEY, encode_record(TRUST_KEY, values)) == values
 
     @pytest.mark.parametrize("data", [b"[]", b'"text"', b'{"v":2}', b'{"a":1}'])
     def test_refuses_what_the_encoder_does_not_write(self, data):
-        with pytest.raises(ValueError):
-            decode_record(data)
+        for key in RECORDS:
+            with pytest.raises(ValueError, match=key):
+                decode_record(key, data)
+
+
+#: One valid record of each kind, as its writer stores it: an untrusted
+#: trust record and a policy that allows one handler.
+_RECORDS = {
+    VIEWS_KEY: {"v": 1, "views": [{"active": False, "app": "viewer", "hash": ABC_SHA256,
+                                   "mime": "application/pdf", "note": "n", "t": 1}]},
+    TRUST_KEY: {"hash": ABC_SHA256, "t": 1, "trusted": False, "v": 1},
+    POLICY_KEY: {"deny_all": False, "handlers": ["viewer"], "v": 1},
+}
+_DELETE = object()
+#: Any JSON value, and values close to what the writers store, so that
+#: some mutations still decode; _DELETE removes the field.
+_json_values = st.one_of(
+    st.sampled_from([True, 0, 5.9, 2**70, "", "editor", " viewer", "5", "Text/HTML; q=1",
+                     EMPTY_SHA256, ABC_SHA256.upper(), ABC_SHA256[:32] + " " + ABC_SHA256[32:],
+                     [], [""], [" viewer"], ["viewer", "editor"], _RECORDS[VIEWS_KEY]["views"],
+                     _DELETE]),
+    st.recursive(st.none() | st.booleans() | st.integers() | st.text(max_size=6)
+                 | st.floats(allow_nan=False, allow_infinity=False),
+                 lambda inner: st.lists(inner, max_size=3)
+                 | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+                 max_leaves=6),
+)
+
+
+def _mutations(value):
+    """Each record of _RECORDS, and its view entry, with each of its fields
+    in turn, and one new field, set to ``value``."""
+    for key, valid in _RECORDS.items():
+        for in_view in (False, True) if key == VIEWS_KEY else (False,):
+            fields = valid["views"][0] if in_view else valid
+            for name in [*fields, "x"]:
+                record = json.loads(json.dumps(valid))
+                target = record["views"][0] if in_view else record
+                if value is _DELETE:
+                    target.pop(name, None)
+                else:
+                    target[name] = copy.deepcopy(value)
+                yield key, record
+
+
+@settings(max_examples=300)
+@given(value=_json_values)
+def test_a_mutated_record_fails_or_reads_as_its_writer_stores_it(value):
+    """A valid record with one field set to any JSON value, added, or
+    removed, fails to decode, or decodes to values its writer takes and
+    would store as the same record."""
+    for key, record in _mutations(value):
+        stored = json.dumps(record).encode("utf-8")
+        try:
+            values = decode_record(key, stored)
+        except ValueError:
+            continue
+        if key == VIEWS_KEY:
+            for view in values[0]:  # what ContentView holds; JSON true is no int
+                assert type(view.active) is bool and type(view.recorded_at) is int
+                assert type(view.app_id) is str and type(view.note) in (str, type(None))
+            for obj in record["views"]:  # the writer stores a type in its canonical form
+                obj["mime"] = parse_mime_type(obj["mime"]).format()
+        if key == TRUST_KEY:  # what set_trust takes: a digest, a bool and an int
+            digest, trusted, t = values
+            assert len(digest) == 32 and type(trusted) is bool and type(t) is int
+            state = trust_from({TRUST_KEY: stored}, bytes.fromhex(ABC_SHA256))
+            assert state is not TrustState.TRUSTED or record["trusted"] is True
+        if key == POLICY_KEY:
+            policy = policy_from({POLICY_KEY: stored})
+            assert type(policy.deny_all) is bool
+            assert all(type(app) is str and app and app == app.strip() for app in policy.allowed)
+            # only an empty list, which set_handler_policy stores for no
+            # restriction, permits a handler that the stored list does not name
+            for app in ("viewer", "editor", " viewer", "", *policy.allowed):
+                if policy.permits(app):
+                    assert app in record["handlers"] or record["handlers"] == []
+        assert encode_record(key, values) == json.dumps(
+            record, sort_keys=True, separators=(",", ":"), ensure_ascii=False).encode("utf-8")
+
+
+def test_readme_table_of_stored_records_names_exactly_the_declared_fields():
+    """README's table of stored records lists each field that ``RECORDS``
+    and ``VIEW_FIELDS`` declare, with its value and presence, in order."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text("utf-8")
+    table = readme.split("\n### Stored records\n", 1)[1].split("\n| --- |", 1)[1]
+    rows = [tuple(cell.strip().strip("`") for cell in line.strip("|").split("|"))
+            for line in table.split("\n\n", 1)[0].splitlines()[1:]]
+
+    def declared(where, fields):
+        return [(where, name, field.must_be, "required" if field.required else "optional")
+                for name, field in fields.items()]
+
+    expected = declared("every record", {"v": view_registry.VERSION})
+    for key, fields in RECORDS.items():
+        expected += declared(key, fields)
+        if key == VIEWS_KEY:
+            expected += declared("view entry", view_registry.VIEW_FIELDS)
+    assert rows == expected
 
 
 class TestBackendContract:
