@@ -5,9 +5,9 @@ Evidence comes from one streamed pass per file: the file is opened and
 read once, in chunks that feed the sniffer's scan and, where the store may
 hold views or trust for the file, one SHA-256 that they and the sniff report
 are judged against, so a rewrite during the check cannot mix two contents.
-One store ``read`` after that pass gives all the attributes (views, trust,
-handler policy, provenance), less views and trust on an unhashed file; no
-other stage reads the store, so ``evaluate`` and ``decide`` judge one version.
+One store ``read`` after that pass gives the attributes (handler policy,
+provenance, and views and trust if the file was hashed); no other stage
+reads the store, so ``evaluate`` and ``decide`` judge one version.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from .sniffer import EMPTY_REPORT, SignatureDb, SniffScan, load_signatures
 from .view_registry import (
     ATTRIBUTE_KEYS,
     HASH_BOUND_KEYS,
+    UNBOUND_KEYS,
     AttributeStore,
     AutoStore,
     SidecarStore,
@@ -92,11 +93,11 @@ def build_evidence(
 
     The file is read once, then its attributes. Its digest, taken if
     ``always_hash`` is set or the store may hold views or trust for it,
-    becomes ``Evidence.content_hash``. ``nosniff`` suppresses the sniffer's
-    contribution as the browser models treat that response header.
+    becomes ``Evidence.content_hash``. ``nosniff`` replaces the sniff report
+    with an empty one, as the browser models treat that response header.
     """
     path = Path(path)
-    scan = None if nosniff else SniffScan(runtime.sig_db)
+    scan = SniffScan(runtime.sig_db)
     # opened before the name is analysed: "." and "/" have no name, and
     # fail here as the directories they are
     with open_regular(path) as fh:
@@ -105,21 +106,16 @@ def build_evidence(
         while chunk := fh.read(CHUNK_SIZE):
             if hashed:
                 digest.update(chunk)
-            if scan is not None:
-                scan.feed(chunk)
+            scan.feed(chunk)
     content_hash = digest.digest() if hashed else None
     name_report = analyze_name(path.name, runtime.ext_map.known_extensions())
-    extension_mime = (
-        runtime.ext_map.primary(name_report.logical_extension)
-        if name_report.logical_extension
-        else None
-    )
-    attrs = runtime.store.read(path, ATTRIBUTE_KEYS)
-    if not hashed:  # any views or trust there were written during the check
-        attrs = {key: value for key, value in attrs.items() if key not in HASH_BOUND_KEYS}
+    extension = name_report.logical_extension
+    extension_mime = runtime.ext_map.primary(extension) if extension else None
+    # views or trust on an unhashed file were written during the check
+    attrs = runtime.store.read(path, ATTRIBUTE_KEYS if hashed else UNBOUND_KEYS)
     return Evidence(
         extension_mime=extension_mime,
-        sniff=EMPTY_REPORT if scan is None else scan.report(),
+        sniff=EMPTY_REPORT if nosniff else scan.report(),
         declared_mime=declared_mime,
         views=tuple(views_from(attrs, content_hash)),
         name_report=name_report,

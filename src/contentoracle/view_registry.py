@@ -42,10 +42,11 @@ POLICY_KEY = "user.contentoracle.policy"
 ORIGIN_KEY = "user.xdg.origin.url"
 REFERRER_KEY = "user.xdg.referrer.url"
 QUARANTINE_KEY = "com.apple.quarantine"
-#: The attributes judged against a file's content hash.
+#: The attributes judged against a file's content hash, and those judged without it.
 HASH_BOUND_KEYS = (VIEWS_KEY, TRUST_KEY)
-#: Every attribute an assessment reads, in one store lookup.
-ATTRIBUTE_KEYS = (*HASH_BOUND_KEYS, POLICY_KEY, ORIGIN_KEY, REFERRER_KEY, QUARANTINE_KEY)
+UNBOUND_KEYS = (POLICY_KEY, ORIGIN_KEY, REFERRER_KEY, QUARANTINE_KEY)
+#: Every attribute an assessment of a hashed file reads, in one store lookup.
+ATTRIBUTE_KEYS = (*HASH_BOUND_KEYS, *UNBOUND_KEYS)
 
 #: Conservative per-attribute size floor across filesystems; larger values
 #: overflow to the sidecar behind a stub attribute.
@@ -90,7 +91,7 @@ APP_ID = Field("a non-empty string without leading or trailing whitespace",
 
 #: A view entry's fields, in the order of :class:`ContentView`'s.
 VIEW_FIELDS = {
-    "app": STRING,
+    "app": APP_ID,
     "mime": STRING._replace(load=parse_mime_type, dump=MimeType.format),
     "active": BOOLEAN,
     "hash": DIGEST,
@@ -102,8 +103,8 @@ VIEW_FIELDS = {
 #: of the values it loads as; every record also holds ``"v"``, the integer 1.
 RECORDS = {
     VIEWS_KEY: {"views": Field(
-        "a list of view entries", lambda v: type(v) is list,
-        lambda objs: [ContentView(*from_obj(VIEW_FIELDS, obj)) for obj in objs],
+        "a list of view entries, one per app, in app order", lambda v: type(v) is list,
+        lambda objs: in_app_order([ContentView(*from_obj(VIEW_FIELDS, obj)) for obj in objs]),
         lambda views: [to_obj(VIEW_FIELDS, view) for view in views])},
     TRUST_KEY: {"hash": DIGEST, "trusted": BOOLEAN, "t": INTEGER},
     POLICY_KEY: {  # in the order of policy_engine.HandlerPolicy's fields
@@ -136,6 +137,13 @@ def from_obj(fields: dict[str, Field], obj: object) -> tuple:
             raise ValueError(f"field {name!r} must be {must_be}")
         values.append(load(obj[name]) if name in obj else None)
     return tuple(values)
+
+
+def in_app_order(views: list[ContentView]) -> list[ContentView]:
+    """``views``, if their app ids strictly increase as ``encode_views`` writes them."""
+    if any(a.app_id >= b.app_id for a, b in zip(views, views[1:])):
+        raise ValueError("field 'views' must list one view per app, in app order")
+    return views
 
 
 def encode_record(key: str, values: tuple) -> bytes:
@@ -410,8 +418,8 @@ class ContentView(_ContentViewFields):
 
     def __new__(cls, app_id: str, mime: MimeType, active: bool, content_hash: bytes,
                 recorded_at: int, note: str | None = None):
-        if not app_id:
-            raise ValueError("app_id must be non-empty")
+        if not APP_ID.accepts(app_id):
+            raise ValueError(f"app_id must be {APP_ID.must_be}")
         if len(content_hash) != 32:
             raise ValueError("content_hash must be exactly 32 bytes")
         if note is not None and len(note.encode("utf-8")) > MAX_NOTE_BYTES:
@@ -425,8 +433,9 @@ class FlaggedView(NamedTuple):
 
 
 def encode_views(views: list[ContentView]) -> bytes:
-    """The views record, sorted by app id: equal sets of views are equal bytes."""
-    return encode_record(VIEWS_KEY, (sorted(views, key=lambda v: v.app_id),))
+    """The views record: the last view by each app, in app order (equal sets, equal bytes)."""
+    latest = {view.app_id: view for view in views}
+    return encode_record(VIEWS_KEY, ([latest[app] for app in sorted(latest)],))
 
 
 def decode_views(data: bytes) -> list[ContentView]:
@@ -437,15 +446,14 @@ def record_view(store: AttributeStore, path: str | Path, view: ContentView) -> N
     """Append (or replace, latest-wins per application) one view on a file."""
     with store.lock(path):
         raw = store.get(path, VIEWS_KEY)
-        views = [v for v in (decode_views(raw) if raw else []) if v.app_id != view.app_id]
+        views = [] if raw is None else decode_views(raw)
         store.set(path, VIEWS_KEY, encode_views([*views, view]))
 
 
 def views_from(attrs: dict[str, bytes], content_hash: bytes) -> list[FlaggedView]:
-    """A file's views, sorted by app id, with staleness judged against ``content_hash``."""
-    views = decode_views(attrs[VIEWS_KEY]) if attrs.get(VIEWS_KEY) else []
-    return [FlaggedView(v, v.content_hash != content_hash)
-            for v in sorted(views, key=lambda v: v.app_id)]
+    """A file's views, in app order, with staleness judged against ``content_hash``."""
+    views = decode_views(attrs[VIEWS_KEY]) if VIEWS_KEY in attrs else []
+    return [FlaggedView(v, v.content_hash != content_hash) for v in views]
 
 
 def read_views(store: AttributeStore, path: str | Path) -> list[FlaggedView]:
@@ -480,7 +488,7 @@ def get_trust(store: AttributeStore, path: str | Path) -> TrustState:
     """Trust state for the file's *current* contents."""
     attrs = store.read(path, (TRUST_KEY,))
     # the file is hashed only if trust was recorded
-    return trust_from(attrs, content_identity(path) if attrs else None)
+    return trust_from(attrs, content_identity(path) if TRUST_KEY in attrs else None)
 
 
 class Provenance(NamedTuple):

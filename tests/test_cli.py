@@ -46,13 +46,18 @@ from tests.conftest import zip_with_script
 _BODY_HASH = hashlib.sha256(b"%PDF-1.4 body").hexdigest().encode()
 
 
-def _views(**entry) -> bytes:
-    """A views record of one view of the body, as stored, with ``entry``'s
-    fields set to the given JSON text instead."""
+def _entry(**fields) -> bytes:
+    """One view of the body by app ``a``, as stored, with ``fields`` set to
+    the given JSON text instead."""
     fields = {"active": b"false", "app": b'"a"', "hash": b'"%s"' % _BODY_HASH,
-              "mime": b'"application/pdf"', "t": b"1", **entry}
-    body = b",".join(b'"%s":%s' % (name.encode(), fields[name]) for name in sorted(fields))
-    return b'{"v":1,"views":[{%s}]}' % body
+              "mime": b'"application/pdf"', "t": b"1", **fields}
+    return b"{%s}" % b",".join(b'"%s":%s' % (name.encode(), fields[name])
+                               for name in sorted(fields))
+
+
+def _views(*entries: bytes, **fields) -> bytes:
+    """A views record of ``entries``, or of one ``_entry(**fields)``, as stored."""
+    return b'{"v":1,"views":[%s]}' % b",".join(entries or [_entry(**fields)])
 
 
 #: Attribute values that do not decode as the expected record, as JSON or at
@@ -90,6 +95,14 @@ CORRUPT_ATTRIBUTES = [
     (VIEWS_KEY, _views(mime=b'"bogus"')),
     (POLICY_KEY, b'{"deny_all":false,"handlers":[""],"v":1}'),
     (POLICY_KEY, b'{"deny_all":false,"handlers":[" viewer"],"v":1}'),
+    # lists that encode_views never writes: one app twice, or apps out of order
+    (VIEWS_KEY, _views(_entry(), _entry(active=b"true", mime=b'"text/html"'))),
+    (VIEWS_KEY, _views(_entry(app=b'"b"'), _entry())),
+    (VIEWS_KEY, _views(app=b'" viewer"')),
+    # a present but empty value is no record
+    (VIEWS_KEY, b""),
+    (TRUST_KEY, b""),
+    (POLICY_KEY, b""),
 ]
 
 
@@ -573,6 +586,8 @@ class TestExitCodes:
     @pytest.mark.parametrize("flags", [
         ("--app", "viewer", "--note", "x" * 300),
         ("--app", ""),
+        ("--app", " viewer"),
+        ("--app", "viewer\n"),
     ])
     def test_bad_view_argument_is_64(self, capsys, config_file, tmp_path, flags):
         target = tmp_path / "f.txt"

@@ -222,3 +222,20 @@ class TestRecords:
         code, modules = _cli_modules(tmp_path, *argv)
         assert code == 0
         assert sorted({"dataclasses", "inspect"} & modules) == []
+
+
+def test_every_data_file_is_installed():
+    """Every file under the package's ``data/`` matches a package-data glob
+    of ``pyproject.toml``. The tests run the package from ``src/``, so a file
+    the globs miss would pass them and be absent from every install, where
+    ``check`` needs it."""
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
+    root = Path(__file__).parents[1]
+    pyproject = tomllib.loads((root / "pyproject.toml").read_text("utf-8"))
+    globs = pyproject["tool"]["setuptools"]["package-data"]["contentoracle"]
+    package = root / "src" / "contentoracle"
+    data = {path for path in (package / "data").rglob("*")
+            if path.is_file() and "__pycache__" not in path.parts}
+    installed = {path for pattern in globs for path in package.glob(pattern)}
+    assert data  # the walk found the bundled data
+    assert sorted(str(path.relative_to(package)) for path in data - installed) == []

@@ -33,6 +33,8 @@ from contentoracle.report import build_report
 from contentoracle.runtime import assess_path, build_evidence
 from contentoracle.sniffer import sniff
 from contentoracle.view_registry import (
+    ATTRIBUTE_KEYS,
+    HASH_BOUND_KEYS,
     ORIGIN_KEY,
     OVERFLOW_STUB,
     POLICY_KEY,
@@ -97,6 +99,21 @@ class CountingStore(AttributeStore):
     def lock(self, path):
         self.calls.append("lock")
         return self.inner.lock(path)
+
+
+class KeyRecordingStore(AttributeStore):
+    """Delegates to ``inner`` and records the keys that each read asks for."""
+
+    def __init__(self, inner: AttributeStore):
+        self.inner = inner
+        self.reads: list[tuple[str, ...]] = []
+
+    def may_hold(self, fd, keys):
+        return self.inner.may_hold(fd, keys)
+
+    def read(self, path, keys):
+        self.reads.append(tuple(keys))
+        return self.inner.read(path, keys)
 
 
 class DenyAfterReadStore(AttributeStore):
@@ -227,6 +244,21 @@ def test_assessment_reads_the_store_once(runtime, backend):
     assert evidence.provenance.origin_url == "https://example.test/doc.pdf"
     assert evidence.policy == HandlerPolicy(allowed=("viewer",))
     assert decision.verdict is Verdict.ALLOW
+
+
+@pytest.mark.parametrize("always_hash", [False, True], ids=["unhashed", "hashed"])
+def test_assessment_asks_the_store_only_for_what_it_can_judge(runtime, backend, always_hash):
+    # a file with no records: no store may hold views or trust for it
+    path = backend.workdir / "doc.pdf"
+    path.write_bytes(ORIGINAL)
+    store = KeyRecordingStore(backend.store)
+    evidence, _, _ = assess_path(runtime._replace(store=store), path, always_hash=always_hash)
+    assert (evidence.content_hash is not None) == always_hash
+    [keys] = store.reads
+    if always_hash:
+        assert sorted(keys) == sorted(ATTRIBUTE_KEYS)
+    else:  # without a digest, views and trust cannot be judged
+        assert POLICY_KEY in keys and not set(keys) & set(HASH_BOUND_KEYS)
 
 
 @pytest.mark.parametrize("write", [

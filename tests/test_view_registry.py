@@ -31,6 +31,7 @@ from contentoracle.policy_engine import (
     set_handler_policy,
 )
 from contentoracle.view_registry import (
+    APP_ID,
     ATTRIBUTE_KEYS,
     AutoStore,
     ContentView,
@@ -227,7 +228,9 @@ _json_values = st.one_of(
 
 def _mutations(value):
     """Each record of _RECORDS, and its view entry, with each of its fields
-    in turn, and one new field, set to ``value``."""
+    in turn, and one new field, set to ``value``; and the views record with
+    that mutated entry beside the valid one, after it and before it, which
+    lists one app twice unless ``value`` is the second entry's app."""
     for key, valid in _RECORDS.items():
         for in_view in (False, True) if key == VIEWS_KEY else (False,):
             fields = valid["views"][0] if in_view else valid
@@ -238,6 +241,10 @@ def _mutations(value):
                     target.pop(name, None)
                 else:
                     target[name] = copy.deepcopy(value)
+                if in_view:
+                    entry = valid["views"][0]
+                    for pair in ([entry, target], [target, entry]):
+                        yield key, {**valid, "views": copy.deepcopy(pair)}
                 yield key, record
 
 
@@ -245,8 +252,9 @@ def _mutations(value):
 @given(value=_json_values)
 def test_a_mutated_record_fails_or_reads_as_its_writer_stores_it(value):
     """A valid record with one field set to any JSON value, added, or
-    removed, fails to decode, or decodes to values its writer takes and
-    would store as the same record."""
+    removed, or a views record with such an entry beside a valid one, fails
+    to decode, or decodes to values its writer takes and would store as the
+    same record."""
     for key, record in _mutations(value):
         stored = json.dumps(record).encode("utf-8")
         try:
@@ -256,7 +264,7 @@ def test_a_mutated_record_fails_or_reads_as_its_writer_stores_it(value):
         if key == VIEWS_KEY:
             for view in values[0]:  # what ContentView holds; JSON true is no int
                 assert type(view.active) is bool and type(view.recorded_at) is int
-                assert type(view.app_id) is str and type(view.note) in (str, type(None))
+                assert APP_ID.accepts(view.app_id) and type(view.note) in (str, type(None))
             for obj in record["views"]:  # the writer stores a type in its canonical form
                 obj["mime"] = parse_mime_type(obj["mime"]).format()
         if key == TRUST_KEY:  # what set_trust takes: a digest, a bool and an int
@@ -273,8 +281,31 @@ def test_a_mutated_record_fails_or_reads_as_its_writer_stores_it(value):
             for app in ("viewer", "editor", " viewer", "", *policy.allowed):
                 if policy.permits(app):
                     assert app in record["handlers"] or record["handlers"] == []
-        assert encode_record(key, values) == json.dumps(
+        # views as encode_views stores them: one per app, in app order
+        written = encode_views(*values) if key == VIEWS_KEY else encode_record(key, values)
+        assert written == json.dumps(
             record, sort_keys=True, separators=(",", ":"), ensure_ascii=False).encode("utf-8")
+
+
+#: Views values that no writer stores: one app twice, two apps out of
+#: order, and an empty value.
+_UNWRITTEN_VIEWS = {"twice": ("viewer", "viewer"), "swapped": ("viewer", "editor"), "empty": None}
+
+
+@pytest.mark.parametrize("apps", _UNWRITTEN_VIEWS.values(), ids=_UNWRITTEN_VIEWS)
+def test_a_views_value_no_writer_stores_is_refused_and_kept(backend, apps):
+    path = _file(backend)
+    digest = content_identity(path).hex()
+    stored = b"" if apps is None else json.dumps({"v": 1, "views": [
+        {"active": False, "app": app, "hash": digest, "mime": "application/pdf", "t": 1}
+        for app in apps]}, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    backend.store.set(path, VIEWS_KEY, stored)
+    with pytest.raises(ValueError, match=VIEWS_KEY):
+        read_views(backend.store, path)
+    # a read-modify-write does not replace what it cannot read
+    with pytest.raises(ValueError, match=VIEWS_KEY):
+        record_view(backend.store, path, _view(app="other", path=path))
+    assert backend.store.get(path, VIEWS_KEY) == stored
 
 
 def test_readme_table_of_stored_records_names_exactly_the_declared_fields():
