@@ -6,7 +6,9 @@ backend, with ``--now`` pinned and relative paths, so the transcript
 depends on the program alone. Each command is a
 ``### [exit N] contentoracle <args>`` line followed by its stdout; a file
 rewritten between commands is a ``### write <name>`` line. ``browser
-diff`` (about 1.26 MB) is pinned by the sha256 of its stdout.
+diff`` (about 1.26 MB) is pinned by the sha256 of its stdout. ``fetch``
+downloads from the loopback fixture server, whose origin the steps and
+the transcript write as :data:`ORIGIN`, so its port never shows.
 """
 
 from __future__ import annotations
@@ -54,6 +56,18 @@ INBOX = {
     "sub/report.pdf.exe": b"%PDF-1.4 not really\n",
 }
 
+#: The fixture server's origin as the steps and the transcript write it.
+ORIGIN = "http://origin.test"
+
+#: Served by the fixture server at each path: criterion 9's payload, a ZIP
+#: holding a script, with no extension and declared a PDF, once plainly and
+#: once with ``nosniff``.
+DOWNLOADS = {
+    "/golden/plain/invoice": [("Content-Type", "application/pdf")],
+    "/golden/nosniff/invoice": [("Content-Type", "application/pdf"),
+                                ("X-Content-Type-Options", "nosniff")],
+}
+
 RUN_CTX = json.dumps({"content_type": "application/pdf", "extension_mime": "application/pdf",
                       "auto_download": True})
 SNIFF_CTX = json.dumps({"sniffed_mime": "text/html", "content_type": "text/plain",
@@ -89,12 +103,17 @@ STEPS = [
     f"browser run opera-like --ctx {shlex.quote(SNIFF_CTX)}",
     "browser diff firefox-like opera-like",
     "db stats mime.types",
+    f"fetch {ORIGIN}/golden/plain/invoice --out plain",
+    f"fetch {ORIGIN}/golden/nosniff/invoice --out nosniff",
 ]
 
 
-def transcript() -> str:
+def transcript(http_server) -> str:
     """Run :data:`STEPS` in the current directory, which should be empty,
-    and return what they printed."""
+    with :data:`DOWNLOADS` served by ``http_server``, and return what
+    they printed."""
+    for route, headers in DOWNLOADS.items():
+        http_server.add(route, _zip_with_script(), headers=headers)
     Path("config.json").write_text(json.dumps({"sidecar_path": "sidecar.sqlite3",
                                                "backend": "sidecar"}))
     Path("doc.pdf").write_bytes(PDF)
@@ -116,14 +135,14 @@ def transcript() -> str:
         args = shlex.split(step)
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
-            code = main([*COMMON, *args])
-        text = out.getvalue()
+            code = main([*COMMON, *(arg.replace(ORIGIN, http_server.base) for arg in args)])
+        text = out.getvalue().replace(http_server.base, ORIGIN)
         if args[:2] == ["browser", "diff"]:
             text = f"sha256 {hashlib.sha256(text.encode('utf-8')).hexdigest()}\n"
         parts.append(f"### [exit {code}] contentoracle {shlex.join([*COMMON, *args])}\n{text}")
     return "".join(parts)
 
 
-def test_report_bytes_are_golden(tmp_path, monkeypatch):
+def test_report_bytes_are_golden(tmp_path, monkeypatch, http_server):
     monkeypatch.chdir(tmp_path)
-    assert transcript() == GOLDEN.read_text("utf-8")
+    assert transcript(http_server) == GOLDEN.read_text("utf-8")
