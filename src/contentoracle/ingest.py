@@ -3,7 +3,8 @@
 The fetch step captures the three identification-relevant response headers
 byte-verbatim, saves the body under a sanitized name derived from the URL,
 and stamps the file with origin/referrer attributes. Assessment then treats
-the saved artifact exactly like any local file.
+the saved artifact like any local file, plus what only the response says:
+its declared type and its nosniff header.
 """
 
 from __future__ import annotations
@@ -22,7 +23,8 @@ from .errors import HttpError, MalformedMime, NetworkError
 from .mime_db import MimeType, parse_mime_type
 from .name_analyzer import strip_bidi_controls
 from .policy_engine import PolicyDecision
-from .runtime import CHUNK_SIZE, Runtime, assess_path
+from .runtime import CHUNK_SIZE, Runtime, build_evidence, judge
+from .sniffer import EMPTY_REPORT
 from .view_registry import (
     AttributeStore,
     ContentView,
@@ -37,6 +39,9 @@ INGEST_APP_ID = "contentoracle.ingest"
 CAPTURED_HEADERS = ("Content-Type", "Content-Disposition", "X-Content-Type-Options")
 
 MAX_REDIRECTS = 5
+
+#: Seconds that connecting, or any one read of the response, may wait.
+TIMEOUT = 30.0
 
 #: Largest response body saved, in bytes; a longer one is a network error
 #: and leaves no file behind.
@@ -117,7 +122,6 @@ def fetch(
     store: AttributeStore,
     referrer: str | None = None,
     now: int | None = None,
-    timeout: float = 30.0,
 ) -> FetchRecord:
     """Download ``url`` into ``dest_dir`` and stamp provenance attributes.
 
@@ -132,7 +136,7 @@ def fetch(
     if referrer:
         request.add_header("Referer", referrer)
     try:
-        response = opener.open(request, timeout=timeout)
+        response = opener.open(request, timeout=TIMEOUT)
     except urllib.error.HTTPError as exc:
         exc.close()  # it holds the response and its socket open
         if 300 <= exc.code < 400:
@@ -209,19 +213,19 @@ def assess_record(
 ) -> tuple[Evidence, DiscrepancyReport, PolicyDecision]:
     """Evaluate a fetched artifact and record this pipeline's own view.
 
-    A nosniff response header suppresses the sniffer's contribution to the
-    evidence, mirroring the browser models. The resulting opinion is
-    written back as a content view under the ingest application id; the
-    returned evidence is the pre-recording snapshot the report was
-    computed from, and the view is bound to the digest of the bytes that
-    were assessed, not to whatever the file holds by the time it is written.
+    The file's evidence gains what the response adds: its Content-Type as
+    the declared type, and, under a nosniff header, an empty sniff report,
+    mirroring the browser models. The resulting opinion is written back as
+    a content view under the ingest application id; the returned evidence
+    is the pre-recording snapshot the report was computed from, and the
+    view is bound to the digest of the bytes that were assessed, not to
+    whatever the file holds by the time it is written.
     """
-    evidence, report, decision = assess_path(
-        runtime,
-        record.body_path,
-        declared_mime=declared_mime(record),
-        nosniff=nosniff(record), always_hash=True,
-    )
+    evidence = build_evidence(runtime, record.body_path, always_hash=True)
+    evidence = evidence._replace(declared_mime=declared_mime(record))
+    if nosniff(record):
+        evidence = evidence._replace(sniff=EMPTY_REPORT)
+    report, decision = judge(runtime, evidence)
     resolved = report.resolved_mime or MimeType("application", "octet-stream")
     view = ContentView(
         app_id=INGEST_APP_ID,

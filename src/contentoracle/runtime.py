@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 from .config import Config, read_data_file
 from .discrepancy_engine import DiscrepancyReport, Evidence, evaluate
-from .mime_db import ExtensionMap, MimeType, load_extension_map
+from .mime_db import ExtensionMap, load_extension_map
 from .name_analyzer import analyze_name
 from .policy_engine import (
     NO_RESTRICTION,
@@ -28,7 +28,7 @@ from .policy_engine import (
     load_active_registry,
     policy_from,
 )
-from .sniffer import EMPTY_REPORT, SignatureDb, SniffScan, load_signatures
+from .sniffer import SignatureDb, SniffScan, load_signatures
 from .view_registry import (
     ATTRIBUTE_KEYS,
     HASH_BOUND_KEYS,
@@ -82,19 +82,13 @@ class Runtime(NamedTuple):
         )
 
 
-def build_evidence(
-    runtime: Runtime,
-    path: str | Path,
-    declared_mime: MimeType | None = None,
-    nosniff: bool = False,
-    *, always_hash: bool = False,
-) -> Evidence:
+def build_evidence(runtime: Runtime, path: str | Path, *, always_hash: bool = False) -> Evidence:
     """Gather every evidence source for one on-disk file.
 
     The file is read once, then its attributes. Its digest, taken if
     ``always_hash`` is set or the store may hold views or trust for it,
-    becomes ``Evidence.content_hash``. ``nosniff`` replaces the sniff report
-    with an empty one, as the browser models treat that response header.
+    becomes ``Evidence.content_hash``. A file has no declared type; only a
+    download does, and ``ingest`` adds it.
     """
     path = Path(path)
     scan = SniffScan(runtime.sig_db)
@@ -115,8 +109,8 @@ def build_evidence(
     attrs = runtime.store.read(path, ATTRIBUTE_KEYS if hashed else UNBOUND_KEYS)
     return Evidence(
         extension_mime=extension_mime,
-        sniff=EMPTY_REPORT if nosniff else scan.report(),
-        declared_mime=declared_mime,
+        sniff=scan.report(),
+        declared_mime=None,
         views=tuple(views_from(attrs, content_hash)),
         name_report=name_report,
         provenance=provenance_from(attrs),
@@ -126,16 +120,10 @@ def build_evidence(
     )
 
 
-def assess_path(
-    runtime: Runtime,
-    path: str | Path,
-    declared_mime: MimeType | None = None,
-    nosniff: bool = False,
-    handler: str | None = None,
-    *, always_hash: bool = False,
-) -> tuple[Evidence, DiscrepancyReport, PolicyDecision]:
+def assess_path(runtime: Runtime, path: str | Path,
+                handler: str | None = None) -> tuple[Evidence, DiscrepancyReport, PolicyDecision]:
     """Evidence, discrepancy report, and policy decision for one file."""
-    evidence = build_evidence(runtime, path, declared_mime, nosniff, always_hash=always_hash)
+    evidence = build_evidence(runtime, path)
     return (evidence, *judge(runtime, evidence, handler))
 
 

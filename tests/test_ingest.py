@@ -31,7 +31,7 @@ from contentoracle.view_registry import (
     get_trust,
     read_views,
 )
-from contentoracle.runtime import assess_path, build_evidence
+from contentoracle.runtime import build_evidence
 from tests.conftest import zip_with_script
 
 
@@ -100,9 +100,10 @@ class TestFetch:
                 fetch(target, tmp_path, runtime.store)
             assert excinfo.value.__cause__.fp.closed
 
-    def test_connection_refused_is_network_error(self, runtime, tmp_path):
+    def test_connection_refused_is_network_error(self, runtime, tmp_path, monkeypatch):
+        monkeypatch.setattr(ingest, "TIMEOUT", 2)
         with pytest.raises(NetworkError):
-            fetch("http://127.0.0.1:9/nothing", tmp_path, runtime.store, timeout=2)
+            fetch("http://127.0.0.1:9/nothing", tmp_path, runtime.store)
 
     def test_planted_partial_symlink_not_followed(self, http_server, runtime, tmp_path):
         url = http_server.add("/plant/r.pdf", b"%PDF-1.4 downloaded")
@@ -275,12 +276,12 @@ class TestAssess:
                               headers=[("Content-Type", "application/pdf")])
         record = fetch(url, tmp_path, runtime.store)
 
-        def assess_then_rewrite(*args, **kwargs):
-            result = assess_path(*args, **kwargs)
+        def build_then_rewrite(*args, **kwargs):
+            result = build_evidence(*args, **kwargs)
             record.body_path.write_bytes(b"<script>swapped()</script>")
             return result
 
-        monkeypatch.setattr(ingest, "assess_path", assess_then_rewrite)
+        monkeypatch.setattr(ingest, "build_evidence", build_then_rewrite)
         assess_record(record, runtime, now=55)
         (view,) = [fv.view for fv in read_views(runtime.store, record.body_path)]
         assert view.content_hash == hashlib.sha256(body).digest()
@@ -347,10 +348,8 @@ class TestAssess:
         )
         record = fetch(url, tmp_path, runtime.store)
         # independently constructed evidence, before assess records its view
-        evidence = build_evidence(
-            runtime, record.body_path,
-            declared_mime=parse_mime_type("application/pdf"), nosniff=False,
-        )
+        evidence = build_evidence(runtime, record.body_path)._replace(
+            declared_mime=parse_mime_type("application/pdf"))
         expected_report = evaluate(evidence, runtime.active)
         expected_decision = decide(
             expected_report,

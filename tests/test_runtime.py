@@ -30,7 +30,7 @@ from contentoracle.policy_engine import (
     set_handler_policy,
 )
 from contentoracle.report import build_report
-from contentoracle.runtime import assess_path, build_evidence
+from contentoracle.runtime import assess_path, build_evidence, judge
 from contentoracle.sniffer import sniff
 from contentoracle.view_registry import (
     ATTRIBUTE_KEYS,
@@ -252,7 +252,7 @@ def test_assessment_asks_the_store_only_for_what_it_can_judge(runtime, backend, 
     path = backend.workdir / "doc.pdf"
     path.write_bytes(ORIGINAL)
     store = KeyRecordingStore(backend.store)
-    evidence, _, _ = assess_path(runtime._replace(store=store), path, always_hash=always_hash)
+    evidence = build_evidence(runtime._replace(store=store), path, always_hash=always_hash)
     assert (evidence.content_hash is not None) == always_hash
     [keys] = store.reads
     if always_hash:
@@ -339,7 +339,8 @@ def test_file_without_views_or_trust_is_not_hashed(runtime, xattr_dir, hashes, m
     assert evidence.content_hash is None
     assert evidence.provenance.origin_url == "https://example.test/doc.pdf"
     # the same evidence and report as when every file was hashed, bar the digest
-    hashed = assess_path(rt, path, handler="viewer", always_hash=True)
+    hashed_evidence = build_evidence(rt, path, always_hash=True)
+    hashed = (hashed_evidence, *judge(rt, hashed_evidence, "viewer"))
     assert hashes.calls == 1
     assert evidence == hashed[0]._replace(content_hash=None)
     assert json.dumps(build_report(path, evidence, report, decision), sort_keys=True) \
