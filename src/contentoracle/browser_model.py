@@ -21,7 +21,7 @@ from typing import Iterable, NamedTuple, Union
 
 from .config import read_data_file
 from .errors import MalformedTree
-from .mime_db import MimeType, parse_mime_type
+from .mime_db import MimeType, data_lines, parse_mime_type
 from .view_registry import BOOLEAN, Field, from_obj
 
 
@@ -151,9 +151,7 @@ def load_tree(source: str, name: str = "tree") -> DecisionTree:
     request-context fields.
     """
     items: list[tuple[int, int, str]] = []  # (line_no, depth, body)
-    for line_no, raw in enumerate(source.splitlines(), start=1):
-        if not raw.strip() or raw.lstrip().startswith("#"):
-            continue
+    for line_no, raw in data_lines(source):
         stripped = raw.lstrip(" ")
         indent = len(raw) - len(stripped)
         if indent % 2 != 0:

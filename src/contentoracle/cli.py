@@ -16,7 +16,7 @@ from pathlib import Path
 
 from .config import load_config, read_data_file
 from .discrepancy_engine import evaluate
-from .errors import ConfigError, ContentOracleError, HttpError, NetworkError
+from .errors import ConfigError, ContentOracleError
 from .mime_db import db_stats, load_extension_map, parse_mime_type
 from .policy_engine import (
     DENY_ALL,
@@ -346,15 +346,12 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"contentoracle: config error: {exc}", file=sys.stderr)
         return EX_CONFIG
-    except (NetworkError, HttpError) as exc:
+    except OSError as exc:  # a failed fetch among them
         print(f"contentoracle: {exc}", file=sys.stderr)
         return EX_IOERR
     except ContentOracleError as exc:
         print(f"contentoracle: {exc}", file=sys.stderr)
         return EX_USAGE
-    except OSError as exc:
-        print(f"contentoracle: {exc}", file=sys.stderr)
-        return EX_IOERR
     except Exception as exc:  # a crash must not read as a verdict
         print(f"contentoracle: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EX_SOFTWARE

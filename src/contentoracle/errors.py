@@ -26,13 +26,13 @@ class MalformedTree(ContentOracleError, ValueError):
     unknown predicate field, unknown action)."""
 
 
-class NetworkError(ContentOracleError):
+class NetworkError(ContentOracleError, OSError):
     """A fetch failed before an HTTP status was obtained (DNS, connect,
-    too many redirects)."""
+    too many redirects); an I/O error, as urllib's ``URLError`` is."""
 
 
-class HttpError(ContentOracleError):
-    """A fetch completed with a non-success HTTP status."""
+class HttpError(ContentOracleError, OSError):
+    """A fetch completed with a non-success HTTP status; an I/O error."""
 
     def __init__(self, status: int, message: str = ""):
         super().__init__(message or f"HTTP error {status}")

@@ -23,9 +23,10 @@ from .errors import HttpError, MalformedMime, NetworkError
 from .mime_db import MimeType, parse_mime_type
 from .name_analyzer import strip_bidi_controls
 from .policy_engine import PolicyDecision
-from .runtime import CHUNK_SIZE, Runtime, build_evidence, judge
+from .runtime import Runtime, build_evidence, judge
 from .sniffer import EMPTY_REPORT
 from .view_registry import (
+    CHUNK_SIZE,
     AttributeStore,
     ContentView,
     ORIGIN_KEY,

@@ -169,6 +169,13 @@ def normalize_extension(ext: str) -> str:
     return ext.removeprefix(".").lower()
 
 
+def data_lines(source: str) -> list[tuple[int, str]]:
+    """The numbered lines of a data file that hold more than whitespace and
+    whose first other character is not ``#``: every bundled format's syntax."""
+    return [(line_no, line) for line_no, line in enumerate(source.splitlines(), start=1)
+            if (text := line.lstrip()) and text[0] != "#"]
+
+
 class MalformedLine(NamedTuple):
     """One unparseable line of a mime.types-style file; loading continues."""
 
@@ -212,10 +219,8 @@ def load_extension_map(source: str) -> tuple[ExtensionMap, list[MalformedLine]]:
     entries: dict[str, list[MimeType]] = {}
     distinct: set[MimeType] = set()  # add keeps the first equal type seen
     errors: list[MalformedLine] = []
-    for line_no, raw in enumerate(source.splitlines(), start=1):
+    for line_no, raw in data_lines(source):
         fields = raw.split()
-        if not fields or fields[0][0] == "#":
-            continue
         try:
             mime = parse_mime_type(fields[0])
         except MalformedMime as exc:

@@ -7,7 +7,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .discrepancy_engine import DiscrepancyReport, Severity
-from .mime_db import MimeType, parse_mime_type
+from .mime_db import MimeType, data_lines, parse_mime_type
 from .view_registry import AttributeStore, POLICY_KEY, TrustState, decode_record, encode_record
 
 
@@ -26,9 +26,8 @@ class ActiveRegistry(NamedTuple):
 
 def load_active_registry(source: str) -> ActiveRegistry:
     """Load the base active set: one type per line, "#" comments."""
-    lines = (raw.strip() for raw in source.splitlines())
-    return ActiveRegistry(frozenset(parse_mime_type(line).key
-                                    for line in lines if line and not line.startswith("#")))
+    return ActiveRegistry(frozenset(parse_mime_type(line.strip()).key
+                                    for _, line in data_lines(source)))
 
 
 class HandlerPolicy(NamedTuple):

@@ -31,6 +31,7 @@ from .policy_engine import (
 from .sniffer import SignatureDb, SniffScan, load_signatures
 from .view_registry import (
     ATTRIBUTE_KEYS,
+    CHUNK_SIZE,
     HASH_BOUND_KEYS,
     UNBOUND_KEYS,
     AttributeStore,
@@ -42,13 +43,6 @@ from .view_registry import (
     trust_from,
     views_from,
 )
-
-
-#: Bytes read from a file at a time while it is hashed and sniffed. A
-#: chunk, its copy with the sniffer's carry in front, and the seven passes
-#: over it (sha256 and six polyglot group searches) then stay within a
-#: 2 MiB per-core L2 cache.
-CHUNK_SIZE = 256 << 10
 
 
 def make_store(config: Config) -> AttributeStore:

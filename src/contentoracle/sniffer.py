@@ -18,10 +18,10 @@ from __future__ import annotations
 import re
 from enum import Enum
 from functools import lru_cache
-from typing import Iterator, NamedTuple
+from typing import Any, Callable, Container, Iterator, NamedTuple
 
 from .errors import DuplicateName, MalformedMime, MalformedSignature
-from .mime_db import MimeType, parse_mime_type
+from .mime_db import MimeType, data_lines, parse_mime_type
 
 #: Primary matching window: signatures match at their declared offset only
 #: within this many leading bytes. The second, polyglot pass is unbounded.
@@ -181,59 +181,53 @@ def _alternation(patterns: tuple[bytes, ...]) -> re.Pattern[bytes]:
     return re.compile(re.escape(patterns[0][:1]) + b"(?:" + rest + b")")
 
 
-def _parse_hex(token: str, line_no: int, what: str) -> bytes:
-    try:
-        return bytes.fromhex(token)
-    except ValueError:
-        raise MalformedSignature(f"line {line_no}: bad hex in {what}: {token!r}") from None
-
-
 def load_signatures(source: str) -> SignatureDb:
     """Load a pipe-separated signature file.
 
-    Record format, one per non-comment line::
+    Record format, one per :func:`~contentoracle.mime_db.data_lines` line::
 
         name | family/subtype | offset | pattern(hex) | mask(hex or -) | weight(or -) | polyglot(0/1)
 
-    Duplicate names are rejected.
+    Duplicate names are rejected. A fault names its line.
     """
-    sigs: list[Signature] = []
-    seen: set[str] = set()
-    for line_no, raw in enumerate(source.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        fields = [f.strip() for f in line.split("|")]
-        if len(fields) != 7:
-            raise MalformedSignature(f"line {line_no}: expected 7 fields, got {len(fields)}")
-        name, mime_text, offset_text, pattern_hex, mask_hex, weight_text, poly_text = fields
-        if name in seen:
-            raise DuplicateName(f"line {line_no}: duplicate signature name {name!r}")
-        seen.add(name)
+    sigs: dict[str, Signature] = {}
+    for line_no, line in data_lines(source):
         try:
-            mime = parse_mime_type(mime_text)
-        except MalformedMime as exc:
-            raise MalformedSignature(f"line {line_no}: bad mime: {exc}") from None
-        try:
-            offset = int(offset_text, 10)
-        except ValueError:
-            raise MalformedSignature(f"line {line_no}: bad offset {offset_text!r}") from None
-        pattern = _parse_hex(pattern_hex, line_no, "pattern")
-        mask = None if mask_hex == "-" else _parse_hex(mask_hex, line_no, "mask")
-        if weight_text == "-":
-            weight = None
-        else:
-            try:
-                weight = int(weight_text, 10)
-            except ValueError:
-                raise MalformedSignature(f"line {line_no}: bad weight {weight_text!r}") from None
-        if poly_text not in ("0", "1"):
-            raise MalformedSignature(f"line {line_no}: polyglot flag must be 0 or 1")
-        try:
-            sigs.append(Signature(name, mime, offset, pattern, mask, weight, poly_text == "1"))
-        except MalformedSignature as exc:
-            raise MalformedSignature(f"line {line_no}: {exc}") from None
-    return SignatureDb(tuple(sigs))
+            sig = _signature(line, sigs)
+        except (MalformedSignature, DuplicateName) as exc:
+            raise type(exc)(f"line {line_no}: {exc}") from None
+        sigs[sig.name] = sig
+    return SignatureDb(tuple(sigs.values()))
+
+
+def _signature(line: str, taken: Container[str]) -> Signature:
+    """The signature one record line describes; its name must not be ``taken``."""
+    fields = [f.strip() for f in line.split("|")]
+    if len(fields) != 7:
+        raise MalformedSignature(f"expected 7 fields, got {len(fields)}")
+    name, mime_text, offset_text, pattern_hex, mask_hex, weight_text, poly_text = fields
+    if name in taken:
+        raise DuplicateName(f"duplicate signature name {name!r}")
+    try:
+        mime = parse_mime_type(mime_text)
+    except MalformedMime as exc:
+        raise MalformedSignature(f"bad mime: {exc}") from None
+    offset = _field(int, offset_text, "bad offset")
+    pattern = _field(bytes.fromhex, pattern_hex, "bad hex in pattern:")
+    mask = None if mask_hex == "-" else _field(bytes.fromhex, mask_hex, "bad hex in mask:")
+    weight = None if weight_text == "-" else _field(int, weight_text, "bad weight")
+    if poly_text not in ("0", "1"):
+        raise MalformedSignature("polyglot flag must be 0 or 1")
+    return Signature(name, mime, offset, pattern, mask, weight, poly_text == "1")
+
+
+def _field(parse: Callable[[str], Any], text: str, fault: str) -> Any:
+    """``parse(text)``; if that fails, a :class:`MalformedSignature` of
+    ``fault`` and the text."""
+    try:
+        return parse(text)
+    except ValueError:
+        raise MalformedSignature(f"{fault} {text!r}") from None
 
 
 class TextVerdict(Enum):
