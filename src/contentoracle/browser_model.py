@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import Iterable, NamedTuple, Union
 
 from .config import read_data_file
-from .errors import MalformedTree
+from .errors import MalformedMime, MalformedTree
 from .mime_db import MimeType, data_lines, parse_mime_type
 from .view_registry import BOOLEAN, Field, from_obj
 
@@ -114,9 +114,9 @@ def _parse_predicate(field: str, op: str, value: str, line_no: int) -> Predicate
 
     if field not in FIELDS:
         raise bad(f"unknown field {field!r}")
+    if op in ("present", "in") and field not in MIME_FIELDS:
+        raise bad(f"{op!r} only applies to type fields, not {field!r}")
     if op == "present":
-        if field not in MIME_FIELDS:
-            raise bad(f"'present' only applies to type fields, not {field!r}")
         if value:
             raise bad("'present' takes no value")
         return None
@@ -129,18 +129,21 @@ def _parse_predicate(field: str, op: str, value: str, line_no: int) -> Predicate
             if value not in [d.value for d in Disposition]:
                 raise bad(f"unknown disposition {value!r}")
             return Disposition(value)
-        return frozenset([parse_mime_type(value).key])
-    if op == "agrees":
+        literals = [value]
+    elif op == "agrees":
         if field not in MIME_FIELDS or value not in MIME_FIELDS:
             raise bad("'agrees' compares two type fields")
         return value
-    if op == "in":
-        if field not in MIME_FIELDS:
-            raise bad(f"'in' only applies to type fields, not {field!r}")
+    elif op == "in":
         if not value:
             raise bad("'in' needs a non-empty list")
-        return frozenset(parse_mime_type(token).key for token in value.split(","))
-    raise bad(f"unknown op {op!r}")
+        literals = value.split(",")
+    else:
+        raise bad(f"unknown op {op!r}")
+    try:
+        return frozenset(parse_mime_type(literal).key for literal in literals)
+    except MalformedMime as exc:
+        raise bad(str(exc)) from None
 
 
 def load_tree(source: str, name: str = "tree") -> DecisionTree:

@@ -99,6 +99,7 @@ class TestLoadTree:
         ("  ! Download", "line 1: expected depth 0, found 1"),
         ("Download", "line 1: node must start with '?' or '!'"),
         ("? nosniff", "line 1: predicate needs a field and an op"),
+        ("? content_type is text/", "line 1: empty token in '' (while parsing 'text/')"),
     ])
     def test_rejection_names_the_fault(self, source, message):
         with pytest.raises(MalformedTree) as excinfo:

@@ -7,6 +7,7 @@ import unicodedata
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from contentoracle.browser_model import load_tree
 from contentoracle.errors import MalformedMime
 from contentoracle.mime_db import (
     ExtensionMap,
@@ -19,6 +20,8 @@ from contentoracle.mime_db import (
     load_extension_map,
     parse_mime_type,
 )
+from contentoracle.policy_engine import load_active_registry
+from contentoracle.sniffer import load_signatures
 
 
 class TestParse:
@@ -189,6 +192,21 @@ class TestExtensionMap:
         ext_map, _ = load_extension_map(TEN_LINE_FIXTURE)
         for types in ext_map.entries.values():
             assert set(types) <= ext_map.types()
+
+
+@pytest.mark.parametrize("load,record", [
+    (load_extension_map, "image/gif gif"),
+    (lambda source: load_signatures(source).signatures, "gif | image/gif | 0 | 474946 | - | - | 0"),
+    (load_active_registry, "text/html"),
+    (load_tree, "! Render"),
+], ids=["mime.types", "signatures", "active.types", "tree"])
+def test_every_data_format_skips_the_same_lines(load, record):
+    """Blank, whitespace-only and comment lines hold no record in any format."""
+    skipped = ["", " \t", "#x", "   # x"]
+    loaded = load("\n".join([*skipped, record, *skipped]))
+    assert loaded == load(record)
+    if load is load_extension_map:
+        assert loaded[1] == []
 
 
 class TestDbStats:

@@ -6,6 +6,7 @@ from __future__ import annotations
 import copy
 import errno
 import gc
+import hashlib
 import json
 import os
 import random
@@ -33,6 +34,7 @@ from contentoracle.policy_engine import (
 from contentoracle.view_registry import (
     APP_ID,
     ATTRIBUTE_KEYS,
+    CHUNK_SIZE,
     AutoStore,
     ContentView,
     FlaggedView,
@@ -93,9 +95,10 @@ class TestContentIdentity:
         assert content_identity(path).hex() == ABC_SHA256
 
     def test_deterministic(self, tmp_path):
+        data = os.urandom(2 * CHUNK_SIZE + 1000)  # spans three stream chunks
         path = tmp_path / "f"
-        path.write_bytes(os.urandom(200_000))  # spans multiple stream chunks
-        assert content_identity(path) == content_identity(path)
+        path.write_bytes(data)
+        assert content_identity(path) == content_identity(path) == hashlib.sha256(data).digest()
 
     @pytest.mark.parametrize("call", [
         "content_identity(path)",
