@@ -26,8 +26,8 @@ from .policy_engine import PolicyDecision
 from .runtime import Runtime, build_evidence, judge
 from .sniffer import EMPTY_REPORT
 from .view_registry import (
-    CHUNK_SIZE,
     AttributeStore,
+    CHUNK_SIZE,
     ContentView,
     ORIGIN_KEY,
     REFERRER_KEY,

@@ -34,8 +34,8 @@ from contentoracle.policy_engine import (
 from contentoracle.view_registry import (
     APP_ID,
     ATTRIBUTE_KEYS,
-    CHUNK_SIZE,
     AutoStore,
+    CHUNK_SIZE,
     ContentView,
     FlaggedView,
     OVERFLOW_STUB,
