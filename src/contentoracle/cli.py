@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from pathlib import Path
@@ -77,7 +78,7 @@ class _Parser(argparse.ArgumentParser):
 def _attribute_path(path: str) -> str:
     """``path``, if ``check`` could read it: no attribute is read or set on
     a directory, FIFO or device, which no check could ever assess."""
-    open_regular(path).close()
+    os.close(open_regular(path))
     return path
 
 
@@ -109,22 +110,38 @@ def _request_context(text: str) -> RequestContext:
 def cmd_identify(args, runtime: Runtime) -> int:
     evidence = build_evidence(runtime, args.path)
     report = evaluate(evidence, runtime.active)
-    emit(build_report(Path(args.path), evidence, report, decision=None))
+    emit(build_report(args.path, evidence, report, decision=None))
     return EX_OK
 
 
 def cmd_check(args, runtime: Runtime) -> int:
     evidence, report, decision = assess_path(runtime, args.path, handler=args.handler)
-    emit(build_report(Path(args.path), evidence, report, decision))
+    emit(build_report(args.path, evidence, report, decision))
     return _VERDICT_CODE[decision.verdict]
 
 
+def _regular_files(root: Path) -> list[str]:
+    """``sorted(p for p in root.rglob("*") if p.is_file())`` as strings, by ``os.scandir``."""
+    files, dirs = [], [os.path.join(root, "") if root.parts else ""]  # "." is no prefix
+    for prefix in dirs:  # grows as the walk goes; a symlinked directory stays out
+        try:
+            with os.scandir(prefix or ".") as it:
+                entries = list(it)
+        except PermissionError:  # skipped, as rglob skips it
+            continue
+        for entry in entries:
+            if entry.is_dir(follow_symlinks=False):
+                dirs.append(prefix + entry.name + os.sep)
+            elif Path(entry.path).is_file() if entry.is_symlink() else entry.is_file():
+                files.append(prefix + entry.name)
+    return sorted(files, key=lambda p: p.split(os.sep))  # Path order: by components
+
+
 def cmd_scan(args, runtime: Runtime) -> int:
-    root = Path(args.dir)
-    if not root.is_dir():
-        raise FileNotFoundError(f"not a directory: {root}")
+    if not args.dir.is_dir():
+        raise FileNotFoundError(f"not a directory: {args.dir}")
     worst = EX_OK
-    for path in sorted(p for p in root.rglob("*") if p.is_file()):
+    for path in _regular_files(args.dir):
         evidence, report, decision = assess_path(runtime, path)
         emit(build_report(path, evidence, report, decision), compact=True)
         worst = max(worst, _VERDICT_CODE[decision.verdict])
@@ -220,18 +237,18 @@ def cmd_db_stats(args, _) -> int:
 
 
 def _build_identify(p: _Parser) -> None:
-    p.add_argument("path")
+    p.add_argument("path", type=Path)  # read as the report spells it: "a.pdf/" is a.pdf
     p.set_defaults(func=cmd_identify)
 
 
 def _build_check(p: _Parser) -> None:
-    p.add_argument("path")
+    p.add_argument("path", type=Path)
     p.add_argument("--handler", help="application id asking to open the file")
     p.set_defaults(func=cmd_check)
 
 
 def _build_scan(p: _Parser) -> None:
-    p.add_argument("dir")
+    p.add_argument("dir", type=Path)
     p.set_defaults(func=cmd_scan)
 
 

@@ -53,7 +53,7 @@ def read_data_file(path: Path, parse: Callable[[str], Any]) -> Any:
     once): a file that is not UTF-8, or that ``parse`` rejects, is a
     configuration error whose message names it."""
     try:
-        with open_regular(path) as fh:
+        with open(open_regular(path), "rb") as fh:
             return parse(fh.read().decode("utf-8"))
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path} is not UTF-8 text: {exc}") from None
@@ -88,7 +88,7 @@ def load_config(explicit_path: str | None = None) -> Config:
     if path is None:
         return config
     try:
-        with open_regular(path) as fh:  # a FIFO fails, as a data file does
+        with open(open_regular(path), "rb") as fh:  # a FIFO fails, as a data file does
             doc = json.loads(fh.read().decode("utf-8"))
     except FileNotFoundError:
         if required:

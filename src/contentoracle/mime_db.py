@@ -212,15 +212,17 @@ class ExtensionMap(NamedTuple):
 def load_extension_map(source: str) -> tuple[ExtensionMap, list[MalformedLine]]:
     """Load a mime.types-style file: ``type ext1 ext2 ...`` per line.
 
-    "#" comments and blank lines are ignored; fields are whitespace-separated
-    with the type first. Later lines append and never overwrite earlier ones.
-    Bad lines are skipped and reported with their line number.
+    Fields are whitespace-separated, the type first; as in ``mimetypes``, a
+    field that starts with "#" begins a comment. Later lines append and never
+    overwrite earlier ones. Bad lines are skipped and reported with their line number.
     """
     entries: dict[str, list[MimeType]] = {}
     distinct: set[MimeType] = set()  # add keeps the first equal type seen
     errors: list[MalformedLine] = []
     for line_no, raw in data_lines(source):
         fields = raw.split()
+        if "#" in raw:  # a comment runs from the first field that starts with "#"
+            fields = fields[:next((i for i, f in enumerate(fields) if f[0] == "#"), None)]
         try:
             mime = parse_mime_type(fields[0])
         except MalformedMime as exc:

@@ -13,6 +13,7 @@ reads the store, so ``evaluate`` and ``decide`` judge one version.
 from __future__ import annotations
 
 import hashlib
+import os
 from pathlib import Path
 from typing import NamedTuple
 
@@ -82,21 +83,23 @@ def build_evidence(runtime: Runtime, path: str | Path, *, always_hash: bool = Fa
     The file is read once, then its attributes. Its digest, taken if
     ``always_hash`` is set or the store may hold views or trust for it,
     becomes ``Evidence.content_hash``. A file has no declared type; only a
-    download does, and ``ingest`` adds it.
+    download does, and ``ingest`` adds it. ``path`` is opened as spelled.
     """
-    path = Path(path)
     scan = SniffScan(runtime.sig_db)
     # opened before the name is analysed: "." and "/" have no name, and
     # fail here as the directories they are
-    with open_regular(path) as fh:
-        hashed = always_hash or runtime.store.may_hold(fh.fileno(), HASH_BOUND_KEYS)
+    fd = open_regular(path)
+    try:
+        hashed = always_hash or runtime.store.may_hold(fd, HASH_BOUND_KEYS)
         digest = hashlib.sha256() if hashed else None
-        while chunk := fh.read(CHUNK_SIZE):
+        while chunk := os.read(fd, CHUNK_SIZE):
             if hashed:
                 digest.update(chunk)
             scan.feed(chunk)
+    finally:
+        os.close(fd)
     content_hash = digest.digest() if hashed else None
-    name_report = analyze_name(path.name, runtime.ext_map.known_extensions())
+    name_report = analyze_name(os.path.basename(path), runtime.ext_map.known_extensions())
     extension = name_report.logical_extension
     extension_mime = runtime.ext_map.primary(extension) if extension else None
     # views or trust on an unhashed file were written during the check

@@ -31,7 +31,7 @@ import weakref
 from contextlib import AbstractContextManager, contextmanager
 from enum import Enum
 from pathlib import Path
-from typing import BinaryIO, Callable, Collection, Iterator, NamedTuple
+from typing import Callable, Collection, Iterator, NamedTuple
 
 from .errors import ConfigError
 from .mime_db import MimeType, parse_mime_type
@@ -170,12 +170,12 @@ def decode_record(key: str, data: bytes) -> tuple:
 CHUNK_SIZE = 256 << 10
 
 
-def open_regular(path: str | Path) -> BinaryIO:
-    """``path`` opened for reading if it is a regular file; else ``OSError``.
+def open_regular(path: str | Path) -> int:
+    """A descriptor reading ``path``, for the caller to close, if a regular file; else ``OSError``.
 
     The open does not wait for a FIFO's writer, and the type is read from
     the descriptor that is then read, so the file cannot change between the
-    check and the read.
+    check and the read. A read with ``os.read`` costs no buffered reader.
     """
     fd = os.open(path, os.O_RDONLY | os.O_NONBLOCK)
     try:
@@ -184,7 +184,7 @@ def open_regular(path: str | Path) -> BinaryIO:
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), os.fspath(path))
         if not stat.S_ISREG(mode):
             raise OSError(f"not a regular file: {path}")
-        return open(fd, "rb")
+        return fd
     except BaseException:
         os.close(fd)
         raise
@@ -193,9 +193,12 @@ def open_regular(path: str | Path) -> BinaryIO:
 def content_identity(path: str | Path) -> bytes:
     """SHA-256 of the file's full contents, streamed."""
     digest = hashlib.sha256()
-    with open_regular(path) as fh:
-        while chunk := fh.read(CHUNK_SIZE):
+    fd = open_regular(path)
+    try:
+        while chunk := os.read(fd, CHUNK_SIZE):
             digest.update(chunk)
+    finally:
+        os.close(fd)
     return digest.digest()
 
 
@@ -358,8 +361,8 @@ class XattrStore(AttributeStore):
 
     @contextmanager
     def lock(self, path: str | Path) -> Iterator[None]:
-        with open_regular(path) as fh:
-            fcntl.flock(fh.fileno(), fcntl.LOCK_EX)
+        with open(open_regular(path), "rb") as fh:
+            fcntl.flock(fh, fcntl.LOCK_EX)
             yield
 
 

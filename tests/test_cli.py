@@ -195,6 +195,22 @@ class TestCheck:
         assert code == 2
         assert report_of(out)["verdict"] == "deny"
 
+    @pytest.mark.parametrize("command", ["check", "identify"])
+    @pytest.mark.parametrize("spelling,path", [
+        ("doc.pdf/", "doc.pdf"), ("./doc.pdf", "doc.pdf"),
+        ("sub/./doc.pdf", "sub/doc.pdf"), ("sub//doc.pdf", "sub/doc.pdf"),
+    ])
+    def test_spelling_of_the_path_keeps_the_report(self, capsys, config_file, tmp_path,
+                                                   monkeypatch, command, spelling, path):
+        (tmp_path / "sub").mkdir()
+        for target in ["doc.pdf", "sub/doc.pdf"]:
+            (tmp_path / target).write_bytes(b"%PDF-1.4 body")
+        monkeypatch.chdir(tmp_path)
+        expected = run_cli(capsys, "--config", config_file, command, path)
+        assert expected[0] == 0
+        assert report_of(expected[1])["path"] == path
+        assert run_cli(capsys, "--config", config_file, command, spelling) == expected
+
     def test_missing_file_is_io_error(self, capsys, config_file, tmp_path):
         code, _ = run_cli(capsys, "--config", config_file,
                           "check", str(tmp_path / "missing.bin"))
@@ -312,6 +328,54 @@ class TestScan:
         assert code == 0
         assert len(docs) == expected
         assert {Path(doc["path"]).name for doc in docs} >= {"ok.pdf", "deep.txt"}
+
+    def test_walk_lists_what_rglob_lists(self, tmp_path, monkeypatch):
+        """``sorted(p for p in Path(root).rglob("*") if p.is_file())``, as strings."""
+        inbox = tmp_path / "inbox"
+        (inbox / "a").mkdir(parents=True)
+        (inbox / "locked").mkdir()
+        for name in ["a/b", "a-c", ".hidden", "doc.pdf", "locked/unread.txt"]:
+            (inbox / name).write_bytes(b"plain text\n")
+        (inbox / "to-doc").symlink_to("doc.pdf")
+        (inbox / "to-dir").symlink_to("a")  # not descended
+        (inbox / "loop").symlink_to("loop")
+        (inbox / "through").symlink_to("doc.pdf/child")
+        (inbox / "dangling").symlink_to("missing")
+        os.mkfifo(inbox / "pipe")
+        monkeypatch.chdir(inbox)  # a socket path must be short
+        with socket.socket(socket.AF_UNIX) as sock:
+            sock.bind("sock")
+        # by path components, as Path sorts: "a/b" before "a-c", where "-" < "/"
+        names = [".hidden", "a/b", "a-c", "doc.pdf", "to-doc"]
+        try:
+            (inbox / os.fsdecode(b"bad\xff.txt")).write_bytes(b"plain text\n")
+            names.insert(3, os.fsdecode(b"bad\xff.txt"))
+        except OSError:  # a filesystem that takes UTF-8 names only
+            pass
+        scandir = os.scandir
+
+        def scandir_but_locked(path="."):  # the superuser may read any directory
+            if os.path.basename(os.path.normpath(path)) == "locked":
+                raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
+            return scandir(path)
+
+        monkeypatch.setattr(os, "scandir", scandir_but_locked)
+        assert cli._regular_files(Path(".")) == names
+        monkeypatch.chdir(tmp_path)
+        for root in ["inbox", "inbox/", "./inbox", str(inbox)]:
+            assert cli._regular_files(Path(root)) == [f"{Path(root)}/{name}" for name in names]
+
+    def test_spelling_of_the_root_keeps_the_output(self, capsys, config_file, tmp_path,
+                                                   monkeypatch):
+        (tmp_path / "inbox" / "a").mkdir(parents=True)
+        (tmp_path / "inbox" / "a" / "b.pdf").write_bytes(b"%PDF-1.4 ok")
+        (tmp_path / "inbox" / "a-c.gif").write_bytes(b"GIF89a\x01\x00")
+        monkeypatch.chdir(tmp_path)
+        out = {root: run_cli(capsys, "--config", config_file, "scan", root)
+               for root in ["inbox", "inbox/", "./inbox"]}
+        assert out["inbox/"] == out["./inbox"] == out["inbox"]
+        assert [json.loads(line)["path"] for line in out["inbox"][1].splitlines()] \
+            == ["inbox/a/b.pdf", "inbox/a-c.gif"]
 
     def test_path_that_is_not_a_directory_is_74(self, capsys, config_file, tmp_path):
         target = tmp_path / "doc.pdf"

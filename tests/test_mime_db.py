@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import io
+import mimetypes
 import unicodedata
 
 import pytest
@@ -158,6 +160,17 @@ class TestExtensionMap:
         jpeg = parse_mime_type("image/jpeg")
         assert ext_map.lookup("jpg") == (jpeg,)
         assert ext_map.lookup("jpeg") == (jpeg,)
+
+    def test_inline_comment_ends_the_line_as_in_mimetypes(self):
+        source = "text/html html htm # HyperText\ntext/x-c c#x\tcc\t#c"  # "c#x" is no comment
+        ext_map, errors = load_extension_map(source)
+        reference = mimetypes.MimeTypes()
+        reference.types_map = ({}, {})  # without the module's built-in types
+        reference.readfp(io.StringIO(source))
+        assert errors == []
+        assert {f".{ext}": ext_map.primary(ext).format() for ext in ext_map.known_extensions()} \
+            == reference.types_map[True] == {".html": "text/html", ".htm": "text/html",
+                                             ".c#x": "text/x-c", ".cc": "text/x-c"}
 
     def test_malformed_line_recorded_and_skipped(self):
         ext_map, errors = load_extension_map("badline/ ")
