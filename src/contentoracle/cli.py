@@ -27,12 +27,11 @@ from .policy_engine import (
     set_handler_policy,
 )
 from .report import build_report, db_stats_document, diff_document, emit, view_obj
-from .runtime import Runtime, assess_path, build_evidence, judge, make_store
+from .runtime import Runtime, assess_path, build_evidence, make_store
 from .view_registry import (
     APP_ID,
     POLICY_KEY,
     RECORDS,
-    VIEWS_KEY,
     AttributeStore,
     ContentView,
     FlaggedView,
@@ -43,7 +42,6 @@ from .view_registry import (
     record_view,
     set_trust,
     to_obj,
-    views_from,
 )
 
 EX_OK = 0
@@ -214,15 +212,8 @@ def cmd_fetch(args, runtime: Runtime) -> int:
     # imported here: the other subcommands never load the HTTP, e-mail and TLS stack
     from . import ingest
 
-    record = ingest.fetch(
-        args.url, args.out, runtime.store, referrer=args.referrer, now=args.now
-    )
-    evidence, _, _ = ingest.assess_record(record, runtime, now=args.now)
-    # the report is that assessment with the views as just recorded, the
-    # ingest view among them, so the body is read and hashed only once
-    views = views_from(runtime.store.read(record.body_path, (VIEWS_KEY,)), evidence.content_hash)
-    evidence = evidence._replace(views=tuple(views))
-    report, decision = judge(runtime, evidence)
+    record = ingest.fetch(args.url, args.out, runtime.store, referrer=args.referrer, now=args.now)
+    evidence, report, decision = ingest.assess_record(record, runtime, now=args.now)
     emit(build_report(record.body_path, evidence, report, decision, url=record.url))
     return _VERDICT_CODE[decision.verdict]
 

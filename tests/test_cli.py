@@ -31,6 +31,7 @@ from contentoracle.cli import (
     main,
 )
 from contentoracle.config import DATA_DIR, load_config
+from contentoracle.discrepancy_engine import evaluate
 from contentoracle.report import REPORT_SCHEMA
 from contentoracle.runtime import Runtime
 from contentoracle.view_registry import (
@@ -544,7 +545,12 @@ class TestFetchCommand:
         assert code == 0
         assert doc["url"] == url
         assert doc["provenance"]["origin_url"] == url
-        assert doc["views"][0]["app"] == "contentoracle.ingest"
+        # the report is the assessment the view was recorded from; a later
+        # check reads the view
+        assert doc["views"] == []
+        code, out = run_cli(capsys, "--config", config_file, "check", doc["path"])
+        assert code == 0
+        assert report_of(out)["views"][0]["app"] == "contentoracle.ingest"
 
     def test_fetch_reads_the_download_once(self, capsys, config_file, tmp_path,
                                            http_server, monkeypatch):
@@ -566,8 +572,38 @@ class TestFetchCommand:
                             "fetch", url, "--out", str(body.parent))
         monkeypatch.undo()
         assert code == 0
-        assert report_of(out)["views"][0]["app"] == "contentoracle.ingest"
+        assert report_of(out)["views"] == []
         assert len(opens) == 1
+
+    def test_fetch_reads_the_store_twice_and_judges_once(self, capsys, config_file, tmp_path,
+                                                         http_server, monkeypatch):
+        # one read for the evidence, one for record_view's read-modify-write
+        url = http_server.add("/cli/judged-once.pdf", b"%PDF-1.4 judged once",
+                              headers=[("Content-Type", "application/pdf")])
+        calls = Counter()
+        load = Runtime.load
+
+        def counted_load(config=None):
+            loaded = load(config)
+            read = loaded.store.read
+
+            def counted_read(path, keys):
+                calls["read"] += 1
+                return read(path, keys)
+
+            monkeypatch.setattr(loaded.store, "read", counted_read)
+            return loaded
+
+        def counted_evaluate(*args):
+            calls["evaluate"] += 1
+            return evaluate(*args)
+
+        monkeypatch.setattr(Runtime, "load", staticmethod(counted_load))
+        monkeypatch.setattr("contentoracle.runtime.evaluate", counted_evaluate)
+        code, _ = run_cli(capsys, "--config", config_file, "--now", "123",
+                          "fetch", url, "--out", str(tmp_path / "downloads"))
+        assert code == 0
+        assert (calls["read"], calls["evaluate"]) == (2, 1)
 
     def test_fetch_records_a_view_of_the_body_on_either_backend(self, capsys, backend,
                                                                 http_server):
@@ -580,7 +616,10 @@ class TestFetchCommand:
         code, out = run_cli(capsys, "--config", str(config), "--now", "123",
                             "fetch", url, "--out", str(backend.workdir / "downloads"))
         assert code == 0
-        (view,) = report_of(out)["views"]
+        doc = report_of(out)
+        assert doc["views"] == []
+        _, out = run_cli(capsys, "--config", str(config), "view", "list", doc["path"])
+        (view,) = json.loads(out)["views"]
         assert view["app"] == "contentoracle.ingest"
         assert view["hash"] == hashlib.sha256(body).hexdigest()
         assert view["stale"] is False
