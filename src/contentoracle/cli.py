@@ -73,7 +73,14 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EX_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _attribute_path(path: str) -> str:
+def _path(text: str) -> Path:
+    """A path argument as ``Path`` reads it ("a.pdf/" is a.pdf), but never "" (it reads ".")."""
+    if not text:
+        raise argparse.ArgumentTypeError("empty path")
+    return Path(text)
+
+
+def _attribute_path(path: Path) -> Path:
     """``path``, if ``check`` could read it: no attribute is read or set on
     a directory, FIFO or device, which no check could ever assess."""
     os.close(open_regular(path))
@@ -159,7 +166,7 @@ def cmd_view_record(args, store: AttributeStore) -> int:
 
 
 def cmd_view_list(args, store: AttributeStore) -> int:
-    emit({"views": [view_obj(fv) for fv in read_views(store, args.path)]})
+    emit({"views": [view_obj(fv) for fv in read_views(store, _attribute_path(args.path))]})
     return EX_OK
 
 
@@ -219,7 +226,7 @@ def cmd_fetch(args, runtime: Runtime) -> int:
 
 
 def cmd_db_stats(args, _) -> int:
-    ext_map, errors = read_data_file(Path(args.file), load_extension_map)
+    ext_map, errors = read_data_file(args.file, load_extension_map)
     emit(db_stats_document(db_stats(ext_map), len(errors)))
     return EX_OK
 
@@ -228,18 +235,18 @@ def cmd_db_stats(args, _) -> int:
 
 
 def _build_identify(p: _Parser) -> None:
-    p.add_argument("path", type=Path)  # read as the report spells it: "a.pdf/" is a.pdf
+    p.add_argument("path", type=_path)
     p.set_defaults(func=cmd_identify)
 
 
 def _build_check(p: _Parser) -> None:
-    p.add_argument("path", type=Path)
+    p.add_argument("path", type=_path)
     p.add_argument("--handler", help="application id asking to open the file")
     p.set_defaults(func=cmd_check)
 
 
 def _build_scan(p: _Parser) -> None:
-    p.add_argument("dir", type=Path)
+    p.add_argument("dir", type=_path)
     p.set_defaults(func=cmd_scan)
 
 
@@ -247,14 +254,14 @@ def _build_view(p: _Parser) -> None:
     p.set_defaults(load=make_store)
     view_sub = p.add_subparsers(dest="view_command", required=True)
     pr = view_sub.add_parser("record")
-    pr.add_argument("path")
+    pr.add_argument("path", type=_path)
     pr.add_argument("--app", required=True)
     pr.add_argument("--mime", required=True)
     pr.add_argument("--active", action="store_true")
     pr.add_argument("--note")
     pr.set_defaults(func=cmd_view_record)
     pl = view_sub.add_parser("list")
-    pl.add_argument("path")
+    pl.add_argument("path", type=_path)
     pl.set_defaults(func=cmd_view_list)
 
 
@@ -262,11 +269,11 @@ def _build_trust(p: _Parser) -> None:
     p.set_defaults(load=make_store)
     trust_sub = p.add_subparsers(dest="trust_command", required=True)
     ts = trust_sub.add_parser("set")
-    ts.add_argument("path")
+    ts.add_argument("path", type=_path)
     ts.add_argument("state", choices=["trusted", "untrusted"])
     ts.set_defaults(func=cmd_trust_set)
     tg = trust_sub.add_parser("get")
-    tg.add_argument("path")
+    tg.add_argument("path", type=_path)
     tg.set_defaults(func=cmd_trust_get)
 
 
@@ -276,12 +283,12 @@ def _build_policy(p: _Parser) -> None:
     ph = policy_sub.add_parser("handlers")
     handlers_sub = ph.add_subparsers(dest="handlers_command", required=True)
     hs = handlers_sub.add_parser("set")
-    hs.add_argument("path")
+    hs.add_argument("path", type=_path)
     hs.add_argument("--apps", type=_app_ids, help="comma-separated application ids")
     hs.add_argument("--deny-all", action="store_true")
     hs.set_defaults(func=cmd_policy_set)
     hg = handlers_sub.add_parser("get")
-    hg.add_argument("path")
+    hg.add_argument("path", type=_path)
     hg.set_defaults(func=cmd_policy_get)
 
 
@@ -301,7 +308,7 @@ def _build_browser(p: _Parser) -> None:
 
 def _build_fetch(p: _Parser) -> None:
     p.add_argument("url")
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", required=True, type=_path)
     p.add_argument("--referrer")
     p.set_defaults(func=cmd_fetch)
 
@@ -310,7 +317,7 @@ def _build_db(p: _Parser) -> None:
     p.set_defaults(load=lambda config: None)
     db_sub = p.add_subparsers(dest="db_command", required=True)
     ds = db_sub.add_parser("stats")
-    ds.add_argument("file")
+    ds.add_argument("file", type=_path)
     ds.set_defaults(func=cmd_db_stats)
 
 

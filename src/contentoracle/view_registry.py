@@ -468,7 +468,8 @@ def views_from(attrs: dict[str, bytes], content_hash: bytes) -> list[FlaggedView
 
 def read_views(store: AttributeStore, path: str | Path) -> list[FlaggedView]:
     """All recorded views, sorted by app id, stale unless recorded for the current contents."""
-    return views_from(store.read(path, (VIEWS_KEY,)), content_identity(path))
+    attrs = store.read(path, (VIEWS_KEY,))  # the file is hashed only if it has views
+    return views_from(attrs, content_identity(path) if VIEWS_KEY in attrs else None)
 
 
 class TrustState(Enum):

@@ -32,6 +32,7 @@ from contentoracle.cli import (
 )
 from contentoracle.config import DATA_DIR, load_config
 from contentoracle.discrepancy_engine import evaluate
+from contentoracle.mime_db import parse_mime_type
 from contentoracle.report import REPORT_SCHEMA
 from contentoracle.runtime import Runtime
 from contentoracle.view_registry import (
@@ -39,7 +40,9 @@ from contentoracle.view_registry import (
     QUARANTINE_KEY,
     TRUST_KEY,
     VIEWS_KEY,
+    ContentView,
     content_identity,
+    record_view,
     set_trust,
 )
 from tests.conftest import zip_with_script
@@ -432,9 +435,10 @@ class TestViewTrustPolicy:
         assert doc["handlers"] == ["a", "b"]
         assert doc["restricts"] is True
 
-    @pytest.mark.parametrize("command,trusted,reads,hashes", [
+    @pytest.mark.parametrize("command,recorded,reads,hashes", [
         ("view record {} --app a --mime text/plain", False, 1, 1),
-        ("view list {}", False, 1, 1),
+        ("view list {}", False, 1, 0),
+        ("view list {}", True, 1, 1),
         ("trust set {} trusted", False, 0, 1),
         ("trust get {}", False, 1, 0),
         ("trust get {}", True, 1, 1),
@@ -442,11 +446,14 @@ class TestViewTrustPolicy:
         ("policy handlers get {}", False, 1, 0),
     ])
     def test_store_reads_and_hashes_per_command(self, capsys, config_file, backend,
-                                                monkeypatch, command, trusted, reads, hashes):
+                                                monkeypatch, command, recorded, reads, hashes):
         target = backend.workdir / "doc.pdf"
         target.write_bytes(b"%PDF-1.4")
-        if trusted:
+        if recorded:  # the file holds trust and views, records bound to its hash
             set_trust(backend.store, target, True, now=1)
+            record_view(backend.store, target, ContentView(
+                "viewer", parse_mime_type("application/pdf"), False,
+                content_identity(target), 1))
         calls = Counter()
         read = backend.store.read
 
@@ -465,6 +472,20 @@ class TestViewTrustPolicy:
         code, _ = run_cli(capsys, "--config", config_file, *_with_path(command, target))
         assert code == 0
         assert (calls["read"], calls["hash"]) == (reads, hashes)
+
+    @pytest.mark.parametrize("command", [
+        "view list {}", "trust get {}", "policy handlers get {}",
+        "policy handlers set {} --deny-all", "trust set {} trusted",
+        "view record {} --app a --mime text/plain"])
+    def test_trailing_slash_names_the_file(self, capsys, config_file, tmp_path, monkeypatch,
+                                           command):
+        # as check and identify read it
+        (tmp_path / "doc.pdf").write_bytes(b"%PDF-1.4 body")
+        monkeypatch.chdir(tmp_path)
+        outputs = [run_cli(capsys, "--config", config_file, "--now", "1",
+                           *_with_path(command, spelling)) for spelling in ["doc.pdf/", "doc.pdf"]]
+        assert outputs[0] == outputs[1]
+        assert outputs[0][0] == 0
 
 
 class TestBrowser:
@@ -853,6 +874,22 @@ class TestExitCodes:
     def test_nameless_directory_is_74(self, capsys, config_file, command, path):
         assert main(["--config", config_file, command, path]) == EX_IOERR
         assert "Is a directory" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", PATH_COMMANDS + [
+        "scan {}", "trust set {} trusted", "view record {} --app a --mime text/plain",
+        "db stats {}", "fetch {url} --out {}"])
+    def test_empty_path_is_64(self, capsys, config_file, tmp_path, monkeypatch, http_server,
+                              command):
+        # as a Path, "" is ".": scan would scan the working directory, and
+        # fetch download into it
+        monkeypatch.chdir(tmp_path)
+        url = http_server.add("/cli/empty-out.pdf", b"%PDF-1.4 body")
+        argv = [{"{}": "", "{url}": url}.get(word, word) for word in command.split()]
+        assert main(["--config", config_file, *argv]) == EX_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "empty path" in captured.err
+        assert os.listdir(tmp_path) == ["config.json"]
 
     @pytest.mark.parametrize("command", PATH_COMMANDS)
     def test_attribute_commands_reject_a_directory(self, capsys, config_file, tmp_path, command):
