@@ -5,7 +5,7 @@ keys, so the order in which a builder sets them never reaches the output.
 
 from __future__ import annotations
 
-import base64
+import binascii
 import json
 from pathlib import Path
 
@@ -112,7 +112,7 @@ def build_report(
         "provenance": {
             "origin_url": prov.origin_url,
             "referrer_url": prov.referrer_url,
-            "quarantine": base64.b64encode(prov.quarantine).decode("ascii")
+            "quarantine": binascii.b2a_base64(prov.quarantine, newline=False).decode("ascii")
             if prov.quarantine is not None else None,
         },
         "discrepancies": [

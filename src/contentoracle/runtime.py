@@ -12,7 +12,6 @@ reads the store, so ``evaluate`` and ``decide`` judge one version.
 
 from __future__ import annotations
 
-import hashlib
 import os
 from pathlib import Path
 from typing import NamedTuple
@@ -39,6 +38,7 @@ from .view_registry import (
     AutoStore,
     SidecarStore,
     XattrStore,
+    new_sha256,
     open_regular,
     provenance_from,
     trust_from,
@@ -91,7 +91,7 @@ def build_evidence(runtime: Runtime, path: str | Path, *, always_hash: bool = Fa
     fd = open_regular(path)
     try:
         hashed = always_hash or runtime.store.may_hold(fd, HASH_BOUND_KEYS)
-        digest = hashlib.sha256() if hashed else None
+        digest = new_sha256() if hashed else None
         while chunk := os.read(fd, CHUNK_SIZE):
             if hashed:
                 digest.update(chunk)

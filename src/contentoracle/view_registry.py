@@ -20,8 +20,6 @@ lands in the sidecar before its stub.
 from __future__ import annotations
 
 import errno
-import fcntl
-import hashlib
 import json
 import os
 import stat
@@ -190,9 +188,15 @@ def open_regular(path: str | Path) -> int:
         raise
 
 
+def new_sha256():
+    """An empty SHA-256 hash; OpenSSL's ``hashlib`` loads on the first call."""
+    import hashlib
+    return hashlib.sha256()
+
+
 def content_identity(path: str | Path) -> bytes:
     """SHA-256 of the file's full contents, streamed."""
-    digest = hashlib.sha256()
+    digest = new_sha256()
     fd = open_regular(path)
     try:
         while chunk := os.read(fd, CHUNK_SIZE):
@@ -361,6 +365,7 @@ class XattrStore(AttributeStore):
 
     @contextmanager
     def lock(self, path: str | Path) -> Iterator[None]:
+        import fcntl  # only a write locks
         with open(open_regular(path), "rb") as fh:
             fcntl.flock(fh, fcntl.LOCK_EX)
             yield

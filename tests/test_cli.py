@@ -229,14 +229,18 @@ class TestCheck:
                             "check", str(target))
         assert first == second
 
-    def test_quarantine_is_reported_base64_encoded(self, capsys, config_file, tmp_path):
+    @pytest.mark.parametrize("value", [
+        b"0083;\xff;Safari;", b"", b"0083;5f3c2a1b;Safari;" + b"q" * 36,
+        b"0083;\xff;Safari;" + bytes(range(256))[-186:],
+    ], ids=["safari", "empty", "57-bytes", "200-bytes"])
+    def test_quarantine_is_reported_base64_encoded(self, capsys, config_file, tmp_path, value):
         target = tmp_path / "doc.pdf"
         target.write_bytes(b"%PDF-1.4 body")
-        set_raw(config_file, target, QUARANTINE_KEY, b"0083;\xff;Safari;")
+        set_raw(config_file, target, QUARANTINE_KEY, value)
         code, out = run_cli(capsys, "--config", config_file, "check", str(target))
         assert code == 0
         assert report_of(out)["provenance"]["quarantine"] == \
-            base64.b64encode(b"0083;\xff;Safari;").decode("ascii")
+            base64.b64encode(value).decode("ascii")
 
 
 class TestAutoBackend:

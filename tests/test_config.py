@@ -61,3 +61,16 @@ def test_malformed_config_is_78(capsys, tmp_path, doc, message):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert message in captured.err
+
+
+@pytest.mark.parametrize("key", [key for key in Config._fields if key != "backend"])
+def test_empty_path_in_config_is_78(capsys, tmp_path, key):
+    # "" is no path: Path("") is the working directory, which no key names
+    target = tmp_path / "doc.pdf"
+    target.write_bytes(b"%PDF-1.4 body")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({key: ""}))
+    assert main(["--config", str(config), "check", str(target)]) == EX_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{key} in {config} must be a non-empty path string, got ''" in captured.err

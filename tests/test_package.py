@@ -44,6 +44,21 @@ HEAVY = [
     "http.client", "email.parser", "ssl", "sqlite3",
 ]
 
+#: What only a digest (OpenSSL's ``hashlib``), a write's lock or a
+#: quarantine value's encoding need.
+ON_FIRST_USE = ["_hashlib", "base64", "fcntl", "hashlib"]
+
+#: Commands on one file, or a tree holding it, that read the store only.
+FILE_COMMANDS = [
+    ["check", "a.pdf"],
+    ["check", "a.pdf", "--handler", "viewer"],
+    ["identify", "a.pdf"],
+    ["scan", "."],
+    ["view", "list", "a.pdf"],
+    ["trust", "get", "a.pdf"],
+    ["policy", "handlers", "get", "a.pdf"],
+]
+
 #: Runs the CLI in this interpreter, then prints its exit code and every
 #: module it has loaded.
 _RUN_CLI = """
@@ -109,20 +124,32 @@ def site_modules(tmp_path) -> set[str]:
 
 
 class TestImportGuard:
-    @pytest.mark.parametrize("argv", [
-        ["check", "a.pdf"],
-        ["check", "a.pdf", "--handler", "viewer"],
-        ["identify", "a.pdf"],
-        ["scan", "."],
-        ["view", "list", "a.pdf"],
-        ["trust", "get", "a.pdf"],
-        ["policy", "handlers", "get", "a.pdf"],
-    ], ids=" ".join)
+    @pytest.mark.parametrize("argv", FILE_COMMANDS, ids=" ".join)
     def test_file_commands_skip_http_browser_and_sqlite(self, tmp_path, site_modules, argv):
         (tmp_path / "a.pdf").write_bytes(b"%PDF-1.7\n1 0 obj\n<<>>\nendobj\n%%EOF\n")
         code, modules = _cli_modules(tmp_path, *argv)
         assert code in (0, 1, 2)
         assert sorted(set(HEAVY) & (modules - site_modules)) == []
+
+    @pytest.mark.parametrize("argv", FILE_COMMANDS, ids=" ".join)
+    def test_file_without_views_or_trust_skips_hashing_locking_and_base64(
+            self, tmp_path, site_modules, argv):
+        (tmp_path / "a.pdf").write_bytes(b"%PDF-1.7\n1 0 obj\n<<>>\nendobj\n%%EOF\n")
+        code, modules = _cli_modules(tmp_path, *argv)
+        assert code in (0, 1, 2)
+        assert sorted(set(ON_FIRST_USE) & (modules - site_modules)) == []
+
+    def test_check_of_a_trusted_file_loads_openssl_hashlib(self, tmp_path, site_modules):
+        # HTML named .pdf: denied unset, downgraded to a warning by a trust
+        # record that only a digest of the file can match
+        (tmp_path / "a.pdf").write_bytes(b"<html><script>alert(1)</script></html>")
+        code, modules = _cli_modules(tmp_path, "check", "a.pdf")
+        assert code == 2
+        assert sorted(set(ON_FIRST_USE) & (modules - site_modules)) == []
+        assert _cli_modules(tmp_path, "trust", "set", "a.pdf", "trusted")[0] == 0
+        code, modules = _cli_modules(tmp_path, "check", "a.pdf")
+        assert code == 1
+        assert {"hashlib", "_hashlib"} <= modules
 
     def test_browser_diff_loads_models_not_http(self, tmp_path, site_modules):
         code, modules = _cli_modules(tmp_path, "browser", "diff", "firefox-like", "opera-like")

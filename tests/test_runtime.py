@@ -162,22 +162,30 @@ class RecordingStore(AttributeStore):
         return self.inner.lock(path)
 
 
-class CountingHashlib:
-    """Stands in for ``hashlib`` in ``runtime``: counts the digests begun."""
+class CountingSha256:
+    """Stands in for ``new_sha256`` in ``runtime``: counts the digests begun."""
 
     def __init__(self):
         self.calls = 0
 
-    def sha256(self):
+    def __call__(self):
         self.calls += 1
         return hashlib.sha256()
 
 
 @pytest.fixture
-def hashes(monkeypatch) -> CountingHashlib:
-    counter = CountingHashlib()
-    monkeypatch.setattr(runtime_module, "hashlib", counter)
+def hashes(monkeypatch) -> CountingSha256:
+    counter = CountingSha256()
+    monkeypatch.setattr(runtime_module, "new_sha256", counter)
     return counter
+
+
+def test_digest_is_hashlib_sha256():
+    # hashlib's own, OpenSSL's where the build has it, not a slower builtin
+    digest = view_registry.new_sha256()
+    assert type(digest) is type(hashlib.sha256())
+    digest.update(ORIGINAL)
+    assert digest.digest() == hashlib.sha256(ORIGINAL).digest()
 
 
 def _count_opens(monkeypatch, path: Path) -> list:
