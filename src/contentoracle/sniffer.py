@@ -5,12 +5,14 @@ A loaded :class:`SignatureDb` is immutable and may be shared across threads;
 
 Content is scanned incrementally (:class:`SniffScan`), so a file can be
 sniffed chunk by chunk in the same pass that hashes it, in memory bounded
-by the chunk size. The full-content polyglot tier searches the patterns
-that share a first byte, a lone pattern included, with one regex each,
-started where ``bytes.find`` finds that byte, and a masked pattern with a
-regex of one byte class per pattern byte; a pattern stops being searched
-once found. The header tier is independent of that search: it checks the
-leading window when the report is taken.
+by the chunk size. The full-content polyglot tier has one search path:
+the patterns that share a first byte, a lone pattern included, form a
+group searched with one regex, started where ``bytes.find`` finds that
+byte; the patterns whose first byte is masked form the group of ``b""``,
+whose regex runs from where the search stands. A masked pattern byte is a
+byte class, and a pattern stops being searched once found. The header
+tier is independent of that search: it checks the leading window when the
+report is taken.
 """
 
 from __future__ import annotations
@@ -108,18 +110,17 @@ class _ScanPlan(NamedTuple):
     ``header`` indexes the signatures that fit in the primary window by
     offset, then by each byte that their first pattern byte matches (one,
     unless that byte is masked); each comes with its regex if masked, else
-    ``None``. ``groups`` holds the unmasked polyglot patterns, one tuple per
-    first byte, longest first; ``by_pattern`` maps each of them to the
-    signatures it credits; ``masked`` pairs each masked polyglot signature
-    with its regex; ``carry`` is how many trailing bytes a scan keeps across
-    a chunk edge.
+    ``None``. ``groups`` pairs each first byte of a polyglot pattern with
+    the regex sources of the rests that follow it, longest pattern first; a
+    pattern whose first byte is masked is in the group of ``b""`` with the
+    source of its whole pattern. ``credits`` maps each (first byte, source)
+    to the signatures it credits; ``carry`` is how many trailing bytes a
+    scan keeps across a chunk edge.
     """
 
     header: dict[int, dict[int, list[tuple[Signature, re.Pattern[bytes] | None]]]]
-    polyglot: tuple[Signature, ...]
-    groups: tuple[tuple[bytes, ...], ...]
-    by_pattern: dict[bytes, tuple[Signature, ...]]
-    masked: tuple[tuple[Signature, re.Pattern[bytes]], ...]
+    groups: tuple[tuple[bytes, tuple[bytes, ...]], ...]
+    credits: dict[tuple[bytes, bytes], tuple[Signature, ...]]
     carry: int
 
     @classmethod
@@ -130,55 +131,56 @@ class _ScanPlan(NamedTuple):
                 continue
             first = sig.pattern[0]
             m = 0xFF if sig.mask is None else sig.mask[0]
-            entry = (sig, None if sig.mask is None else _masked_regex(sig))
+            entry = (sig, None if sig.mask is None else re.compile(_source(sig, 0), re.DOTALL))
             by_byte = header.setdefault(sig.offset, {})
             for b in (first,) if m == 0xFF else [b for b in range(256) if b & m == first & m]:
                 by_byte.setdefault(b, []).append(entry)
-        polyglot = tuple(s for s in signatures if s.polyglot_relevant)
-        by_pattern: dict[bytes, tuple[Signature, ...]] = {}
-        by_first: dict[int, set[bytes]] = {}
+        polyglot = sorted((s for s in signatures if s.polyglot_relevant), key=lambda s: -len(s.pattern))
+        credits: dict[tuple[bytes, bytes], tuple[Signature, ...]] = {}
         for sig in polyglot:
-            if sig.mask is None:
-                by_pattern[sig.pattern] = by_pattern.get(sig.pattern, ()) + (sig,)
-                by_first.setdefault(sig.pattern[0], set()).add(sig.pattern)
-        groups = tuple(
-            tuple(sorted(patterns, key=lambda p: (-len(p), p)))
-            for _, patterns in sorted(by_first.items())
-        )
-        masked = tuple((s, _masked_regex(s)) for s in polyglot if s.mask is not None)
+            start = 1 if sig.mask is None or sig.mask[0] == 0xFF else 0
+            key = (sig.pattern[:start], _source(sig, start))
+            credits[key] = credits.get(key, ()) + (sig,)
+        rests: dict[bytes, list[bytes]] = {}
+        for first, source in credits:
+            rests.setdefault(first, []).append(source)
+        groups = tuple((first, tuple(sources)) for first, sources in sorted(rests.items()))
         carry = max((len(s.pattern) - 1 for s in polyglot), default=0)
-        return cls(header, polyglot, groups, by_pattern, masked, carry)
+        return cls(header, groups, credits, carry)
 
 
-def _masked_regex(sig: Signature) -> re.Pattern[bytes]:
-    """A regex matching where ``sig`` matches, so the search runs in C: per
-    pattern byte ``p`` with mask ``m``, the class of bytes ``b`` with
-    ``b & m == p & m``. Masks ``ff`` and ``00`` give a literal and ``.``,
-    which ``re`` parses far faster than a class (12 ms per CLI process)."""
+def _source(sig: Signature, start: int) -> bytes:
+    """Regex source that matches where ``sig``'s pattern from byte ``start``
+    on matches, so the search runs in C: per pattern byte ``p`` with mask
+    ``m``, the class of bytes ``b`` with ``b & m == p & m``, listed over the
+    bits that ``m`` leaves free. Masks ``ff`` and ``00`` give a literal and
+    ``.``, which ``re`` parses far faster than a class (12 ms per CLI
+    process)."""
     parts = []
-    for p, m in zip(sig.pattern, sig.mask):
+    for p, m in zip(sig.pattern[start:], (sig.mask or b"\xff" * len(sig.pattern))[start:]):
         if m == 0xFF:
             parts.append(re.escape(bytes([p])))
         elif m == 0:
             parts.append(b".")
         else:
-            parts.append(b"[" + b"".join(b"\\x%02x" % b for b in range(256) if b & m == p & m)
-                         + b"]")
-    return re.compile(b"".join(parts), re.DOTALL)
+            free = m ^ 0xFF
+            parts.append(b"[" + b"".join(b"\\x%02x" % (p & m | f) for f in range(free + 1)
+                                         if f & free == f) + b"]")
+    return b"".join(parts)
 
 
 @lru_cache(maxsize=256)
-def _alternation(patterns: tuple[bytes, ...]) -> re.Pattern[bytes]:
-    """One regex for patterns that share a first byte, longest first.
+def _alternation(first: bytes, rests: tuple[bytes, ...]) -> re.Pattern[bytes]:
+    """One regex for a group: ``first``, then the first of the ``rests``
+    sources, in order, that matches.
 
-    Its search is started at a hit of ``bytes.find`` of that one byte (see
+    Its search is started at a hit of ``bytes.find`` of ``first`` (see
     :meth:`SniffScan._search_group`): the regex engine reaches a literal
     first byte with a byte-at-a-time loop, ``find`` of one byte with
     ``memchr``, so content without the byte is skipped at memory speed.
     Groups never mix first bytes, so one byte is all a group needs found.
     """
-    rest = b"|".join(re.escape(p[1:]) for p in patterns)
-    return re.compile(re.escape(patterns[0][:1]) + b"(?:" + rest + b")")
+    return re.compile(re.escape(first) + b"(?:" + b"|".join(rests) + b")", re.DOTALL)
 
 
 def load_signatures(source: str) -> SignatureDb:
@@ -304,49 +306,45 @@ class SniffScan:
         self._size = 0  # bytes fed so far
         self._tail = b""
         self._groups = list(self._plan.groups)
-        self._masked = list(self._plan.masked)
 
     def feed(self, chunk: bytes) -> None:
         """Scan the next ``chunk`` of the content."""
         if len(self._head) < PRIMARY_WINDOW:
             self._head += chunk[:PRIMARY_WINDOW - len(self._head)]
-        if self._groups or self._masked:
+        if self._groups:
             buf = self._tail + chunk
             base = self._size - len(self._tail)
-            self._groups = [g for g in (self._search_group(buf, base, g) for g in self._groups) if g]
-            masked = []
-            for sig, regex in self._masked:
-                match = regex.search(buf)
-                if match is None:
-                    masked.append((sig, regex))
-                else:
-                    self._credit(sig, base + match.start())
-            self._masked = masked
+            self._groups = [(first, left) for first, rests in self._groups
+                            if (left := self._search_group(buf, base, first, rests))]
             carry = self._plan.carry
             self._tail = buf[-carry:] if carry else b""
         self._size += len(chunk)
 
-    def _search_group(self, buf: bytes, base: int, group: tuple[bytes, ...]) -> tuple[bytes, ...]:
-        """Find each pattern of ``group`` (one first byte, longest first) in
-        ``buf``; return the patterns not found. The regex runs from the next
-        occurrence of the first byte, and not at all once there is none. A
-        found pattern is dropped and the search resumes where it hit, so a
-        pattern that is a prefix of a longer one found there is still found
-        at its earliest offset."""
+    def _search_group(self, buf: bytes, base: int, first: bytes,
+                      rests: tuple[bytes, ...]) -> tuple[bytes, ...]:
+        """Find the pattern of each of ``rests`` after ``first`` in ``buf``;
+        return the rests not found. The regex runs from the next occurrence
+        of ``first`` (where the search stands, if ``first`` is ``b""``), and
+        not at all once there is none. At a hit, the first of ``rests`` that
+        matches there is found; it is dropped and the search resumes where
+        it hit, so a pattern that is a prefix of a longer one found there is
+        still found at its earliest offset."""
         pos = 0
-        first = group[0][:1]
-        while group:
+        while rests:
             pos = buf.find(first, pos)
             if pos < 0:
                 break
-            match = _alternation(group).search(buf, pos)
+            match = _alternation(first, rests).search(buf, pos)
             if match is None:
                 break
-            pos, hit = match.start(), match.group()
-            for sig in self._plan.by_pattern[hit]:
+            pos = match.start()
+            for hit in rests:
+                if _alternation(first, (hit,)).match(buf, pos):
+                    break
+            for sig in self._plan.credits[first, hit]:
                 self._credit(sig, base + pos)
-            group = tuple(p for p in group if p != hit)
-        return group
+            rests = tuple(r for r in rests if r != hit)
+        return rests
 
     def _credit(self, sig: Signature, pos: int) -> None:
         prev = self._found.get(sig.name)
@@ -373,7 +371,7 @@ class SniffScan:
             text_fallback = TextVerdict.NOT_APPLIED
         else:
             text_fallback = TextVerdict.LOOKS_TEXT if is_text(head) else TextVerdict.LOOKS_BINARY
-        bytes_examined = self._size if self._plan.polyglot else min(self._size, PRIMARY_WINDOW)
+        bytes_examined = self._size if self._plan.groups else min(self._size, PRIMARY_WINDOW)
         return SniffReport(candidates, is_polyglot, text_fallback, bytes_examined)
 
 
