@@ -104,8 +104,8 @@ def load_config(explicit_path: str | None = None) -> Config:
     if "backend" in doc and doc["backend"] not in _BACKENDS:
         raise ConfigError(f"backend must be one of {_BACKENDS}, got {doc['backend']!r}")
     for key, value in doc.items():
-        if key != "backend" and not (isinstance(value, str) and value):
-            raise ConfigError(f"{key} in {path} must be a non-empty path string, got {value!r}")
+        if key != "backend" and not (isinstance(value, str) and value and "\0" not in value):
+            raise ConfigError(f"{key} in {path} must be a non-empty path without NUL, got {value!r}")
     updates = {
         key: (Path(value) if key != "backend" else value)
         for key, value in doc.items()

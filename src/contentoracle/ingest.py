@@ -19,7 +19,7 @@ from typing import Mapping, NamedTuple
 from urllib.parse import quote, unquote, urlsplit, urlunsplit
 
 from .discrepancy_engine import DiscrepancyReport, Evidence
-from .errors import HttpError, MalformedMime, NetworkError
+from .errors import ContentOracleError, HttpError, MalformedMime, NetworkError
 from .mime_db import MimeType, parse_mime_type
 from .name_analyzer import strip_bidi_controls
 from .policy_engine import PolicyDecision
@@ -72,6 +72,10 @@ class FetchRecord(NamedTuple):
 
 class _BoundedRedirects(urllib.request.HTTPRedirectHandler):
     max_redirections = MAX_REDIRECTS
+    inf_msg = "redirect limit exceeded - "  # urllib's prefix to the last status's reason
+
+    def redirect_request(self, req, fp, code, msg, headers, newurl):
+        return super().redirect_request(req, fp, code, msg, headers, _request_uri(newurl))
 
 
 def sanitize_url_filename(url: str) -> tuple[str, tuple[str, ...]]:
@@ -107,9 +111,12 @@ def sanitize_url_filename(url: str) -> tuple[str, tuple[str, ...]]:
 
 def _request_uri(url: str) -> str:
     """``url`` with its path and query percent-encoded wherever a character
-    cannot go on an HTTP request line (IRI to URI); the host is left for
-    the resolver, which handles international names itself."""
+    cannot go on an HTTP request line (IRI to URI); a ``ValueError`` unless
+    it is an http or https URL whose port and host a connection can take."""
     parts = urlsplit(url)
+    if parts.scheme not in ("http", "https"):
+        raise ValueError(f"not an http or https URL: {url!r}")
+    parts.port, (parts.hostname or "").encode("idna")  # each raises ValueError if unusable
     path = quote(parts.path, safe=_URI_SAFE, errors="surrogateescape")
     query = quote(parts.query, safe=_URI_SAFE, errors="surrogateescape")
     if (path, query) == (parts.path, parts.query):
@@ -126,25 +133,30 @@ def fetch(
 ) -> FetchRecord:
     """Download ``url`` into ``dest_dir`` and stamp provenance attributes.
 
-    Redirects are followed to depth 5 and the final URL is what gets
-    recorded as the origin. Non-success statuses raise :class:`HttpError`,
-    a body over :data:`MAX_BODY` bytes raises :class:`NetworkError`, and a
-    failed stamp raises its ``OSError``; none of them leaves a file.
-    """
+    Only http and https URLs are fetched, after redirects too (to depth 5;
+    the final URL is recorded as the origin). Non-success statuses raise
+    :class:`HttpError`, a redirect elsewhere or a body over :data:`MAX_BODY`
+    bytes :class:`NetworkError`, and a failed stamp its ``OSError``; none
+    of them leaves a file. A ``url`` that cannot be sent is a usage error."""
     dest_dir = Path(dest_dir)
     opener = urllib.request.build_opener(_BoundedRedirects())
-    request = urllib.request.Request(_request_uri(url))
+    try:
+        request = urllib.request.Request(_request_uri(url))
+    except ValueError as exc:  # a usage error: the URL was given, not sent by the server
+        raise ContentOracleError(f"cannot fetch {url!r}: {exc}") from None
     if referrer:
-        request.add_header("Referer", referrer)
+        request.add_header("Referer", quote(referrer, safe=_URI_SAFE, errors="surrogateescape"))
     try:
         response = opener.open(request, timeout=TIMEOUT)
     except urllib.error.HTTPError as exc:
         exc.close()  # it holds the response and its socket open
-        if 300 <= exc.code < 400:
-            raise NetworkError(f"redirect limit exceeded fetching {url}") from exc
+        if 300 <= exc.code < 400:  # over the limit, or to a scheme that urllib refuses
+            raise NetworkError(f"redirect refused fetching {url}: {exc.reason}") from exc
         raise HttpError(exc.code, f"HTTP {exc.code} fetching {url}") from exc
     except urllib.error.URLError as exc:
         raise NetworkError(f"cannot fetch {url}: {exc.reason}") from exc
+    except ValueError as exc:  # a Location that no request may go to
+        raise NetworkError(f"redirect refused fetching {url}: {exc}") from exc
 
     with response:
         final_url = response.geturl()
@@ -174,7 +186,7 @@ def fetch(
             # stamped first: the body appears under its name with its provenance
             store.set(partial, ORIGIN_KEY, final_url.encode("utf-8"))
             if referrer:
-                store.set(partial, REFERRER_KEY, referrer.encode("utf-8"))
+                store.set(partial, REFERRER_KEY, referrer.encode("utf-8", "surrogateescape"))
             os.replace(partial, dest)
         except BaseException:
             os.unlink(partial)

@@ -29,11 +29,11 @@ BIDI_CONTROLS = frozenset(
 )
 
 # Controls that flip rendering direction of the following run.
-_REVERSING = {"‫", "‮", "⁧"}
+_REVERSING = {"\u202b", "\u202e", "\u2067"}
 # Terminator expected for each opening control.
 _TERMINATOR = {
-    "‪": "‬", "‫": "‬", "‭": "‬", "‮": "‬",
-    "⁦": "⁩", "⁧": "⁩", "⁨": "⁩",
+    "\u202a": "\u202c", "\u202b": "\u202c", "\u202d": "\u202c", "\u202e": "\u202c",
+    "\u2066": "\u2069", "\u2067": "\u2069", "\u2068": "\u2069",
 }
 
 # A usable extension: short, plain alphanumeric after case folding.

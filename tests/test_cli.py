@@ -215,6 +215,22 @@ class TestCheck:
         assert report_of(expected[1])["path"] == path
         assert run_cli(capsys, "--config", config_file, command, spelling) == expected
 
+    @pytest.mark.parametrize("marker,lower", [
+        (b"<SCRIPT>", b"<script>"), (b"<Script>", b"<script>"), (b"<HTML>", b"<html>"),
+        (b"<?PHP", b"<?php"), (b"<!doctype html>", b"<!DOCTYPE html>"),
+    ])
+    def test_markup_after_a_pdf_is_seen_in_any_case(self, capsys, config_file, tmp_path,
+                                                    marker, lower):
+        target = tmp_path / "doc.pdf"
+        reports = []
+        for text in (lower, marker):
+            target.write_bytes(b"%PDF-1.4 body\n" + text + b"\n")
+            reports.append(run_cli(capsys, "--config", config_file, "--now", "777",
+                                   "check", str(target)))
+        assert reports[1] == reports[0]
+        code, out = reports[1]
+        assert code != 0 and report_of(out)["verdict"] != "allow"
+
     def test_missing_file_is_io_error(self, capsys, config_file, tmp_path):
         code, _ = run_cli(capsys, "--config", config_file,
                           "check", str(tmp_path / "missing.bin"))
@@ -658,6 +674,40 @@ class TestFetchCommand:
         assert code == 0
         assert doc["url"] == url
         assert Path(doc["path"]).name == "\u00e9\u00e9\u00e9"
+
+    @pytest.mark.parametrize("url", [
+        "foo", "http://[::1", "http://a..b/x", f"http://{'a' * 64}/x", "http://127.0.0.1:x/",
+        "file:///etc/hostname", "data:text/html,<script>x</script>",
+    ])
+    def test_url_that_cannot_be_fetched_is_a_usage_error(self, capsys, config_file, tmp_path,
+                                                         url):
+        out = tmp_path / "d"
+        assert main(["--config", config_file, "fetch", url, "--out", str(out)]) == EX_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"cannot fetch {url!r}" in captured.err
+        assert not out.exists() or list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("location,fault", [
+        ("http://[::1", "Invalid IPv6 URL"), ("http://a..b/x", "label empty or too long"),
+        ("ftp://127.0.0.1:9/x", "'ftp://127.0.0.1:9/x'"),
+        ("file:///etc/hostname", "'file:///etc/hostname'"),
+        ("data:text/html,<script>x</script>", "'data:text/html,<script>x</script>'"),
+    ])
+    def test_redirect_that_cannot_be_followed_is_an_io_error(self, capsys, config_file, tmp_path,
+                                                             http_server, location, fault):
+        url = http_server.add_redirect("/cli/refused", location)
+        out = tmp_path / "d"
+        assert main(["--config", config_file, "fetch", url, "--out", str(out)]) == EX_IOERR
+        captured = capsys.readouterr()
+        assert captured.out == "" and "redirect" in captured.err and fault in captured.err
+        assert not out.exists() or list(out.iterdir()) == []
+
+    def test_referrer_is_sent_percent_encoded(self, capsys, config_file, tmp_path, http_server):
+        url = http_server.add("/cli/referred.pdf", b"%PDF-1.4 referred")
+        code, out = run_cli(capsys, "--config", config_file, "fetch", url,
+                            "--referrer", "http://x/€", "--out", str(tmp_path / "d"))
+        assert code == 0
+        assert report_of(out)["provenance"]["referrer_url"] == "http://x/€"
 
     def test_fetch_error_exit(self, capsys, config_file, tmp_path, http_server):
         code, _ = run_cli(capsys, "--config", config_file,

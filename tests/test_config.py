@@ -63,14 +63,16 @@ def test_malformed_config_is_78(capsys, tmp_path, doc, message):
     assert message in captured.err
 
 
+@pytest.mark.parametrize("value", ["", "x\u0000y"], ids=["empty", "nul"])
 @pytest.mark.parametrize("key", [key for key in Config._fields if key != "backend"])
-def test_empty_path_in_config_is_78(capsys, tmp_path, key):
-    # "" is no path: Path("") is the working directory, which no key names
+def test_empty_path_in_config_is_78(capsys, tmp_path, key, value):
+    # "" is no path: Path("") is the working directory, which no key names;
+    # no file name holds a NUL byte
     target = tmp_path / "doc.pdf"
     target.write_bytes(b"%PDF-1.4 body")
     config = tmp_path / "config.json"
-    config.write_text(json.dumps({key: ""}))
+    config.write_text(json.dumps({key: value}))
     assert main(["--config", str(config), "check", str(target)]) == EX_CONFIG
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert f"{key} in {config} must be a non-empty path string, got ''" in captured.err
+    assert f"{key} in {config} must be a non-empty path without NUL, got {value!r}" in captured.err

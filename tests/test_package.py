@@ -266,3 +266,13 @@ def test_every_data_file_is_installed():
     installed = {path for pattern in globs for path in package.glob(pattern)}
     assert data  # the walk found the bundled data
     assert sorted(str(path.relative_to(package)) for path in data - installed) == []
+
+
+def test_no_bidi_control_in_package_source():
+    """No module of the package holds a literal directional formatting
+    character (U+202A-U+202E, U+2066-U+2069): it reorders how the source
+    reads in review (Trojan Source, CVE-2021-42574). Write it as an escape."""
+    package = Path(__file__).parents[1] / "src" / "contentoracle"
+    bidi = {chr(cp) for cp in (*range(0x202A, 0x202F), *range(0x2066, 0x206A))}
+    assert sorted(path.name for path in package.glob("*.py")
+                  if bidi & set(path.read_text("utf-8"))) == []
