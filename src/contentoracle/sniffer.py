@@ -109,16 +109,16 @@ class _ScanPlan(NamedTuple):
 
     ``header`` indexes the signatures that fit in the primary window by
     offset, then by each byte that their first pattern byte matches (one,
-    unless that byte is masked); each comes with its regex if masked, else
-    ``None``. ``groups`` pairs each first byte of a polyglot pattern with
-    the regex sources of the rests that follow it, longest pattern first; a
-    pattern whose first byte is masked is in the group of ``b""`` with the
-    source of its whole pattern. ``credits`` maps each (first byte, source)
-    to the signatures it credits; ``carry`` is how many trailing bytes a
-    scan keeps across a chunk edge.
+    unless that byte is masked); each comes with its regex source if
+    masked, else ``None``. ``groups`` pairs each first byte of a polyglot
+    pattern with the regex sources of the rests that follow it, longest
+    pattern first; a pattern whose first byte is masked is in the group of
+    ``b""`` with the source of its whole pattern. ``credits`` maps each
+    (first byte, source) to the signatures it credits; ``carry`` is how many
+    trailing bytes a scan keeps across a chunk edge.
     """
 
-    header: dict[int, dict[int, list[tuple[Signature, re.Pattern[bytes] | None]]]]
+    header: dict[int, dict[int, list[tuple[Signature, bytes | None]]]]
     groups: tuple[tuple[bytes, tuple[bytes, ...]], ...]
     credits: dict[tuple[bytes, bytes], tuple[Signature, ...]]
     carry: int
@@ -131,7 +131,7 @@ class _ScanPlan(NamedTuple):
                 continue
             first = sig.pattern[0]
             m = 0xFF if sig.mask is None else sig.mask[0]
-            entry = (sig, None if sig.mask is None else re.compile(_source(sig, 0), re.DOTALL))
+            entry = (sig, None if sig.mask is None else _source(sig, 0))
             by_byte = header.setdefault(sig.offset, {})
             for b in (first,) if m == 0xFF else [b for b in range(256) if b & m == first & m]:
                 by_byte.setdefault(b, []).append(entry)
@@ -141,10 +141,8 @@ class _ScanPlan(NamedTuple):
             start = 1 if sig.mask is None or sig.mask[0] == 0xFF else 0
             key = (sig.pattern[:start], _source(sig, start))
             credits[key] = credits.get(key, ()) + (sig,)
-        rests: dict[bytes, list[bytes]] = {}
-        for first, source in credits:
-            rests.setdefault(first, []).append(source)
-        groups = tuple((first, tuple(sources)) for first, sources in sorted(rests.items()))
+        firsts = sorted({first for first, _ in credits})
+        groups = tuple((f, tuple(src for first, src in credits if first == f)) for f in firsts)
         carry = max((len(s.pattern) - 1 for s in polyglot), default=0)
         return cls(header, groups, credits, carry)
 
@@ -164,7 +162,7 @@ def _source(sig: Signature, start: int) -> bytes:
             parts.append(b".")
         else:
             free = m ^ 0xFF
-            parts.append(b"[" + b"".join(b"\\x%02x" % (p & m | f) for f in range(free + 1)
+            parts.append(b"[" + b"".join(re.escape(bytes([p & m | f])) for f in range(free + 1)
                                          if f & free == f) + b"]")
     return b"".join(parts)
 
@@ -172,7 +170,8 @@ def _source(sig: Signature, start: int) -> bytes:
 @lru_cache(maxsize=256)
 def _alternation(first: bytes, rests: tuple[bytes, ...]) -> re.Pattern[bytes]:
     """One regex for a group: ``first``, then the first of the ``rests``
-    sources, in order, that matches.
+    sources, in order, that matches. The header tier matches a masked
+    signature's source as the group of ``b""``: compiled once content needs it.
 
     Its search is started at a hit of ``bytes.find`` of ``first`` (see
     :meth:`SniffScan._search_group`): the regex engine reaches a literal
@@ -355,8 +354,9 @@ class SniffScan:
         head = self._head
         for offset, by_byte in self._plan.header.items():
             if offset < len(head):
-                for sig, regex in by_byte.get(head[offset], ()):
-                    hit = regex.match(head, offset) if regex else head.startswith(sig.pattern, offset)
+                for sig, source in by_byte.get(head[offset], ()):
+                    hit = (_alternation(b"", (source,)).match(head, offset) if source
+                           else head.startswith(sig.pattern, offset))
                     if hit:
                         self._credit(sig, offset)
         candidates = tuple(
