@@ -702,12 +702,14 @@ class TestFetchCommand:
         assert captured.out == "" and "redirect" in captured.err and fault in captured.err
         assert not out.exists() or list(out.iterdir()) == []
 
-    def test_referrer_is_sent_percent_encoded(self, capsys, config_file, tmp_path, http_server):
+    @pytest.mark.parametrize("referrer", ["http://x/€", os.fsdecode(b"http://x/\xff")])
+    def test_referrer_is_sent_percent_encoded(self, capsys, config_file, tmp_path, http_server,
+                                              referrer):
         url = http_server.add("/cli/referred.pdf", b"%PDF-1.4 referred")
         code, out = run_cli(capsys, "--config", config_file, "fetch", url,
-                            "--referrer", "http://x/€", "--out", str(tmp_path / "d"))
+                            "--referrer", referrer, "--out", str(tmp_path / "d"))
         assert code == 0
-        assert report_of(out)["provenance"]["referrer_url"] == "http://x/€"
+        assert report_of(out)["provenance"]["referrer_url"] == referrer
 
     def test_fetch_error_exit(self, capsys, config_file, tmp_path, http_server):
         code, _ = run_cli(capsys, "--config", config_file,
