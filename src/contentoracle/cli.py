@@ -9,6 +9,7 @@ config errors 78.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -373,7 +374,11 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def run() -> None:
-    sys.exit(main(sys.argv[1:]))
+    code = main(sys.argv[1:])
+    # shutdown's collections skip frozen objects; main() must not freeze,
+    # or callers that run it in process would keep their garbage cycles
+    gc.freeze()
+    sys.exit(code)
 
 
 if __name__ == "__main__":

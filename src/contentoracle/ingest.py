@@ -9,6 +9,7 @@ its declared type and its nosniff header.
 
 from __future__ import annotations
 
+import http.client
 import os
 import tempfile
 import time
@@ -117,6 +118,8 @@ def _request_uri(url: str) -> str:
     if parts.scheme not in ("http", "https"):
         raise ValueError(f"not an http or https URL: {url!r}")
     parts.port, (parts.hostname or "").encode("idna")  # each raises ValueError if unusable
+    if any(c <= " " or c == "\x7f" for c in unquote(parts.netloc)):  # http.client refuses
+        raise ValueError(f"space or control character in host {parts.netloc!r}")
     path = quote(parts.path, safe=_URI_SAFE, errors="surrogateescape")
     query = quote(parts.query, safe=_URI_SAFE, errors="surrogateescape")
     if (path, query) == (parts.path, parts.query):
@@ -135,8 +138,9 @@ def fetch(
 
     Only http and https URLs are fetched, after redirects too (to depth 5;
     the final URL is recorded as the origin). Non-success statuses raise
-    :class:`HttpError`, a redirect elsewhere or a body over :data:`MAX_BODY`
-    bytes :class:`NetworkError`, and a failed stamp its ``OSError``; none
+    :class:`HttpError`; a redirect elsewhere, a response that is not HTTP,
+    a body short of its Content-Length or over :data:`MAX_BODY` bytes
+    :class:`NetworkError`; and a failed stamp its ``OSError``. None
     of them leaves a file. A ``url`` that cannot be sent is a usage error."""
     dest_dir = Path(dest_dir)
     opener = urllib.request.build_opener(_BoundedRedirects())
@@ -155,6 +159,8 @@ def fetch(
         raise HttpError(exc.code, f"HTTP {exc.code} fetching {url}") from exc
     except urllib.error.URLError as exc:
         raise NetworkError(f"cannot fetch {url}: {exc.reason}") from exc
+    except http.client.HTTPException as exc:  # a response that is not HTTP
+        raise NetworkError(f"cannot fetch {url}: {exc!r}") from exc
     except ValueError as exc:  # a Location that no request may go to
         raise NetworkError(f"redirect refused fetching {url}: {exc}") from exc
 
@@ -183,13 +189,17 @@ def fetch(
                     if size > MAX_BODY:
                         raise NetworkError(f"response from {url} exceeds {MAX_BODY} bytes")
                     out.write(chunk)
+                if response.length:  # the stream ended before its Content-Length
+                    raise NetworkError(f"response from {url} ended {response.length} bytes short")
             # stamped first: the body appears under its name with its provenance
             store.set(partial, ORIGIN_KEY, final_url.encode("utf-8"))
             if referrer:
                 store.set(partial, REFERRER_KEY, referrer.encode("utf-8", "surrogateescape"))
             os.replace(partial, dest)
-        except BaseException:
+        except BaseException as exc:
             os.unlink(partial)
+            if isinstance(exc, http.client.HTTPException):  # a broken chunked body
+                raise NetworkError(f"cannot fetch {url}: {exc!r}") from exc
             raise
 
     return FetchRecord(

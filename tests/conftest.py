@@ -1,11 +1,13 @@
 """Shared fixtures: backend-parametrized stores, an xattr-capable scratch
-directory, the bundled runtime, a loopback HTTP server, and the polyglot
-corpus used by both the unit and acceptance suites."""
+directory, the bundled runtime, a loopback HTTP server, a raw loopback
+socket that answers verbatim, and the polyglot corpus used by both the
+unit and acceptance suites."""
 
 from __future__ import annotations
 
 import io
 import shutil
+import socket
 import tempfile
 import threading
 import zipfile
@@ -176,3 +178,37 @@ def http_server():
     server = FixtureServer()
     yield server
     server.close()
+
+
+def _answer_once(listener: socket.socket, reply: bytes) -> None:
+    with listener:
+        try:
+            conn, _ = listener.accept()
+        except OSError:  # nobody connected before the timeout
+            return
+        with conn:
+            request = b""
+            while b"\r\n\r\n" not in request:  # read it all, or closing sends a reset
+                if not (data := conn.recv(4096)):
+                    break
+                request += data
+            conn.sendall(reply)
+
+
+@pytest.fixture
+def raw_http():
+    """``serve(reply)``: the URL of a loopback socket that answers one request
+    with ``reply`` verbatim and closes, for responses no HTTP server sends."""
+    threads = []
+
+    def serve(reply: bytes) -> str:
+        listener = socket.create_server(("127.0.0.1", 0))
+        listener.settimeout(30)
+        thread = threading.Thread(target=_answer_once, args=(listener, reply), daemon=True)
+        thread.start()
+        threads.append(thread)
+        return "http://127.0.0.1:%d/raw/f.bin" % listener.getsockname()[1]
+
+    yield serve
+    for thread in threads:
+        thread.join(timeout=30)

@@ -6,6 +6,7 @@ from __future__ import annotations
 import base64
 import builtins
 import errno
+import gc
 import hashlib
 import io
 import json
@@ -677,7 +678,8 @@ class TestFetchCommand:
 
     @pytest.mark.parametrize("url", [
         "foo", "http://[::1", "http://a..b/x", f"http://{'a' * 64}/x", "http://127.0.0.1:x/",
-        "file:///etc/hostname", "data:text/html,<script>x</script>",
+        "file:///etc/hostname", "data:text/html,<script>x</script>", "http://a b/",
+        "http://a%20b/", "http://a%0d%0ab/",
     ])
     def test_url_that_cannot_be_fetched_is_a_usage_error(self, capsys, config_file, tmp_path,
                                                          url):
@@ -692,6 +694,7 @@ class TestFetchCommand:
         ("ftp://127.0.0.1:9/x", "'ftp://127.0.0.1:9/x'"),
         ("file:///etc/hostname", "'file:///etc/hostname'"),
         ("data:text/html,<script>x</script>", "'data:text/html,<script>x</script>'"),
+        ("http://a b/", "space or control character"),
     ])
     def test_redirect_that_cannot_be_followed_is_an_io_error(self, capsys, config_file, tmp_path,
                                                              http_server, location, fault):
@@ -716,6 +719,20 @@ class TestFetchCommand:
                           "fetch", http_server.url("/cli/absent"),
                           "--out", str(tmp_path / "d"))
         assert code == EX_IOERR
+
+    @pytest.mark.parametrize("reply,fault", [
+        (b"NOT HTTP AT ALL\r\n", "BadStatusLine"),
+        (b"HTTP/1.0 200 OK\r\nContent-Length: 100\r\n\r\nabc", "ended 97 bytes short"),
+    ], ids=["not-http", "short-content-length"])
+    def test_broken_response_is_an_io_error(self, capsys, config_file, tmp_path, raw_http,
+                                            reply, fault):
+        out = tmp_path / "d"
+        assert main(["--config", config_file, "fetch", raw_http(reply),
+                     "--out", str(out)]) == EX_IOERR
+        captured = capsys.readouterr()
+        assert captured.out == "" and fault in captured.err
+        assert "internal error" not in captured.err
+        assert not out.exists() or list(out.iterdir()) == []
 
 
 class TestDbStats:
@@ -1134,6 +1151,73 @@ class TestExitCodes:
         code, out = run_cli(capsys, "--config", config_file, "scan", str(inbox))
         assert code == EX_SOFTWARE
         assert [Path(report_of(line)["path"]).name for line in out.splitlines()] == ["a.pdf"]
+
+
+def _run_process(*argv: str) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of ``cli.run`` in a fresh interpreter."""
+    env = dict(os.environ, PYTHONPATH=str(Path(contentoracle.__file__).parents[1]))
+    env.pop("CONTENTORACLE_CONFIG", None)
+    proc = subprocess.run([sys.executable, "-c", "from contentoracle.cli import run; run()",
+                           *argv], env=env, capture_output=True, text=True, timeout=120)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+class TestColdExit:
+    """``run`` freezes the heap before it exits, so interpreter shutdown does
+    not collect it; ``main``, which callers run again and again in one
+    process, never does."""
+
+    @pytest.fixture
+    def argvs(self, config_file, tmp_path) -> list[list[str]]:
+        inbox = tmp_path / "inbox"
+        inbox.mkdir()
+        (inbox / "doc.pdf").write_bytes(b"%PDF-1.4 body")
+        (inbox / "script.pdf").write_bytes(zip_with_script())
+        denied = inbox / "denied.pdf"
+        denied.write_bytes(b"%PDF-1.4 denied")
+        assert main(["--config", config_file, "policy", "handlers", "set", str(denied),
+                     "--apps", "viewerA"]) == 0
+        base = ["--config", config_file, "--now", "123"]
+        return [base + ["check", str(inbox / "doc.pdf")],
+                base + ["check", str(denied), "--handler", "viewerB"],
+                base + ["scan", str(inbox)],
+                base + ["browser", "diff", "firefox-like", "opera-like"],
+                base + ["check"]]
+
+    def test_main_never_freezes(self, capsys, argvs):
+        before = gc.get_freeze_count()
+        for argv in argvs:
+            main(argv)
+        capsys.readouterr()
+        assert gc.get_freeze_count() == before
+
+    def test_run_freezes_after_main_returns(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "main", lambda argv: calls.append("main") or 2)
+        monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))
+        with pytest.raises(SystemExit) as excinfo:
+            cli.run()
+        assert excinfo.value.code == 2
+        assert calls == ["main", "freeze"]
+
+    def test_process_output_is_main_output(self, capsys, argvs):
+        capsys.readouterr()
+        codes = []
+        for argv in argvs:
+            code, out, err = _run_process(*argv)
+            assert (code, out, err) == (main(argv), *capsys.readouterr()), argv
+            codes.append(code)
+        assert codes == [0, 2, 2, 0, EX_USAGE]
+
+    def test_sidecar_is_closed_at_exit(self, config_file, tmp_path):
+        target = tmp_path / "doc.pdf"
+        target.write_bytes(b"%PDF-1.4 body")
+        assert _run_process("--config", config_file, "trust", "set", str(target),
+                            "trusted")[0] == 0
+        db = Path(json.loads(Path(config_file).read_text())["sidecar_path"])
+        assert db.exists()
+        assert not db.with_name(db.name + "-wal").exists()
+        assert not db.with_name(db.name + "-shm").exists()
 
 
 class TestGoldenUsage:

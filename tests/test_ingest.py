@@ -174,6 +174,18 @@ class TestFetch:
         assert record.body_path.name == "\u00e9t\u00e9.pdf"
         assert record.body_path.read_bytes() == b"%PDF-1.4 iri"
 
+    @pytest.mark.parametrize("reply,fault", [
+        (b"NOT HTTP AT ALL\r\n", "BadStatusLine"),
+        (b"HTTP/1.0 200 OK\r\nContent-Length: 100\r\n\r\nabc", "ended 97 bytes short"),
+        (b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n9\r\nabc",
+         "IncompleteRead"),
+    ], ids=["not-http", "short-content-length", "short-chunk"])
+    def test_broken_response_is_network_error_and_leaves_no_file(self, raw_http, runtime,
+                                                                 tmp_path, reply, fault):
+        with pytest.raises(NetworkError, match=fault):
+            fetch(raw_http(reply), tmp_path, runtime.store)
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestFilenameSanitizer:
     def test_traversal_segments_neutralized(self):
