@@ -5,9 +5,10 @@ Evidence comes from one streamed pass per file: the file is opened and
 read once, in chunks that feed the sniffer's scan and, where the store may
 hold views or trust for the file, one SHA-256 that they and the sniff report
 are judged against, so a rewrite during the check cannot mix two contents.
-One store ``read`` after that pass gives the attributes (handler policy,
-provenance, and views and trust if the file was hashed); no other stage
-reads the store, so ``evaluate`` and ``decide`` judge one version.
+One store ``read`` through the same descriptor then gives the attributes
+(handler policy, provenance, and views and trust if the file was hashed), so
+a rename cannot pair them with another file's bytes; no other stage reads
+the store, so ``evaluate`` and ``decide`` judge one version.
 """
 
 from __future__ import annotations
@@ -80,10 +81,10 @@ class Runtime(NamedTuple):
 def build_evidence(runtime: Runtime, path: str | Path, *, always_hash: bool = False) -> Evidence:
     """Gather every evidence source for one on-disk file.
 
-    The file is read once, then its attributes. Its digest, taken if
-    ``always_hash`` is set or the store may hold views or trust for it,
-    becomes ``Evidence.content_hash``. A file has no declared type; only a
-    download does, and ``ingest`` adds it. ``path`` is opened as spelled.
+    The file is read once, then its attributes through the same descriptor.
+    Its digest, taken if ``always_hash`` is set or the store may hold views
+    or trust for it, is ``Evidence.content_hash``. Only a download has a
+    declared type (``ingest`` adds it). ``path`` is opened as spelled.
     """
     scan = SniffScan(runtime.sig_db)
     # opened before the name is analysed: "." and "/" have no name, and
@@ -96,14 +97,14 @@ def build_evidence(runtime: Runtime, path: str | Path, *, always_hash: bool = Fa
             if hashed:
                 digest.update(chunk)
             scan.feed(chunk)
+        # views or trust on an unhashed file were written during the check
+        attrs = runtime.store.read(fd, ATTRIBUTE_KEYS if hashed else UNBOUND_KEYS)
     finally:
         os.close(fd)
     content_hash = digest.digest() if hashed else None
     name_report = analyze_name(os.path.basename(path), runtime.ext_map.known_extensions())
     extension = name_report.logical_extension
     extension_mime = runtime.ext_map.primary(extension) if extension else None
-    # views or trust on an unhashed file were written during the check
-    attrs = runtime.store.read(path, ATTRIBUTE_KEYS if hashed else UNBOUND_KEYS)
     return Evidence(
         extension_mime=extension_mime,
         sniff=scan.report(),

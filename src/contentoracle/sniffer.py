@@ -10,9 +10,9 @@ the patterns that share a first byte, a lone pattern included, form a
 group searched with one regex, started where ``bytes.find`` finds that
 byte; the patterns whose first byte is masked form the group of ``b""``,
 whose regex runs from where the search stands. A masked pattern byte is a
-byte class, and a pattern stops being searched once found. The header
-tier is independent of that search: it checks the leading window when the
-report is taken.
+byte class, and a pattern stops being searched once found, at its earliest
+offset, so the header tier checks only the other signatures, in the
+leading window, when the report is taken.
 """
 
 from __future__ import annotations
@@ -25,8 +25,8 @@ from typing import Any, Callable, Container, Iterator, NamedTuple
 from .errors import DuplicateName, MalformedMime, MalformedSignature
 from .mime_db import MimeType, data_lines, parse_mime_type
 
-#: Primary matching window: signatures match at their declared offset only
-#: within this many leading bytes. The second, polyglot pass is unbounded.
+#: Primary matching window: a signature that is not polyglot-relevant
+#: matches at its declared offset only within this many leading bytes.
 PRIMARY_WINDOW = 8192
 
 #: How many leading bytes the text heuristic inspects.
@@ -107,15 +107,15 @@ class SignatureDb:
 class _ScanPlan(NamedTuple):
     """What every scan over one :class:`SignatureDb` checks.
 
-    ``header`` indexes the signatures that fit in the primary window by
-    offset, then by each byte that their first pattern byte matches (one,
-    unless that byte is masked); each comes with its regex source if
-    masked, else ``None``. ``groups`` pairs each first byte of a polyglot
-    pattern with the regex sources of the rests that follow it, longest
-    pattern first; a pattern whose first byte is masked is in the group of
-    ``b""`` with the source of its whole pattern. ``credits`` maps each
-    (first byte, source) to the signatures it credits; ``carry`` is how many
-    trailing bytes a scan keeps across a chunk edge.
+    ``header`` indexes the signatures that are not polyglot-relevant and fit
+    in the primary window by offset, then by each byte that their first
+    pattern byte matches (one, unless that byte is masked); each comes with
+    its regex source if masked, else ``None``. ``groups`` pairs each first
+    byte of a polyglot pattern with the regex sources of the rests that
+    follow it, longest pattern first; a pattern whose first byte is masked
+    is in the group of ``b""`` with the source of its whole pattern.
+    ``credits`` maps each (first byte, source) to the signatures it credits;
+    ``carry`` is how many trailing bytes a scan keeps across a chunk edge.
     """
 
     header: dict[int, dict[int, list[tuple[Signature, bytes | None]]]]
@@ -127,7 +127,7 @@ class _ScanPlan(NamedTuple):
     def build(cls, signatures: tuple[Signature, ...]) -> "_ScanPlan":
         header: dict[int, dict[int, list]] = {}
         for sig in signatures:
-            if sig.offset + len(sig.pattern) > PRIMARY_WINDOW:
+            if sig.polyglot_relevant or sig.offset + len(sig.pattern) > PRIMARY_WINDOW:
                 continue
             first = sig.pattern[0]
             m = 0xFF if sig.mask is None else sig.mask[0]
@@ -341,13 +341,9 @@ class SniffScan:
                 if _alternation(first, (hit,)).match(buf, pos):
                     break
             for sig in self._plan.credits[first, hit]:
-                self._credit(sig, base + pos)
+                self._found[sig.name] = (sig, base + pos)
             rests = tuple(r for r in rests if r != hit)
         return rests
-
-    def _credit(self, sig: Signature, pos: int) -> None:
-        prev = self._found.get(sig.name)
-        self._found[sig.name] = (sig, pos if prev is None else min(prev[1], pos))
 
     def report(self) -> SniffReport:
         """The report over everything fed so far."""
@@ -358,7 +354,7 @@ class SniffScan:
                     hit = (_alternation(b"", (source,)).match(head, offset) if source
                            else head.startswith(sig.pattern, offset))
                     if hit:
-                        self._credit(sig, offset)
+                        self._found[sig.name] = (sig, offset)
         candidates = tuple(
             Candidate(sig.mime, sig.name, sig.weight, pos)
             for sig, pos in sorted(
@@ -379,13 +375,14 @@ def sniff(data: bytes, db: SignatureDb) -> SniffReport:
     """Match ``data`` against every signature in ``db``: a :class:`SniffScan`
     fed ``data`` as one chunk.
 
-    Two tiers: signatures are first checked at their declared offset within
-    the leading :data:`PRIMARY_WINDOW` bytes; polyglot-relevant signatures
-    are then searched anywhere in the full content, which is what catches
-    script or archive payloads appended after a valid header. Each signature
+    Two tiers, one per signature: polyglot-relevant signatures are searched
+    anywhere in the content, which catches script or archive payloads
+    appended after a valid header; the others are checked at their declared
+    offset within the leading :data:`PRIMARY_WINDOW` bytes. Each signature
     contributes at most one candidate (earliest match position). Candidates
-    are strictly ordered by (weight desc, offset asc, name asc); the polyglot
-    flag is set exactly when two or more distinct types are present.
+    are strictly ordered by (weight desc, offset asc, name asc); the
+    polyglot flag is set exactly when two or more distinct types are
+    present.
     """
     scan = SniffScan(db)
     scan.feed(data)

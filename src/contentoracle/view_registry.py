@@ -207,9 +207,9 @@ def content_identity(path: str | Path) -> bytes:
 
 
 class AttributeStore:
-    """Minimal key/value-per-file surface shared by both backends."""
+    """Key/value-per-file surface of both backends; ``read`` takes an open descriptor or a path."""
 
-    def read(self, path: str | Path, keys: Collection[str]) -> dict[str, bytes]:
+    def read(self, path: int | str | Path, keys: Collection[str]) -> dict[str, bytes]:
         """Those of ``keys`` that the file has, with their values, in one lookup."""
         raise NotImplementedError
 
@@ -245,7 +245,7 @@ class SidecarStore(AttributeStore):
         self._mutex = threading.RLock()  # one connection, one user at a time
 
     @staticmethod
-    def identity(path: str | Path) -> str:
+    def identity(path: int | str | Path) -> str:
         st = os.stat(path)  # raises for a missing file, as getxattr does
         return f"{st.st_dev}:{st.st_ino}"
 
@@ -287,7 +287,7 @@ class SidecarStore(AttributeStore):
     def may_hold(self, fd: int, keys: Collection[str]) -> bool:
         return self._conn is not None or self.path.exists()  # a query costs more than a hash
 
-    def read(self, path: str | Path, keys: Collection[str]) -> dict[str, bytes]:
+    def read(self, path: int | str | Path, keys: Collection[str]) -> dict[str, bytes]:
         ident = self.identity(path)
         with self._mutex:
             if self._conn is None and not self.path.exists():
@@ -326,7 +326,7 @@ class XattrStore(AttributeStore):
     def __init__(self, overflow: SidecarStore):
         self.overflow = overflow
 
-    def read(self, path: str | Path, keys: Collection[str]) -> dict[str, bytes]:
+    def read(self, path: int | str | Path, keys: Collection[str]) -> dict[str, bytes]:
         try:
             present = set(os.listxattr(path))
         except OSError as exc:
@@ -378,7 +378,7 @@ class AutoStore(AttributeStore):
         self.xattr = xattr
         self.sidecar = sidecar
 
-    def read(self, path: str | Path, keys: Collection[str]) -> dict[str, bytes]:
+    def read(self, path: int | str | Path, keys: Collection[str]) -> dict[str, bytes]:
         return {**self.sidecar.read(path, keys), **self.xattr.read(path, keys)}
 
     def may_hold(self, fd: int, keys: Collection[str]) -> bool:

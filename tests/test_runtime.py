@@ -55,6 +55,13 @@ ORIGINAL = b"%PDF-1.4 the assessed contents"
 PDF = MimeType("application", "pdf")
 
 
+def _named(file):
+    """A path naming ``file``, which a store read is given as an open
+    descriptor or a path; Linux resolves ``/proc/self/fd/<fd>`` to the open
+    file."""
+    return f"/proc/self/fd/{file}" if isinstance(file, int) else file
+
+
 class RewritingStore(AttributeStore):
     """Delegates to ``inner``; its first read rewrites the file, as another
     process could while the attributes are read."""
@@ -67,7 +74,7 @@ class RewritingStore(AttributeStore):
     def read(self, path, keys):
         if not self.rewritten:
             self.rewritten = True
-            Path(path).write_bytes(self.replacement)
+            Path(_named(path)).write_bytes(self.replacement)
         return self.inner.read(path, keys)
 
     def set(self, path, key, value):
@@ -150,9 +157,38 @@ class RecordingStore(AttributeStore):
     def read(self, path, keys):
         if not self.recorded:
             self.recorded = True
-            set_trust(self.inner, path, True, now=1)
-            record_view(self.inner, path, ContentView("viewer", PDF, False,
-                                                      content_identity(path), 1))
+            set_trust(self.inner, _named(path), True, now=1)
+            record_view(self.inner, _named(path), ContentView("viewer", PDF, False,
+                                                              content_identity(_named(path)), 1))
+        return self.inner.read(path, keys)
+
+    def set(self, path, key, value):
+        self.inner.set(path, key, value)
+
+    def lock(self, path):
+        return self.inner.lock(path)
+
+
+class RenamingStore(AttributeStore):
+    """Delegates to ``inner``; its first read moves a decoy whose policy
+    denies every handler over ``path``, as another process could between
+    the content pass and the attribute read."""
+
+    def __init__(self, inner: AttributeStore, path: Path):
+        self.inner = inner
+        self.path = path
+        self.renamed = False
+
+    def may_hold(self, fd, keys):
+        return self.inner.may_hold(fd, keys)
+
+    def read(self, path, keys):
+        if not self.renamed:
+            self.renamed = True
+            decoy = self.path.with_name("decoy")
+            decoy.write_bytes(ORIGINAL)
+            set_handler_policy(self.inner, decoy, DENY_ALL)
+            os.replace(decoy, self.path)
         return self.inner.read(path, keys)
 
     def set(self, path, key, value):
@@ -234,6 +270,19 @@ def test_rewrite_during_attribute_reads_is_not_mixed_in(runtime, tmp_path):
     assert not report.discrepancies
     assert decision.verdict is Verdict.ALLOW and decision.reasons == ()
     assert evidence.content_hash == hashlib.sha256(ORIGINAL).digest()
+
+
+def test_rename_during_the_check_does_not_pair_another_files_attributes(runtime, backend):
+    path = backend.workdir / "doc.pdf"
+    path.write_bytes(ORIGINAL)
+    store = RenamingStore(backend.store, path)
+    evidence, _, decision = assess_path(runtime._replace(store=store), path, handler="viewer")
+    assert store.renamed
+    # the attributes come from the file whose bytes were read, not the decoy
+    assert evidence.policy == policy_from({})
+    assert decision.verdict is Verdict.ALLOW
+    _, _, decision = assess_path(runtime._replace(store=backend.store), path, handler="viewer")
+    assert decision.verdict is Verdict.DENY
 
 
 def test_assessment_reads_the_store_once(runtime, backend):

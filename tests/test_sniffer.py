@@ -343,10 +343,11 @@ def reference_sniff(data: bytes, db: SignatureDb) -> SniffReport:
 
 #: Prefix-overlapping patterns (<html, <html5, and < alone), one pattern
 #: shared by two signatures (html and twin), a masked polyglot signature
-#: (<s in either case), one whose first byte is masked (fold, zZ or ZZ), a
-#: lone first byte (eval), a lone pattern of regex metacharacters, newline
-#: and NUL that starts with the filler byte (meta), one whose declared
-#: offset leaves room for an earlier match (late), and header-only ones.
+#: (<s in either case), two whose first byte is masked (fold, zZ or ZZ, and
+#: yelp, yY or YY at a nonzero declared offset), a lone first byte (eval), a
+#: lone pattern of regex metacharacters, newline and NUL that starts with
+#: the filler byte (meta), one whose declared offset leaves room for an
+#: earlier match (late), and header-only ones.
 OVERLAP_DB = load_signatures("\n".join([
     "html   | text/html             | 0    | 3c68746d6c   | -    | - | 1",
     "html5  | application/xhtml+xml | 0    | 3c68746d6c35 | -    | - | 1",
@@ -354,6 +355,7 @@ OVERLAP_DB = load_signatures("\n".join([
     "tag    | text/x-tag            | 0    | 3c           | -    | 1 | 1",
     "masked | text/x-masked         | 0    | 3c53         | ffdf | - | 1",
     "fold   | text/x-fold           | 0    | 5a5a         | dfff | - | 1",
+    "yelp   | text/x-yelp           | 3    | 5959         | dfff | - | 1",
     "lone   | text/x-lone           | 2    | 6576616c28   | -    | - | 1",
     "meta   | text/x-meta           | 0    | 2e2a0a5b00   | -    | - | 1",
     "late   | text/x-late           | 6    | 5858         | -    | - | 1",
@@ -363,8 +365,8 @@ OVERLAP_DB = load_signatures("\n".join([
 
 _FRAGMENTS = [b"<", b"<h", b"<html", b"<html5", b"<HTML", b"<s", b"<S", b"<script",
               b"<?php", b"<!DOCTYPE html", b"eval(", b"eva", b"PK\x03\x04", b"%PDF-",
-              b"#!/", b"\x7fELF", b"GIF", b"XX", b"zZ", b"ZZ", b".*\n[\x00", b".*\n", b".*",
-              b"*\n[\x00", b"a", b" ", b"\n", b"\x00", b"\xff"]
+              b"#!/", b"\x7fELF", b"GIF", b"XX", b"zZ", b"ZZ", b"yY", b"YY", b".*\n[\x00",
+              b".*\n", b".*", b"*\n[\x00", b"a", b" ", b"\n", b"\x00", b"\xff"]
 
 _dense = st.lists(st.sampled_from(_FRAGMENTS), max_size=40).map(b"".join)
 
