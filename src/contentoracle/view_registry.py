@@ -258,7 +258,17 @@ class SidecarStore(AttributeStore):
         try:
             conn = sqlite3.connect(self.path, timeout=_BUSY_TIMEOUT,
                                    isolation_level=None, check_same_thread=False)
-            conn.execute("PRAGMA journal_mode=WAL")
+            # a new database's switch to WAL meets another connection's lock
+            # without SQLite's busy wait, so it waits here as long
+            deadline = time.monotonic() + _BUSY_TIMEOUT
+            while True:
+                try:
+                    conn.execute("PRAGMA journal_mode=WAL")
+                    break
+                except sqlite3.OperationalError as exc:
+                    if "locked" not in str(exc) or time.monotonic() > deadline:
+                        raise
+                    time.sleep(0.005)
             conn.execute("PRAGMA synchronous=NORMAL")
             conn.execute("CREATE TABLE IF NOT EXISTS attrs (ident TEXT, key TEXT, value BLOB,"
                          " PRIMARY KEY (ident, key)) WITHOUT ROWID")

@@ -831,6 +831,28 @@ class TestSidecarDatabase:
         record_view(store, good, _view(path=good))
         assert len(read_views(SidecarStore(db), good)) == 1
 
+    @pytest.mark.parametrize("first_use", ["read", "write"])
+    def test_first_use_waits_for_another_connections_lock(self, tmp_path, first_use):
+        # the first switch of a new database to WAL meets the lock of a
+        # connection that opened it first; the store waits as for a writer
+        db = tmp_path / "sidecar.sqlite3"
+        path = tmp_path / "f"
+        path.write_bytes(b"x")
+        other = sqlite3.connect(db, isolation_level=None, check_same_thread=False)
+        other.execute("BEGIN IMMEDIATE")
+        release = threading.Timer(0.2, other.execute, ("ROLLBACK",))
+        release.start()
+        try:
+            store = SidecarStore(db)
+            if first_use == "read":
+                assert store.get(path, "user.test") is None
+            else:
+                store.set(path, "user.test", b"one")
+                assert store.get(path, "user.test") == b"one"
+        finally:
+            release.join()
+            other.close()
+
     def test_crashed_writer_does_not_lose_next_write(self, tmp_path):
         db = tmp_path / "sidecar.sqlite3"
         store = SidecarStore(db)
