@@ -191,12 +191,6 @@ class RenamingStore(AttributeStore):
             os.replace(decoy, self.path)
         return self.inner.read(path, keys)
 
-    def set(self, path, key, value):
-        self.inner.set(path, key, value)
-
-    def lock(self, path):
-        return self.inner.lock(path)
-
 
 class CountingSha256:
     """Stands in for ``new_sha256`` in ``runtime``: counts the digests begun."""

@@ -850,8 +850,9 @@ class TestSidecarDatabase:
                 store.set(path, "user.test", b"one")
                 assert store.get(path, "user.test") == b"one"
         finally:
-            release.join()
+            release.join(timeout=60)
             other.close()
+        assert not release.is_alive()
 
     def test_crashed_writer_does_not_lose_next_write(self, tmp_path):
         db = tmp_path / "sidecar.sqlite3"
