@@ -460,6 +460,13 @@ class TestStreamedScan:
         offsets = {c.signature: c.offset for c in sniff(b"XX....XX", OVERLAP_DB).candidates}
         assert offsets["late"] == 0
 
+    def test_masked_match_at_a_later_declared_offset_is_still_searched(self):
+        # the header tier would credit yelp at its declared offset 3
+        for data in (b"yY.YY", b"YYYYY"):
+            report = sniff(data, OVERLAP_DB)
+            assert {c.signature: c.offset for c in report.candidates}["yelp"] == 0
+            assert report == reference_sniff(data, OVERLAP_DB)
+
     def test_masked_search_within_budget(self):
         db = _db("masked | text/x-masked | 0 | 3c53 | ffdf | - | 1")
         data = b"<a <b " * ((4 << 20) // 6) + b"<s"
