@@ -38,7 +38,7 @@ from .view_registry import (
     FlaggedView,
     content_identity,
     get_trust,
-    open_regular,
+    opened,
     read_views,
     record_view,
     set_trust,
@@ -79,13 +79,6 @@ def _path(text: str) -> Path:
     if not text:
         raise argparse.ArgumentTypeError("empty path")
     return Path(text)
-
-
-def _attribute_path(path: Path) -> Path:
-    """``path``, if ``check`` could read it: no attribute is read or set on
-    a directory, FIFO or device, which no check could ever assess."""
-    os.close(open_regular(path))
-    return path
 
 
 def _app_ids(text: str) -> tuple[str, ...]:
@@ -154,31 +147,37 @@ def cmd_scan(args, runtime: Runtime) -> int:
     return worst
 
 
+# The view, trust and policy commands open the file once, refusing what no check
+# could assess, then name it by that descriptor, so a rename moves no record.
 def cmd_view_record(args, store: AttributeStore) -> int:
-    try:
-        t = int(time.time()) if args.now is None else args.now
-        view = ContentView(args.app, parse_mime_type(args.mime), args.active,
-                           content_identity(args.path), t, args.note)
-    except ValueError as exc:  # a malformed type, an empty app id or an overlong note
-        raise ContentOracleError(str(exc)) from None
-    record_view(store, args.path, view)
+    with opened(args.path) as fd:  # the file is checked before the view
+        try:
+            t = int(time.time()) if args.now is None else args.now
+            view = ContentView(args.app, parse_mime_type(args.mime), args.active,
+                               content_identity(fd), t, args.note)
+        except ValueError as exc:  # a malformed type, an empty app id or an overlong note
+            raise ContentOracleError(str(exc)) from None
+        record_view(store, fd, view)
     emit({"recorded": view_obj(FlaggedView(view, stale=False))})
     return EX_OK
 
 
 def cmd_view_list(args, store: AttributeStore) -> int:
-    emit({"views": [view_obj(fv) for fv in read_views(store, _attribute_path(args.path))]})
+    with opened(args.path) as fd:
+        emit({"views": [view_obj(fv) for fv in read_views(store, fd)]})
     return EX_OK
 
 
 def cmd_trust_set(args, store: AttributeStore) -> int:
-    set_trust(store, args.path, args.state == "trusted", now=args.now)
+    with opened(args.path) as fd:
+        set_trust(store, fd, args.state == "trusted", now=args.now)
     emit({"trust": args.state})
     return EX_OK
 
 
 def cmd_trust_get(args, store: AttributeStore) -> int:
-    emit({"trust": get_trust(store, _attribute_path(args.path)).value})
+    with opened(args.path) as fd:
+        emit({"trust": get_trust(store, fd).value})
     return EX_OK
 
 
@@ -187,13 +186,15 @@ def cmd_policy_set(args, store: AttributeStore) -> int:
     if args.deny_all == (args.apps is not None):
         raise ContentOracleError("policy handlers set: give exactly one of --apps and --deny-all")
     policy = DENY_ALL if args.deny_all else HandlerPolicy(allowed=args.apps)
-    set_handler_policy(store, _attribute_path(args.path), policy)
+    with opened(args.path) as fd:
+        set_handler_policy(store, fd, policy)
     emit(to_obj(RECORDS[POLICY_KEY], policy))
     return EX_OK
 
 
 def cmd_policy_get(args, store: AttributeStore) -> int:
-    policy = policy_from(store.read(_attribute_path(args.path), (POLICY_KEY,)))
+    with opened(args.path) as fd:
+        policy = policy_from(store.read(fd, (POLICY_KEY,)))
     emit({**to_obj(RECORDS[POLICY_KEY], policy), "restricts": policy.restricts})
     return EX_OK
 

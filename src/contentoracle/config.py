@@ -14,7 +14,7 @@ from pathlib import Path
 from typing import Any, Callable, NamedTuple
 
 from .errors import ConfigError, ContentOracleError
-from .view_registry import open_regular
+from .view_registry import opened
 
 ENV_VAR = "CONTENTORACLE_CONFIG"
 
@@ -53,7 +53,7 @@ def read_data_file(path: Path, parse: Callable[[str], Any]) -> Any:
     once): a file that is not UTF-8, or that ``parse`` rejects, is a
     configuration error whose message names it."""
     try:
-        with open(open_regular(path), "rb") as fh:
+        with opened(path) as fd, open(fd, "rb", closefd=False) as fh:
             return parse(fh.read().decode("utf-8"))
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path} is not UTF-8 text: {exc}") from None
@@ -88,7 +88,7 @@ def load_config(explicit_path: str | None = None) -> Config:
     if path is None:
         return config
     try:
-        with open(open_regular(path), "rb") as fh:  # a FIFO fails, as a data file does
+        with opened(path) as fd, open(fd, "rb", closefd=False) as fh:  # a FIFO fails at once
             doc = json.loads(fh.read().decode("utf-8"))
     except FileNotFoundError:
         if required:

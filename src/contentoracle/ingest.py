@@ -191,10 +191,10 @@ def fetch(
                     out.write(chunk)
                 if response.length:  # the stream ended before its Content-Length
                     raise NetworkError(f"response from {url} ended {response.length} bytes short")
-            # stamped first: the body appears under its name with its provenance
-            store.set(partial, ORIGIN_KEY, final_url.encode("utf-8"))
-            if referrer:
-                store.set(partial, REFERRER_KEY, referrer.encode("utf-8", "surrogateescape"))
+                # stamped first: the body appears under its name with its provenance
+                store.set(fd, ORIGIN_KEY, final_url.encode("utf-8"))
+                if referrer:
+                    store.set(fd, REFERRER_KEY, referrer.encode("utf-8", "surrogateescape"))
             os.replace(partial, dest)
         except BaseException as exc:
             os.unlink(partial)

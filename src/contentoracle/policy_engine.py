@@ -52,8 +52,8 @@ NO_RESTRICTION = HandlerPolicy()
 DENY_ALL = HandlerPolicy(deny_all=True)
 
 
-def set_handler_policy(store: AttributeStore, path: str | Path, policy: HandlerPolicy) -> None:
-    store.set(path, POLICY_KEY, encode_record(POLICY_KEY, policy))
+def set_handler_policy(store: AttributeStore, file: int | str | Path, policy: HandlerPolicy) -> None:
+    store.set(file, POLICY_KEY, encode_record(POLICY_KEY, policy))
 
 
 def policy_from(attrs: dict[str, bytes]) -> HandlerPolicy:

@@ -40,7 +40,7 @@ from .view_registry import (
     SidecarStore,
     XattrStore,
     new_sha256,
-    open_regular,
+    opened,
     provenance_from,
     trust_from,
     views_from,
@@ -89,8 +89,7 @@ def build_evidence(runtime: Runtime, path: str | Path, *, always_hash: bool = Fa
     scan = SniffScan(runtime.sig_db)
     # opened before the name is analysed: "." and "/" have no name, and
     # fail here as the directories they are
-    fd = open_regular(path)
-    try:
+    with opened(path) as fd:
         hashed = always_hash or runtime.store.may_hold(fd, HASH_BOUND_KEYS)
         digest = new_sha256() if hashed else None
         while chunk := os.read(fd, CHUNK_SIZE):
@@ -99,8 +98,6 @@ def build_evidence(runtime: Runtime, path: str | Path, *, always_hash: bool = Fa
             scan.feed(chunk)
         # views or trust on an unhashed file were written during the check
         attrs = runtime.store.read(fd, ATTRIBUTE_KEYS if hashed else UNBOUND_KEYS)
-    finally:
-        os.close(fd)
     content_hash = digest.digest() if hashed else None
     name_report = analyze_name(os.path.basename(path), runtime.ext_map.known_extensions())
     extension = name_report.logical_extension

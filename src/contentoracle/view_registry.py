@@ -168,24 +168,25 @@ def decode_record(key: str, data: bytes) -> tuple:
 CHUNK_SIZE = 256 << 10
 
 
-def open_regular(path: str | Path) -> int:
-    """A descriptor reading ``path``, for the caller to close, if a regular file; else ``OSError``.
-
-    The open does not wait for a FIFO's writer, and the type is read from
-    the descriptor that is then read, so the file cannot change between the
-    check and the read. A read with ``os.read`` costs no buffered reader.
-    """
-    fd = os.open(path, os.O_RDONLY | os.O_NONBLOCK)
+@contextmanager
+def opened(file: int | str | Path) -> Iterator[int]:
+    """``file`` if it is a descriptor; else a descriptor reading the regular file at path
+    ``file``, closed on exit, and ``OSError`` for any other type. The open does not wait
+    for a FIFO's writer, and the type is read from the descriptor then used, so the file
+    cannot change between check and use; ``os.read`` on it costs no buffered reader."""
+    if isinstance(file, int):
+        yield file
+        return
+    fd = os.open(file, os.O_RDONLY | os.O_NONBLOCK)
     try:
         mode = os.fstat(fd).st_mode
         if stat.S_ISDIR(mode):
-            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), os.fspath(path))
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), os.fspath(file))
         if not stat.S_ISREG(mode):
-            raise OSError(f"not a regular file: {path}")
-        return fd
-    except BaseException:
+            raise OSError(f"not a regular file: {file}")
+        yield fd
+    finally:
         os.close(fd)
-        raise
 
 
 def new_sha256():
@@ -194,36 +195,33 @@ def new_sha256():
     return hashlib.sha256()
 
 
-def content_identity(path: str | Path) -> bytes:
-    """SHA-256 of the file's full contents, streamed."""
+def content_identity(file: int | str | Path) -> bytes:
+    """SHA-256 of the file's full contents, streamed; a descriptor is read from its offset."""
     digest = new_sha256()
-    fd = open_regular(path)
-    try:
+    with opened(file) as fd:
         while chunk := os.read(fd, CHUNK_SIZE):
             digest.update(chunk)
-    finally:
-        os.close(fd)
     return digest.digest()
 
 
 class AttributeStore:
-    """Key/value-per-file surface of both backends; ``read`` takes an open descriptor or a path."""
+    """Key/value-per-file surface of both backends; each method takes a descriptor or a path."""
 
-    def read(self, path: int | str | Path, keys: Collection[str]) -> dict[str, bytes]:
+    def read(self, file: int | str | Path, keys: Collection[str]) -> dict[str, bytes]:
         """Those of ``keys`` that the file has, with their values, in one lookup."""
         raise NotImplementedError
 
-    def get(self, path: str | Path, key: str) -> bytes | None:
-        return self.read(path, (key,)).get(key)
+    def get(self, file: int | str | Path, key: str) -> bytes | None:
+        return self.read(file, (key,)).get(key)
 
     def may_hold(self, fd: int, keys: Collection[str]) -> bool:
         """False only if the file open on ``fd`` certainly has none of ``keys``."""
         return True
 
-    def set(self, path: str | Path, key: str, value: bytes) -> None:
+    def set(self, file: int | str | Path, key: str, value: bytes) -> None:
         raise NotImplementedError
 
-    def lock(self, path: str | Path) -> AbstractContextManager[None]:
+    def lock(self, file: int | str | Path) -> AbstractContextManager[None]:
         """Advisory exclusive lock serializing read-modify-write cycles."""
         raise NotImplementedError
 
@@ -245,8 +243,8 @@ class SidecarStore(AttributeStore):
         self._mutex = threading.RLock()  # one connection, one user at a time
 
     @staticmethod
-    def identity(path: int | str | Path) -> str:
-        st = os.stat(path)  # raises for a missing file, as getxattr does
+    def identity(file: int | str | Path) -> str:
+        st = os.stat(file)  # raises for a missing file, as getxattr does
         return f"{st.st_dev}:{st.st_ino}"
 
     def _connect(self):
@@ -297,21 +295,21 @@ class SidecarStore(AttributeStore):
     def may_hold(self, fd: int, keys: Collection[str]) -> bool:
         return self._conn is not None or self.path.exists()  # a query costs more than a hash
 
-    def read(self, path: int | str | Path, keys: Collection[str]) -> dict[str, bytes]:
-        ident = self.identity(path)
+    def read(self, file: int | str | Path, keys: Collection[str]) -> dict[str, bytes]:
+        ident = self.identity(file)
         with self._mutex:
             if self._conn is None and not self.path.exists():
                 return {}  # a read creates no database
             rows = self._execute("SELECT key, value FROM attrs WHERE ident = ?", (ident,))
         return {key: value for key, value in rows if key in keys}
 
-    def set(self, path: str | Path, key: str, value: bytes) -> None:
-        ident = self.identity(path)
+    def set(self, file: int | str | Path, key: str, value: bytes) -> None:
+        ident = self.identity(file)
         with self._mutex:
             self._execute("INSERT OR REPLACE INTO attrs VALUES (?, ?, ?)", (ident, key, value))
 
     @contextmanager
-    def lock(self, path: str | Path) -> Iterator[None]:
+    def lock(self, file: int | str | Path) -> Iterator[None]:
         # One write transaction on the whole database: it serializes
         # read-modify-write cycles across threads (the mutex) and processes.
         with self._mutex:
@@ -336,9 +334,9 @@ class XattrStore(AttributeStore):
     def __init__(self, overflow: SidecarStore):
         self.overflow = overflow
 
-    def read(self, path: int | str | Path, keys: Collection[str]) -> dict[str, bytes]:
+    def read(self, file: int | str | Path, keys: Collection[str]) -> dict[str, bytes]:
         try:
-            present = set(os.listxattr(path))
+            present = set(os.listxattr(file))
         except OSError as exc:
             if exc.errno in _ABSENT_ERRNOS:  # no xattrs on this filesystem
                 return {}
@@ -346,14 +344,14 @@ class XattrStore(AttributeStore):
         values = {}
         for key in present.intersection(keys):
             try:
-                values[key] = os.getxattr(path, key)
+                values[key] = os.getxattr(file, key)
             except OSError as exc:
                 if exc.errno not in _ABSENT_ERRNOS:  # else removed since the listing
                     raise
         spilled = [key for key, value in values.items() if value == OVERFLOW_STUB]
         for key in spilled:  # the overflow sidecar holds these values, if anything does
             del values[key]
-        return {**values, **self.overflow.read(path, spilled)} if spilled else values
+        return {**values, **self.overflow.read(file, spilled)} if spilled else values
 
     def may_hold(self, fd: int, keys: Collection[str]) -> bool:
         try:  # a spilled value's stub is listed under its key
@@ -361,24 +359,27 @@ class XattrStore(AttributeStore):
         except OSError as exc:  # any but "no xattrs here" is for the read to raise
             return exc.errno not in _ABSENT_ERRNOS
 
-    def set(self, path: str | Path, key: str, value: bytes) -> None:
+    def set(self, file: int | str | Path, key: str, value: bytes) -> None:
         try:
             if len(value) <= XATTR_VALUE_LIMIT:
-                os.setxattr(path, key, value)
+                os.setxattr(file, key, value)
                 return
         except OSError as exc:
             if exc.errno not in (errno.E2BIG, errno.ENOSPC):
                 raise
         # too large for an attribute: the value spills to the sidecar, then its stub lands
-        self.overflow.set(path, key, value)
-        os.setxattr(path, key, OVERFLOW_STUB)
+        self.overflow.set(file, key, value)
+        os.setxattr(file, key, OVERFLOW_STUB)
 
     @contextmanager
-    def lock(self, path: str | Path) -> Iterator[None]:
+    def lock(self, file: int | str | Path) -> Iterator[None]:
         import fcntl  # only a write locks
-        with open(open_regular(path), "rb") as fh:
-            fcntl.flock(fh, fcntl.LOCK_EX)
-            yield
+        with opened(file) as fd:
+            fcntl.flock(fd, fcntl.LOCK_EX)
+            try:
+                yield
+            finally:  # a descriptor outlives the lock
+                fcntl.flock(fd, fcntl.LOCK_UN)
 
 
 class AutoStore(AttributeStore):
@@ -388,23 +389,23 @@ class AutoStore(AttributeStore):
         self.xattr = xattr
         self.sidecar = sidecar
 
-    def read(self, path: int | str | Path, keys: Collection[str]) -> dict[str, bytes]:
-        return {**self.sidecar.read(path, keys), **self.xattr.read(path, keys)}
+    def read(self, file: int | str | Path, keys: Collection[str]) -> dict[str, bytes]:
+        return {**self.sidecar.read(file, keys), **self.xattr.read(file, keys)}
 
     def may_hold(self, fd: int, keys: Collection[str]) -> bool:
         return self.xattr.may_hold(fd, keys) or self.sidecar.may_hold(fd, keys)
 
-    def set(self, path: str | Path, key: str, value: bytes) -> None:
+    def set(self, file: int | str | Path, key: str, value: bytes) -> None:
         try:
-            self.xattr.set(path, key, value)
+            self.xattr.set(file, key, value)
         except OSError as exc:
             if exc.errno in (errno.ENOTSUP, errno.EOPNOTSUPP, errno.EPERM):
-                self.sidecar.set(path, key, value)
+                self.sidecar.set(file, key, value)
             else:
                 raise
 
-    def lock(self, path: str | Path) -> AbstractContextManager[None]:
-        return self.xattr.lock(path)
+    def lock(self, file: int | str | Path) -> AbstractContextManager[None]:
+        return self.xattr.lock(file)
 
 
 def xattrs_supported(directory: str | Path) -> bool:
@@ -467,12 +468,12 @@ def decode_views(data: bytes) -> list[ContentView]:
     return decode_record(VIEWS_KEY, data)[0]
 
 
-def record_view(store: AttributeStore, path: str | Path, view: ContentView) -> None:
+def record_view(store: AttributeStore, file: int | str | Path, view: ContentView) -> None:
     """Append (or replace, latest-wins per application) one view on a file."""
-    with store.lock(path):
-        raw = store.get(path, VIEWS_KEY)
+    with store.lock(file):
+        raw = store.get(file, VIEWS_KEY)
         views = [] if raw is None else decode_views(raw)
-        store.set(path, VIEWS_KEY, encode_views([*views, view]))
+        store.set(file, VIEWS_KEY, encode_views([*views, view]))
 
 
 def views_from(attrs: dict[str, bytes], content_hash: bytes) -> list[FlaggedView]:
@@ -481,10 +482,10 @@ def views_from(attrs: dict[str, bytes], content_hash: bytes) -> list[FlaggedView
     return [FlaggedView(v, v.content_hash != content_hash) for v in views]
 
 
-def read_views(store: AttributeStore, path: str | Path) -> list[FlaggedView]:
+def read_views(store: AttributeStore, file: int | str | Path) -> list[FlaggedView]:
     """All recorded views, sorted by app id, stale unless recorded for the current contents."""
-    attrs = store.read(path, (VIEWS_KEY,))  # the file is hashed only if it has views
-    return views_from(attrs, content_identity(path) if VIEWS_KEY in attrs else None)
+    attrs = store.read(file, (VIEWS_KEY,))  # the file is hashed only if it has views
+    return views_from(attrs, content_identity(file) if VIEWS_KEY in attrs else None)
 
 
 class TrustState(Enum):
@@ -494,10 +495,11 @@ class TrustState(Enum):
     UNSET = "unset"
 
 
-def set_trust(store: AttributeStore, path: str | Path, trusted: bool, now: int | None = None) -> None:
+def set_trust(store: AttributeStore, file: int | str | Path, trusted: bool,
+              now: int | None = None) -> None:
     """Record a trust decision bound to the file's current content hash."""
     t = int(time.time()) if now is None else now
-    store.set(path, TRUST_KEY, encode_record(TRUST_KEY, (content_identity(path), trusted, t)))
+    store.set(file, TRUST_KEY, encode_record(TRUST_KEY, (content_identity(file), trusted, t)))
 
 
 def trust_from(attrs: dict[str, bytes], content_hash: bytes) -> TrustState:
@@ -510,11 +512,11 @@ def trust_from(attrs: dict[str, bytes], content_hash: bytes) -> TrustState:
     return TrustState.TRUSTED if trusted else TrustState.UNTRUSTED
 
 
-def get_trust(store: AttributeStore, path: str | Path) -> TrustState:
+def get_trust(store: AttributeStore, file: int | str | Path) -> TrustState:
     """Trust state for the file's *current* contents."""
-    attrs = store.read(path, (TRUST_KEY,))
+    attrs = store.read(file, (TRUST_KEY,))
     # the file is hashed only if trust was recorded
-    return trust_from(attrs, content_identity(path) if TRUST_KEY in attrs else None)
+    return trust_from(attrs, content_identity(file) if TRUST_KEY in attrs else None)
 
 
 class Provenance(NamedTuple):

@@ -158,6 +158,35 @@ def report_of(out: str) -> dict:
     return doc
 
 
+class RenamingStore(view_registry.AttributeStore):
+    """Delegates to ``inner``; its first read, set or lock moves a decoy over
+    ``path``, as another process could between two lookups of the name."""
+
+    def __init__(self, inner: view_registry.AttributeStore, path: Path):
+        self.inner = inner
+        self.path = path
+        self.renamed = False
+
+    def _rename_once(self) -> None:
+        if not self.renamed:
+            self.renamed = True
+            decoy = self.path.with_name("decoy")
+            decoy.write_bytes(b"%PDF-1.4 decoy")
+            os.replace(decoy, self.path)
+
+    def read(self, file, keys):
+        self._rename_once()
+        return self.inner.read(file, keys)
+
+    def set(self, file, key, value):
+        self._rename_once()
+        self.inner.set(file, key, value)
+
+    def lock(self, file):
+        self._rename_once()
+        return self.inner.lock(file)
+
+
 class TestCheck:
     def test_consistent_pdf_exits_zero(self, capsys, config_file, tmp_path):
         target = tmp_path / "doc.pdf"
@@ -494,6 +523,54 @@ class TestViewTrustPolicy:
         assert code == 0
         assert (calls["read"], calls["hash"]) == (reads, hashes)
 
+    @pytest.mark.parametrize("command,key", [
+        ("policy handlers set {} --deny-all", POLICY_KEY),
+        ("trust set {} trusted", TRUST_KEY),
+        ("view record {} --app a --mime text/plain", VIEWS_KEY),
+    ])
+    def test_rename_during_a_write_does_not_move_the_record(self, capsys, config_file, backend,
+                                                           monkeypatch, command, key):
+        target = backend.workdir / "doc.pdf"
+        target.write_bytes(b"%PDF-1.4 original")
+        original = backend.workdir / "original.pdf"
+        os.link(target, original)  # the named file stays reachable after the rename
+        store = RenamingStore(backend.store, target)
+        monkeypatch.setattr(cli, "make_store", lambda config: store)
+        code, _ = run_cli(capsys, "--config", config_file, *_with_path(command, target))
+        assert code == 0
+        assert store.renamed
+        keys = (POLICY_KEY, TRUST_KEY, VIEWS_KEY)
+        assert list(backend.store.read(original, keys)) == [key]
+        assert backend.store.read(target, keys) == {}
+
+    @pytest.mark.parametrize("command", [
+        "view record {} --app a --mime text/plain", "view list {}", "trust set {} trusted",
+        "trust get {}", "policy handlers set {} --deny-all", "policy handlers get {}"])
+    def test_each_command_names_its_file_once(self, capsys, config_file, backend, monkeypatch,
+                                              command):
+        target = backend.workdir / "doc.pdf"
+        target.write_bytes(b"%PDF-1.4")
+        # records to read, so that reads list, get and hash
+        set_trust(backend.store, target, True, now=1)
+        record_view(backend.store, target, ContentView(
+            "viewer", parse_mime_type("application/pdf"), False, content_identity(target), 1))
+        lookups = []
+
+        def counting(real):
+            def call(file, *args, **kwargs):
+                if not isinstance(file, int) and os.fspath(file) == str(target):
+                    lookups.append(real.__name__)
+                return real(file, *args, **kwargs)
+            return call
+
+        for name in ("open", "stat", "listxattr", "getxattr", "setxattr"):
+            monkeypatch.setattr(os, name, counting(getattr(os, name)))
+        monkeypatch.setattr(cli, "make_store", lambda config: backend.store)
+        code, _ = run_cli(capsys, "--config", config_file, *_with_path(command, target))
+        monkeypatch.undo()
+        assert code == 0
+        assert lookups == ["open"]
+
     @pytest.mark.parametrize("command", [
         "view list {}", "trust get {}", "policy handlers get {}",
         "policy handlers set {} --deny-all", "trust set {} trusted",
@@ -796,11 +873,17 @@ class TestExitCodes:
         _, out = run_cli(capsys, "--config", config_file, "view", "list", str(target))
         assert json.loads(out)["views"] == []
 
+    @pytest.mark.parametrize("flags", [
+        ("--mime", "text/plain", "--app", ""),
+        ("--mime", "nope", "--app", "a"),
+        ("--mime", "text/plain", "--app", "a", "--note", "x" * 300),
+    ])
     def test_view_of_a_missing_file_is_an_io_error_before_a_bad_view(self, capsys,
-                                                                       config_file, tmp_path):
-        # the file is hashed before the view is built and checked
+                                                                       config_file, tmp_path,
+                                                                       flags):
+        # the file is opened and hashed before the view is built and checked
         code, out = run_cli(capsys, "--config", config_file, "view", "record",
-                            str(tmp_path / "missing.txt"), "--mime", "text/plain", "--app", "")
+                            str(tmp_path / "missing.txt"), *flags)
         assert code == EX_IOERR
         assert out == ""
 

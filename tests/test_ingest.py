@@ -156,6 +156,22 @@ class TestFetch:
         assert origins == [url.encode()]
         assert runtime.store.get(record.body_path, ORIGIN_KEY) == url.encode()
 
+    def test_stamp_names_the_body_by_the_descriptor_it_was_written_through(
+            self, http_server, runtime, tmp_path):
+        # not by the partial name, which another process could move
+        url = http_server.add("/stamp/by-descriptor.pdf", b"%PDF-1.4 stamped")
+        stamps = []
+
+        class RecordingStore(AttributeStore):
+            def set(self, file, key, value):
+                stamps.append((key, type(file)))
+                runtime.store.set(file, key, value)
+
+        record = fetch(url, tmp_path, RecordingStore(), referrer="https://example.test/")
+        assert stamps == [(ORIGIN_KEY, int), (REFERRER_KEY, int)]
+        assert runtime.store.get(record.body_path, ORIGIN_KEY) == url.encode()
+        assert runtime.store.get(record.body_path, REFERRER_KEY) == b"https://example.test/"
+
     def test_failed_stamp_leaves_no_file(self, http_server, runtime, tmp_path):
         class RefusingStore(AttributeStore):
             def set(self, path, key, value):
