@@ -340,7 +340,7 @@ _COMMANDS = {
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="contentoracle", description=__doc__)
-    parser.add_argument("--config", help="path to a config file")
+    parser.add_argument("--config", type=_path, help="path to a config file")
     parser.add_argument("--now", type=int, help="timestamp override for deterministic output")
     # what a command is handed; view, trust and policy use the store alone,
     # browser the models directory and db stats nothing of the

@@ -67,7 +67,7 @@ def _user_config_path() -> Path:
     return base / "contentoracle" / "config.json"
 
 
-def load_config(explicit_path: str | None = None) -> Config:
+def load_config(explicit_path: str | Path | None = None) -> Config:
     """Resolve the effective configuration.
 
     An explicitly named or environment-selected file must exist and parse;

@@ -1,14 +1,14 @@
 """Loaded registries plus the evidence-building step shared by the CLI and
 the ingest pipeline.
 
-Evidence comes from one streamed pass per file: the file is opened and
-read once, in chunks that feed the sniffer's scan and, where the store may
-hold views or trust for the file, one SHA-256 that they and the sniff report
-are judged against, so a rewrite during the check cannot mix two contents.
-One store ``read`` through the same descriptor then gives the attributes
-(handler policy, provenance, and views and trust if the file was hashed), so
-a rename cannot pair them with another file's bytes; no other stage reads
-the store, so ``evaluate`` and ``decide`` judge one version.
+Evidence comes from one snapshot per file: the file is opened once, and
+one store ``read`` through that descriptor gives its attributes (views,
+trust, handler policy, provenance), so a rename cannot pair them with
+another file's bytes. Then the file is read once, in chunks that feed the
+sniffer's scan and, where the snapshot holds views or trust, one SHA-256
+that they are judged against, so a rewrite during the check cannot mix two
+contents. No other stage reads the store, so ``evaluate`` and ``decide``
+judge one version.
 """
 
 from __future__ import annotations
@@ -33,8 +33,8 @@ from .sniffer import SignatureDb, SniffScan, load_signatures
 from .view_registry import (
     ATTRIBUTE_KEYS,
     CHUNK_SIZE,
-    HASH_BOUND_KEYS,
-    UNBOUND_KEYS,
+    TRUST_KEY,
+    VIEWS_KEY,
     AttributeStore,
     AutoStore,
     SidecarStore,
@@ -81,23 +81,22 @@ class Runtime(NamedTuple):
 def build_evidence(runtime: Runtime, path: str | Path, *, always_hash: bool = False) -> Evidence:
     """Gather every evidence source for one on-disk file.
 
-    The file is read once, then its attributes through the same descriptor.
-    Its digest, taken if ``always_hash`` is set or the store may hold views
-    or trust for it, is ``Evidence.content_hash``. Only a download has a
+    The file's attributes are read once, then its bytes through the same
+    descriptor. Its digest, taken if ``always_hash`` is set or they hold
+    views or trust, is ``Evidence.content_hash``. Only a download has a
     declared type (``ingest`` adds it). ``path`` is opened as spelled.
     """
     scan = SniffScan(runtime.sig_db)
     # opened before the name is analysed: "." and "/" have no name, and
     # fail here as the directories they are
     with opened(path) as fd:
-        hashed = always_hash or runtime.store.may_hold(fd, HASH_BOUND_KEYS)
+        attrs = runtime.store.read(fd, ATTRIBUTE_KEYS)
+        hashed = always_hash or VIEWS_KEY in attrs or TRUST_KEY in attrs
         digest = new_sha256() if hashed else None
         while chunk := os.read(fd, CHUNK_SIZE):
             if hashed:
                 digest.update(chunk)
             scan.feed(chunk)
-        # views or trust on an unhashed file were written during the check
-        attrs = runtime.store.read(fd, ATTRIBUTE_KEYS if hashed else UNBOUND_KEYS)
     content_hash = digest.digest() if hashed else None
     name_report = analyze_name(os.path.basename(path), runtime.ext_map.known_extensions())
     extension = name_report.logical_extension

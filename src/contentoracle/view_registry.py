@@ -40,11 +40,8 @@ POLICY_KEY = "user.contentoracle.policy"
 ORIGIN_KEY = "user.xdg.origin.url"
 REFERRER_KEY = "user.xdg.referrer.url"
 QUARANTINE_KEY = "com.apple.quarantine"
-#: The attributes judged against a file's content hash, and those judged without it.
-HASH_BOUND_KEYS = (VIEWS_KEY, TRUST_KEY)
-UNBOUND_KEYS = (POLICY_KEY, ORIGIN_KEY, REFERRER_KEY, QUARANTINE_KEY)
-#: Every attribute an assessment of a hashed file reads, in one store lookup.
-ATTRIBUTE_KEYS = (*HASH_BOUND_KEYS, *UNBOUND_KEYS)
+#: Every attribute an assessment reads, in one store lookup.
+ATTRIBUTE_KEYS = (VIEWS_KEY, TRUST_KEY, POLICY_KEY, ORIGIN_KEY, REFERRER_KEY, QUARANTINE_KEY)
 
 #: Conservative per-attribute size floor across filesystems; larger values
 #: overflow to the sidecar behind a stub attribute.
@@ -214,10 +211,6 @@ class AttributeStore:
     def get(self, file: int | str | Path, key: str) -> bytes | None:
         return self.read(file, (key,)).get(key)
 
-    def may_hold(self, fd: int, keys: Collection[str]) -> bool:
-        """False only if the file open on ``fd`` certainly has none of ``keys``."""
-        return True
-
     def set(self, file: int | str | Path, key: str, value: bytes) -> None:
         raise NotImplementedError
 
@@ -292,9 +285,6 @@ class SidecarStore(AttributeStore):
         except sqlite3.OperationalError as exc:
             raise OSError(f"sidecar {self.path}: {exc}") from exc
 
-    def may_hold(self, fd: int, keys: Collection[str]) -> bool:
-        return self._conn is not None or self.path.exists()  # a query costs more than a hash
-
     def read(self, file: int | str | Path, keys: Collection[str]) -> dict[str, bytes]:
         ident = self.identity(file)
         with self._mutex:
@@ -353,12 +343,6 @@ class XattrStore(AttributeStore):
             del values[key]
         return {**values, **self.overflow.read(file, spilled)} if spilled else values
 
-    def may_hold(self, fd: int, keys: Collection[str]) -> bool:
-        try:  # a spilled value's stub is listed under its key
-            return not set(keys).isdisjoint(os.listxattr(fd))
-        except OSError as exc:  # any but "no xattrs here" is for the read to raise
-            return exc.errno not in _ABSENT_ERRNOS
-
     def set(self, file: int | str | Path, key: str, value: bytes) -> None:
         try:
             if len(value) <= XATTR_VALUE_LIMIT:
@@ -391,9 +375,6 @@ class AutoStore(AttributeStore):
 
     def read(self, file: int | str | Path, keys: Collection[str]) -> dict[str, bytes]:
         return {**self.sidecar.read(file, keys), **self.xattr.read(file, keys)}
-
-    def may_hold(self, fd: int, keys: Collection[str]) -> bool:
-        return self.xattr.may_hold(fd, keys) or self.sidecar.may_hold(fd, keys)
 
     def set(self, file: int | str | Path, key: str, value: bytes) -> None:
         try:

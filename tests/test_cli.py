@@ -1047,6 +1047,24 @@ class TestExitCodes:
         assert "empty path" in captured.err
         assert os.listdir(tmp_path) == ["config.json"]
 
+    @pytest.mark.parametrize("env_config", [None, "absent.json"], ids=["no-env", "env"])
+    def test_empty_config_path_is_64(self, capsys, tmp_path, monkeypatch, env_config):
+        # "" names no file: it neither falls back to the defaults nor to
+        # $CONTENTORACLE_CONFIG, as an absent --config does
+        for var in ("HOME", "XDG_CONFIG_HOME", "XDG_STATE_HOME"):
+            monkeypatch.setenv(var, str(tmp_path / var.lower()))
+        if env_config is None:
+            monkeypatch.delenv("CONTENTORACLE_CONFIG", raising=False)
+        else:
+            monkeypatch.setenv("CONTENTORACLE_CONFIG", str(tmp_path / env_config))
+        target = tmp_path / "a.pdf"
+        target.write_bytes(b"%PDF-1.4 body")
+        assert main(["--config", "", "check", str(target)]) == EX_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--config: empty path" in captured.err
+        assert os.listdir(tmp_path) == ["a.pdf"]
+
     @pytest.mark.parametrize("command", PATH_COMMANDS)
     def test_attribute_commands_reject_a_directory(self, capsys, config_file, tmp_path, command):
         assert main(["--config", config_file, *_with_path(command, tmp_path)]) == EX_IOERR

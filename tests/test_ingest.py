@@ -376,7 +376,7 @@ class TestAssess:
         )
         record = fetch(url, tmp_path, runtime.store)
         # independently constructed evidence, before assess records its view
-        evidence = build_evidence(runtime, record.body_path)._replace(
+        evidence = build_evidence(runtime, record.body_path, always_hash=True)._replace(
             declared_mime=parse_mime_type("application/pdf"))
         expected_report = evaluate(evidence, runtime.active)
         expected_decision = decide(

@@ -150,6 +150,11 @@ class TestImportGuard:
         code, modules = _cli_modules(tmp_path, "check", "a.pdf")
         assert code == 1
         assert {"hashlib", "_hashlib"} <= modules
+        # another file in the same sidecar holds no record: no digest
+        (tmp_path / "b.pdf").write_bytes(b"%PDF-1.7\n1 0 obj\n<<>>\nendobj\n%%EOF\n")
+        code, modules = _cli_modules(tmp_path, "check", "b.pdf")
+        assert code == 0
+        assert sorted(set(ON_FIRST_USE) & (modules - site_modules)) == []
 
     def test_browser_diff_loads_models_not_http(self, tmp_path, site_modules):
         code, modules = _cli_modules(tmp_path, "browser", "diff", "firefox-like", "opera-like")

@@ -1,7 +1,7 @@
-"""Tests for the one-pass evidence snapshot: one read per assessment, and
-one digest where views or trust may need it, shared by the sniff report,
-the views and trust, and one store read per assessment, shared by the
-discrepancy report and the verdict."""
+"""Tests for the one-pass evidence snapshot: one store read per assessment,
+taken first and shared by the discrepancy report and the verdict, then one
+read of the bytes, and one digest where that snapshot holds views or trust,
+shared by the sniff report, the views and the trust."""
 
 from __future__ import annotations
 
@@ -34,7 +34,6 @@ from contentoracle.runtime import assess_path, build_evidence, judge
 from contentoracle.sniffer import sniff
 from contentoracle.view_registry import (
     ATTRIBUTE_KEYS,
-    HASH_BOUND_KEYS,
     ORIGIN_KEY,
     OVERFLOW_STUB,
     POLICY_KEY,
@@ -63,8 +62,9 @@ def _named(file):
 
 
 class RewritingStore(AttributeStore):
-    """Delegates to ``inner``; its first read rewrites the file, as another
-    process could while the attributes are read."""
+    """Delegates to ``inner``; right after its first read it rewrites the
+    file, as another process could between the attribute read and the
+    content pass."""
 
     def __init__(self, inner: AttributeStore, replacement: bytes):
         self.inner = inner
@@ -72,10 +72,11 @@ class RewritingStore(AttributeStore):
         self.rewritten = False
 
     def read(self, path, keys):
+        attrs = self.inner.read(path, keys)
         if not self.rewritten:
             self.rewritten = True
             Path(_named(path)).write_bytes(self.replacement)
-        return self.inner.read(path, keys)
+        return attrs
 
     def set(self, path, key, value):
         self.inner.set(path, key, value)
@@ -115,9 +116,6 @@ class KeyRecordingStore(AttributeStore):
         self.inner = inner
         self.reads: list[tuple[str, ...]] = []
 
-    def may_hold(self, fd, keys):
-        return self.inner.may_hold(fd, keys)
-
     def read(self, path, keys):
         self.reads.append(tuple(keys))
         return self.inner.read(path, keys)
@@ -143,24 +141,22 @@ class DenyAfterReadStore(AttributeStore):
 
 
 class RecordingStore(AttributeStore):
-    """Delegates to ``inner``; its first read records trust and a view for
-    the file's current bytes before it reads, as another process could
+    """Delegates to ``inner``; right after its first read it records trust
+    and a view for the file's current bytes, as another process could
     while a check runs."""
 
     def __init__(self, inner: AttributeStore):
         self.inner = inner
         self.recorded = False
 
-    def may_hold(self, fd, keys):
-        return self.inner.may_hold(fd, keys)
-
     def read(self, path, keys):
+        attrs = self.inner.read(path, keys)
         if not self.recorded:
             self.recorded = True
             set_trust(self.inner, _named(path), True, now=1)
             record_view(self.inner, _named(path), ContentView("viewer", PDF, False,
                                                               content_identity(_named(path)), 1))
-        return self.inner.read(path, keys)
+        return attrs
 
     def set(self, path, key, value):
         self.inner.set(path, key, value)
@@ -172,15 +168,12 @@ class RecordingStore(AttributeStore):
 class RenamingStore(AttributeStore):
     """Delegates to ``inner``; its first read moves a decoy whose policy
     denies every handler over ``path``, as another process could between
-    the content pass and the attribute read."""
+    the open and the attribute read."""
 
     def __init__(self, inner: AttributeStore, path: Path):
         self.inner = inner
         self.path = path
         self.renamed = False
-
-    def may_hold(self, fd, keys):
-        return self.inner.may_hold(fd, keys)
 
     def read(self, path, keys):
         if not self.renamed:
@@ -258,12 +251,13 @@ def test_rewrite_during_attribute_reads_is_not_mixed_in(runtime, tmp_path):
     store = RewritingStore(runtime.store, b"<script>swapped()</script>")
     evidence, report, decision = assess_path(runtime._replace(store=store), path)
     assert store.rewritten
-    assert evidence.sniff.top.signature == "pdf"
-    assert [fv.stale for fv in evidence.views] == [False]
-    # trust judged against the sniffed bytes, for which it was recorded
-    assert not report.discrepancies
-    assert decision.verdict is Verdict.ALLOW and decision.reasons == ()
-    assert evidence.content_hash == hashlib.sha256(ORIGINAL).digest()
+    # the replacement is sniffed and hashed; the snapshot's views and trust,
+    # recorded for the original, are judged against it
+    assert evidence.sniff.top.signature == "script-tag"
+    assert evidence.content_hash == hashlib.sha256(store.replacement).digest()
+    assert [fv.stale for fv in evidence.views] == [True]
+    assert evidence.trust is TrustState.INVALIDATED
+    assert decision.verdict is Verdict.DENY
 
 
 def test_rename_during_the_check_does_not_pair_another_files_attributes(runtime, backend):
@@ -299,17 +293,15 @@ def test_assessment_reads_the_store_once(runtime, backend):
 
 @pytest.mark.parametrize("always_hash", [False, True], ids=["unhashed", "hashed"])
 def test_assessment_asks_the_store_only_for_what_it_can_judge(runtime, backend, always_hash):
-    # a file with no records: no store may hold views or trust for it
+    # a file with no records: the one read, taken before the digest is
+    # decided on, asks for every attribute an assessment judges
     path = backend.workdir / "doc.pdf"
     path.write_bytes(ORIGINAL)
     store = KeyRecordingStore(backend.store)
     evidence = build_evidence(runtime._replace(store=store), path, always_hash=always_hash)
     assert (evidence.content_hash is not None) == always_hash
     [keys] = store.reads
-    if always_hash:
-        assert sorted(keys) == sorted(ATTRIBUTE_KEYS)
-    else:  # without a digest, views and trust cannot be judged
-        assert POLICY_KEY in keys and not set(keys) & set(HASH_BOUND_KEYS)
+    assert sorted(keys) == sorted(ATTRIBUTE_KEYS)
 
 
 @pytest.mark.parametrize("write", [
@@ -423,7 +415,7 @@ def test_file_with_views_or_trust_is_hashed_once(runtime, xattr_dir, hashes, kin
 
 
 @pytest.mark.parametrize("sidecar_exists", [False, True])
-def test_auto_store_hashes_only_with_a_sidecar(runtime, xattr_dir, hashes, sidecar_exists):
+def test_auto_store_hashes_no_file_without_records(runtime, xattr_dir, hashes, sidecar_exists):
     sidecar = SidecarStore(xattr_dir / "sidecar.db")
     store = AutoStore(XattrStore(overflow=sidecar), sidecar)
     if sidecar_exists:  # for another file
@@ -433,12 +425,12 @@ def test_auto_store_hashes_only_with_a_sidecar(runtime, xattr_dir, hashes, sidec
     path = xattr_dir / "doc.pdf"
     path.write_bytes(ORIGINAL)
     assess_path(runtime._replace(store=store), path)
-    assert hashes.calls == int(sidecar_exists)
+    assert hashes.calls == 0
     assert sidecar.path.exists() == sidecar_exists
 
 
-def test_sidecar_store_hashes_without_another_statement(runtime, tmp_path, hashes,
-                                                        monkeypatch):
+def test_sidecar_store_hashes_no_file_without_records_in_one_statement(runtime, tmp_path,
+                                                                       hashes, monkeypatch):
     store = SidecarStore(tmp_path / "sidecar.db")
     other = tmp_path / "other.pdf"
     other.write_bytes(ORIGINAL)
@@ -450,7 +442,7 @@ def test_sidecar_store_hashes_without_another_statement(runtime, tmp_path, hashe
     monkeypatch.setattr(store, "_execute",
                         lambda sql, params=(): statements.append(sql) or execute(sql, params))
     assess_path(runtime._replace(store=store), path)
-    assert hashes.calls == 1
+    assert hashes.calls == 0
     assert statements == ["SELECT key, value FROM attrs WHERE ident = ?"]
 
 
@@ -468,6 +460,33 @@ def test_views_and_trust_recorded_during_an_unhashed_check_show_in_the_next(
     assert evidence.trust is TrustState.UNSET and evidence.views == ()
     assert (report, decision) == (unrecorded_report, unrecorded_decision)
     evidence, _, decision = assess_path(rt, path)
+    assert evidence.trust is TrustState.TRUSTED
+    assert [(fv.view.app_id, fv.stale) for fv in evidence.views] == [("viewer", False)]
+    assert decision.verdict is Verdict.WARN
+
+
+def test_views_and_trust_written_through_another_connection_show_in_the_next_check(
+        runtime, tmp_path, corpus):
+    store = SidecarStore(tmp_path / "sidecar.db")
+    rt = runtime._replace(store=store)
+    other = tmp_path / "other.pdf"
+    other.write_bytes(ORIGINAL)
+    store.set(other, ORIGIN_KEY, b"https://example.test/other.pdf")
+    name, data = corpus["gif-script"]
+    path = tmp_path / name
+    path.write_bytes(data)
+    evidence, _, decision = assess_path(rt, path)
+    assert evidence.trust is TrustState.UNSET and evidence.views == ()
+    assert decision.verdict is Verdict.DENY
+    # a second connection to the same database, as another process holds;
+    # the checks' connection stays open across the writes
+    connection = store._conn
+    assert connection is not None
+    writer = SidecarStore(store.path)
+    record_view(writer, path, ContentView("viewer", PDF, False, content_identity(path), 1))
+    set_trust(writer, path, True, now=1)
+    evidence, _, decision = assess_path(rt, path)
+    assert store._conn is connection
     assert evidence.trust is TrustState.TRUSTED
     assert [(fv.view.app_id, fv.stale) for fv in evidence.views] == [("viewer", False)]
     assert decision.verdict is Verdict.WARN
