@@ -15,9 +15,10 @@ first. ``? <field> <op> [<value>]`` is a predicate, ``! <Action>`` a leaf,
 from __future__ import annotations
 
 import itertools
+from collections import namedtuple
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, NamedTuple, Union
+from typing import Iterable, Union
 
 from .config import read_data_file
 from .errors import MalformedMime, MalformedTree
@@ -40,16 +41,15 @@ class Disposition(Enum):
     ATTACHMENT = "attachment"
 
 
-class RequestContext(NamedTuple):
-    """The input tuple a browser sees when deciding what to do with a payload."""
+class RequestContext(namedtuple(
+        "RequestContext", "sniffed_mime extension_mime content_type content_disposition "
+        "nosniff auto_download auto_open",
+        defaults=(None, None, None, Disposition.NONE, False, False, False))):
+    """The input tuple a browser sees when deciding what to do with a payload:
+    three optional :class:`MimeType` fields, a :class:`Disposition` and
+    three flags (:data:`MIME_FIELDS`, :data:`BOOL_FIELDS`)."""
 
-    sniffed_mime: MimeType | None = None
-    extension_mime: MimeType | None = None
-    content_type: MimeType | None = None
-    content_disposition: Disposition = Disposition.NONE
-    nosniff: bool = False
-    auto_download: bool = False
-    auto_open: bool = False
+    __slots__ = ()
 
 
 #: The fields of a :class:`RequestContext` by type, as trees and ``--ctx`` name them.
@@ -61,21 +61,23 @@ FIELDS = RequestContext._fields
 PredicateValue = Union[None, str, bool, Disposition, frozenset[tuple[str, str]]]
 
 
-class Leaf(NamedTuple):
-    action: Action
+class Leaf(namedtuple("Leaf", "action")):
+    """A tree's end: the :class:`Action` taken."""
+
+    __slots__ = ()
 
 
-class Predicate(NamedTuple):
-    field: str
-    op: str
-    value: PredicateValue
-    yes: Union["Predicate", Leaf]
-    no: Union["Predicate", Leaf]
+class Predicate(namedtuple("Predicate", "field op value yes no")):
+    """A test of one context field by ``op`` against a :data:`PredicateValue`;
+    ``yes`` and ``no`` are the :class:`Predicate` or :class:`Leaf` it leads to."""
+
+    __slots__ = ()
 
 
-class DecisionTree(NamedTuple):
-    name: str
-    root: Union[Predicate, Leaf]
+class DecisionTree(namedtuple("DecisionTree", "name root")):
+    """A named model: its root, a :class:`Predicate` or a :class:`Leaf`."""
+
+    __slots__ = ()
 
 
 def _effective(ctx: RequestContext, field: str):

@@ -55,23 +55,25 @@ _VERDICT_CODE = {Verdict.ALLOW: 0, Verdict.WARN: 1, Verdict.DENY: 2}
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse that honors the exit-code contract for usage errors, and
-    runs ``build`` (which adds the arguments and sub-parsers) on its first
-    parse: a command's parser is built only when that command runs."""
-
-    def __init__(self, *args, build=None, **kwargs):
-        super().__init__(*args, **kwargs)
-        self._build = build
-
-    def parse_known_args(self, args=None, namespace=None):
-        if self._build is not None:
-            build, self._build = self._build, None
-            build(self)
-        return super().parse_known_args(args, namespace)
+    """argparse that honors the exit-code contract for usage errors."""
 
     def error(self, message: str):
         self.print_usage(sys.stderr)
         self.exit(EX_USAGE, f"{self.prog}: error: {message}\n")
+
+
+class _Command:
+    """A registered command, as the top-level sub-parsers hold it: its parser
+    is created, and ``build`` adds its arguments and sub-parsers, when the
+    command is parsed, so a run creates only the parser of its command."""
+
+    def __init__(self, build, **kwargs):
+        self._build, self._kwargs = build, kwargs
+
+    def parse_known_args(self, args, namespace=None):
+        parser = _Parser(**self._kwargs)
+        self._build(parser)
+        return parser.parse_known_args(args, namespace)
 
 
 def _path(text: str) -> Path:
@@ -346,7 +348,7 @@ def build_parser() -> _Parser:
     # browser the models directory and db stats nothing of the
     # configuration, and override this to open only that
     parser.set_defaults(load=Runtime.load)
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Command)
     for name, (help_text, build) in _COMMANDS.items():
         sub.add_parser(name, help=help_text, build=build)
     return parser

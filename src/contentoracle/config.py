@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import json
 import os
+from collections import namedtuple
 from pathlib import Path
-from typing import Any, Callable, NamedTuple
+from typing import Any, Callable
 
 from .errors import ConfigError, ContentOracleError
 from .view_registry import opened
@@ -29,16 +30,13 @@ def _default_sidecar() -> Path:
     return base / "contentoracle" / "sidecar.sqlite3"
 
 
-class _ConfigFields(NamedTuple):
-    mime_types_path: Path = DATA_DIR / "mime.snapshot.types"
-    magic_path: Path = DATA_DIR / "magic.signatures"
-    active_types_path: Path = DATA_DIR / "active.types"
-    models_dir: Path = DATA_DIR / "models"
-    sidecar_path: Path | None = None
-    backend: str = "auto"
+class Config(namedtuple(
+        "Config", "mime_types_path magic_path active_types_path models_dir sidecar_path backend",
+        defaults=(DATA_DIR / "mime.snapshot.types", DATA_DIR / "magic.signatures",
+                  DATA_DIR / "active.types", DATA_DIR / "models", None, "auto"))):
+    """Where the data files, the models and the sidecar database are, each a
+    ``Path``, and the backend: one of ``_BACKENDS``."""
 
-
-class Config(_ConfigFields):
     __slots__ = ()
 
     def __new__(cls, *args, **kwargs):

@@ -6,17 +6,15 @@ never remediates; it only names what disagrees with what and how badly.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, namedtuple
 from enum import Enum, IntEnum
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING
 
-from .mime_db import MimeType
-from .name_analyzer import NameAnomaly, NameReport
-from .sniffer import SniffReport
-from .view_registry import FlaggedView, Provenance, TrustState
+from .name_analyzer import NameAnomaly
+from .view_registry import TrustState
 
 if TYPE_CHECKING:
-    from .policy_engine import ActiveRegistry, HandlerPolicy
+    from .policy_engine import ActiveRegistry
 
 
 class Severity(IntEnum):
@@ -35,35 +33,35 @@ class DiscrepancyKind(Enum):
     ACTIVITY_FLIP = "activity_flip"
 
 
-class Discrepancy(NamedTuple):
-    kind: DiscrepancyKind
-    severity: Severity
-    detail: str
-    sources: tuple[str, ...] = ()
+class Discrepancy(namedtuple("Discrepancy", "kind severity detail sources", defaults=((),))):
+    """One disagreement: its :class:`DiscrepancyKind` and :class:`Severity`,
+    a detail line, and the names of the evidence sources that disagree."""
+
+    __slots__ = ()
 
 
-class Evidence(NamedTuple):
-    """Everything known about one file, gathered from independent sources.
+class Evidence(namedtuple("Evidence", "extension_mime sniff declared_mime views name_report "
+                          "provenance content_hash trust policy",
+                          defaults=(None, TrustState.UNSET, None))):
+    """Everything known about one file, gathered from independent sources:
+    the :class:`MimeType` of its extension and the declared one (each may be
+    ``None``), its :class:`SniffReport`, its views (a tuple of
+    :class:`FlaggedView`), :class:`NameReport` and :class:`Provenance`.
 
     ``content_hash`` is the SHA-256 of the sniffed bytes, which views and trust
     are checked against; ``None`` for a file with neither. Reports omit it.
-    ``policy`` is ``None`` where no attributes were read.
+    ``trust`` is a :class:`TrustState`; ``policy``, a :class:`HandlerPolicy`,
+    is ``None`` where no attributes were read.
     """
 
-    extension_mime: MimeType | None
-    sniff: SniffReport
-    declared_mime: MimeType | None
-    views: tuple[FlaggedView, ...]
-    name_report: NameReport
-    provenance: Provenance
-    content_hash: bytes | None = None
-    trust: TrustState = TrustState.UNSET
-    policy: HandlerPolicy | None = None
+    __slots__ = ()
 
 
-class DiscrepancyReport(NamedTuple):
-    discrepancies: tuple[Discrepancy, ...]
-    resolved_mime: MimeType | None
+class DiscrepancyReport(namedtuple("DiscrepancyReport", "discrepancies resolved_mime")):
+    """The ranked :class:`Discrepancy` tuple of one file and the
+    :class:`MimeType` it resolves to, ``None`` where no witness names one."""
+
+    __slots__ = ()
 
     @property
     def max_severity(self) -> Severity | None:

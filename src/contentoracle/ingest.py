@@ -15,8 +15,8 @@ import tempfile
 import time
 import urllib.error
 import urllib.request
+from collections import namedtuple
 from pathlib import Path
-from typing import Mapping, NamedTuple
 from urllib.parse import quote, unquote, urlsplit, urlunsplit
 
 from .discrepancy_engine import DiscrepancyReport, Evidence
@@ -59,16 +59,13 @@ NAME_MAX = 255
 _URI_SAFE = "".join(map(chr, range(0x21, 0x7F)))
 
 
-class FetchRecord(NamedTuple):
-    """One completed download plus the metadata identification needs."""
+class FetchRecord(namedtuple("FetchRecord", "url final_url status headers body_path "
+                             "fetched_at sanitizations", defaults=((),))):
+    """One completed download plus the metadata identification needs: the
+    response's headers by name, the saved body's ``Path``, the time it was
+    fetched and the changes made to the name it was saved under."""
 
-    url: str
-    final_url: str
-    status: int
-    headers: Mapping[str, str]
-    body_path: Path
-    fetched_at: int
-    sanitizations: tuple[str, ...] = ()
+    __slots__ = ()
 
 
 class _BoundedRedirects(urllib.request.HTTPRedirectHandler):

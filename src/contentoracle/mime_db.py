@@ -7,10 +7,10 @@ values, so shared instances are safe for unsynchronized concurrent reads.
 from __future__ import annotations
 
 import unicodedata
-from collections import Counter
+from collections import Counter, namedtuple
 from enum import Enum
 from types import MappingProxyType
-from typing import KeysView, Mapping, NamedTuple
+from typing import KeysView
 
 from .errors import MalformedMime
 
@@ -49,15 +49,10 @@ def _check_param_value(value: str, context: str) -> None:
         raise MalformedMime(f"illegal parameter value character {bad[0]!r} in {context!r}")
 
 
-# A NamedTuple may not define __new__, so a record that validates its fields
-# subclasses a NamedTuple of them and validates in its own __new__.
-class _MimeFields(NamedTuple):
-    family: str
-    subtype: str
-    parameters: tuple[tuple[str, str], ...]
-
-
-class MimeType(_MimeFields):
+# A record subclasses a collections.namedtuple with __slots__ = (), not a
+# typing.NamedTuple, which would compile each field's annotation at import.
+# One that validates its fields does so in __new__; _replace and _make skip it.
+class MimeType(namedtuple("MimeType", "family subtype parameters")):
     """A parsed media type: family/subtype plus ordered parameters.
 
     Parameter names compare case-insensitively, values case-sensitively.
@@ -176,24 +171,23 @@ def data_lines(source: str) -> list[tuple[int, str]]:
             if (text := line.lstrip()) and text[0] != "#"]
 
 
-class MalformedLine(NamedTuple):
+class MalformedLine(namedtuple("MalformedLine", "line_no line reason")):
     """One unparseable line of a mime.types-style file; loading continues."""
 
-    line_no: int
-    line: str
-    reason: str
+    __slots__ = ()
 
 
-class ExtensionMap(NamedTuple):
+class ExtensionMap(namedtuple("ExtensionMap", "entries type_set",
+                              defaults=(MappingProxyType({}), frozenset()))):
     """Extension->types index plus the set of distinct types.
 
-    Lists preserve source order; the first entry for an extension is its
-    primary mapping. ``type_set`` also holds types registered with zero
-    extensions and keeps the first spelling seen of equal types.
+    ``entries`` maps each extension to a tuple of types in source order;
+    the first is its primary mapping. ``type_set`` also holds types
+    registered with zero extensions and keeps the first spelling seen of
+    equal types.
     """
 
-    entries: Mapping[str, tuple[MimeType, ...]] = MappingProxyType({})
-    type_set: frozenset[MimeType] = frozenset()
+    __slots__ = ()
 
     def lookup(self, ext: str) -> tuple[MimeType, ...]:
         return self.entries.get(normalize_extension(ext), ())
@@ -250,10 +244,11 @@ def load_extension_map(source: str) -> tuple[ExtensionMap, list[MalformedLine]]:
     )
 
 
-class FamilyStats(NamedTuple):
-    official: int = 0
-    unofficial_subtype: int = 0
-    unknown_family: int = 0
+class FamilyStats(namedtuple("FamilyStats", "official unofficial_subtype unknown_family",
+                             defaults=(0, 0, 0))):
+    """How many distinct types of one family fall in each registration class."""
+
+    __slots__ = ()
 
     @property
     def total(self) -> int:

@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import re
 import unicodedata
+from collections import namedtuple
 from enum import Enum
-from typing import Collection, NamedTuple
+from typing import Collection
 
 
 class NameAnomaly(Enum):
@@ -40,20 +41,19 @@ _TERMINATOR = {
 _EXT_RE = re.compile(r"[a-z0-9]{1,10}")
 
 
-class NameReport(NamedTuple):
+class NameReport(namedtuple("NameReport",
+                            "display_name logical_extension extension_chain anomalies")):
     """What a filename looks like versus what it actually is.
 
     ``display_name`` is the visually-reordered form when directional
     overrides are present (controls themselves never rendered), otherwise
     the normalized name. ``extension_chain`` lists every dot-separated
-    suffix in order; ``logical_extension`` is the final suffix when it
-    qualifies as a real extension.
+    suffix in order, as a tuple; ``logical_extension`` is the final suffix
+    when it qualifies as a real extension, else ``None``. ``anomalies`` is
+    a frozenset of :class:`NameAnomaly`.
     """
 
-    display_name: str
-    logical_extension: str | None
-    extension_chain: tuple[str, ...]
-    anomalies: frozenset[NameAnomaly]
+    __slots__ = ()
 
 
 def strip_bidi_controls(name: str) -> str:

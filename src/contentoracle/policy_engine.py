@@ -2,23 +2,23 @@
 
 from __future__ import annotations
 
+from collections import namedtuple
 from enum import Enum
 from pathlib import Path
-from typing import NamedTuple
 
 from .discrepancy_engine import DiscrepancyReport, Severity
 from .mime_db import MimeType, data_lines, parse_mime_type
 from .view_registry import AttributeStore, POLICY_KEY, TrustState, decode_record, encode_record
 
 
-class ActiveRegistry(NamedTuple):
+class ActiveRegistry(namedtuple("ActiveRegistry", "base_active", defaults=(frozenset(),))):
     """Which types count as active (executable) content.
 
     ``base_active`` ships with the package. Parameters are irrelevant to
-    activity, so membership is by (family, subtype).
+    activity, so membership is by (family, subtype): a frozenset of pairs.
     """
 
-    base_active: frozenset[tuple[str, str]] = frozenset()
+    __slots__ = ()
 
     def is_active(self, mime: MimeType) -> bool:
         return mime.key in self.base_active
@@ -30,15 +30,14 @@ def load_active_registry(source: str) -> ActiveRegistry:
                                     for _, line in data_lines(source)))
 
 
-class HandlerPolicy(NamedTuple):
+class HandlerPolicy(namedtuple("HandlerPolicy", "allowed deny_all", defaults=((), False))):
     """Which applications may be invoked for one particular file.
 
     An empty ``allowed`` list with ``deny_all`` unset means no restriction
     was recorded; the explicit deny-all sentinel refuses every handler.
     """
 
-    allowed: tuple[str, ...] = ()
-    deny_all: bool = False
+    __slots__ = ()
 
     @property
     def restricts(self) -> bool:
@@ -69,9 +68,10 @@ class Verdict(Enum):
     DENY = "deny"
 
 
-class PolicyDecision(NamedTuple):
-    verdict: Verdict
-    reasons: tuple[str, ...]
+class PolicyDecision(namedtuple("PolicyDecision", "verdict reasons")):
+    """A :class:`Verdict` and the reasons for it, a tuple of strings."""
+
+    __slots__ = ()
 
 
 def decide(

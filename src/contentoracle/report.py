@@ -156,9 +156,11 @@ def db_stats_document(stats: dict[str, FamilyStats], malformed_lines: int) -> di
     }
 
 
+# json.dumps with options builds an encoder per call: emit shares these two
+_COMPACT = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+_INDENTED = json.JSONEncoder(sort_keys=True, indent=2)
+
+
 def emit(doc: dict, compact: bool = False) -> None:
     """Print ``doc`` as JSON: one line when ``compact``, else indented."""
-    if compact:
-        print(json.dumps(doc, sort_keys=True, separators=(",", ":")))
-    else:
-        print(json.dumps(doc, sort_keys=True, indent=2))
+    print((_COMPACT if compact else _INDENTED).encode(doc))

@@ -14,22 +14,21 @@ judge one version.
 from __future__ import annotations
 
 import os
+from collections import namedtuple
 from pathlib import Path
-from typing import NamedTuple
 
 from .config import Config, read_data_file
 from .discrepancy_engine import DiscrepancyReport, Evidence, evaluate
-from .mime_db import ExtensionMap, load_extension_map
+from .mime_db import load_extension_map
 from .name_analyzer import analyze_name
 from .policy_engine import (
     NO_RESTRICTION,
-    ActiveRegistry,
     PolicyDecision,
     decide,
     load_active_registry,
     policy_from,
 )
-from .sniffer import SignatureDb, SniffScan, load_signatures
+from .sniffer import SniffScan, load_signatures
 from .view_registry import (
     ATTRIBUTE_KEYS,
     CHUNK_SIZE,
@@ -57,14 +56,12 @@ def make_store(config: Config) -> AttributeStore:
     return AutoStore(xattr, sidecar)
 
 
-class Runtime(NamedTuple):
-    """Immutable bundle of everything a pipeline run needs."""
+class Runtime(namedtuple("Runtime", "ext_map sig_db active store models_dir")):
+    """Immutable bundle of everything a pipeline run needs: the
+    :class:`ExtensionMap`, :class:`SignatureDb` and :class:`ActiveRegistry`,
+    the :class:`AttributeStore` and the browser models' directory."""
 
-    ext_map: ExtensionMap
-    sig_db: SignatureDb
-    active: ActiveRegistry
-    store: AttributeStore
-    models_dir: Path
+    __slots__ = ()
 
     @classmethod
     def load(cls, config: Config | None = None) -> "Runtime":

@@ -18,9 +18,10 @@ leading window, when the report is taken.
 from __future__ import annotations
 
 import re
+from collections import namedtuple
 from enum import Enum
 from functools import lru_cache
-from typing import Any, Callable, Container, Iterator, NamedTuple
+from typing import Any, Callable, Container, Iterator
 
 from .errors import DuplicateName, MalformedMime, MalformedSignature
 from .mime_db import MimeType, data_lines, parse_mime_type
@@ -36,17 +37,8 @@ TEXT_PROBE = 4096
 _CONTROLS = bytes(b for b in [*range(0x20), 0x7F] if b not in b"\t\n\r")
 
 
-class _SignatureFields(NamedTuple):
-    name: str
-    mime: MimeType
-    offset: int
-    pattern: bytes
-    mask: bytes | None
-    weight: int
-    polyglot_relevant: bool
-
-
-class Signature(_SignatureFields):
+class Signature(namedtuple("Signature",
+                           "name mime offset pattern mask weight polyglot_relevant")):
     """One magic pattern: bytes expected at a fixed offset, optionally masked.
 
     ``weight`` defaults to the pattern length so longer matches outrank
@@ -104,7 +96,7 @@ class SignatureDb:
         return self._built_plan
 
 
-class _ScanPlan(NamedTuple):
+class _ScanPlan(namedtuple("_ScanPlan", "header groups credits carry")):
     """What every scan over one :class:`SignatureDb` checks.
 
     ``header`` indexes the signatures that are not polyglot-relevant and fit
@@ -118,10 +110,7 @@ class _ScanPlan(NamedTuple):
     ``carry`` is how many trailing bytes a scan keeps across a chunk edge.
     """
 
-    header: dict[int, dict[int, list[tuple[Signature, bytes | None]]]]
-    groups: tuple[tuple[bytes, tuple[bytes, ...]], ...]
-    credits: dict[tuple[bytes, bytes], tuple[Signature, ...]]
-    carry: int
+    __slots__ = ()
 
     @classmethod
     def build(cls, signatures: tuple[Signature, ...]) -> "_ScanPlan":
@@ -237,20 +226,19 @@ class TextVerdict(Enum):
     LOOKS_BINARY = "looks_binary"
 
 
-class Candidate(NamedTuple):
-    mime: MimeType
-    signature: str
-    weight: int
-    offset: int  # where the pattern was found in the data
+class Candidate(namedtuple("Candidate", "mime signature weight offset")):
+    """One signature that matched: its :class:`MimeType`, name and weight,
+    and the offset where its pattern was found in the data."""
+
+    __slots__ = ()
 
 
-class SniffReport(NamedTuple):
-    """Ranked signature matches plus the polyglot flag and text verdict."""
+class SniffReport(namedtuple("SniffReport",
+                             "candidates is_polyglot text_fallback bytes_examined")):
+    """Ranked signature matches (a tuple of :class:`Candidate`) plus the
+    polyglot flag, the :class:`TextVerdict` and how many bytes were examined."""
 
-    candidates: tuple[Candidate, ...]
-    is_polyglot: bool
-    text_fallback: TextVerdict
-    bytes_examined: int
+    __slots__ = ()
 
     @property
     def top(self) -> Candidate | None:

@@ -26,10 +26,11 @@ import stat
 import threading
 import time
 import weakref
+from collections import namedtuple
 from contextlib import AbstractContextManager, contextmanager
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Collection, Iterator, NamedTuple
+from typing import Collection, Iterator
 
 from .errors import ConfigError
 from .mime_db import MimeType, parse_mime_type
@@ -61,15 +62,12 @@ if hasattr(errno, "ENOATTR"):
     _ABSENT_ERRNOS.add(errno.ENOATTR)
 
 
-class Field(NamedTuple):
+class Field(namedtuple("Field", "must_be accepts load dump required",
+                       defaults=(lambda value: value, lambda value: value, True))):
     """One field of a stored record: the JSON value it must be, as errors and
     README say it, its check, and its conversions to and from the program's value."""
 
-    must_be: str
-    accepts: Callable[[object], bool]
-    load: Callable = lambda value: value
-    dump: Callable = lambda value: value
-    required: bool = True
+    __slots__ = ()
 
 
 VERSION = Field("the integer 1", lambda v: type(v) is int and v == 1)
@@ -405,16 +403,8 @@ def xattrs_supported(directory: str | Path) -> bool:
             pass
 
 
-class _ContentViewFields(NamedTuple):
-    app_id: str
-    mime: MimeType
-    active: bool
-    content_hash: bytes
-    recorded_at: int
-    note: str | None
-
-
-class ContentView(_ContentViewFields):
+class ContentView(namedtuple("ContentView",
+                             "app_id mime active content_hash recorded_at note")):
     """One application's recorded opinion of a file.
 
     ``content_hash`` binds the view to the bytes that were inspected;
@@ -434,9 +424,11 @@ class ContentView(_ContentViewFields):
         return tuple.__new__(cls, (app_id, mime, active, content_hash, recorded_at, note))
 
 
-class FlaggedView(NamedTuple):
-    view: ContentView
-    stale: bool
+class FlaggedView(namedtuple("FlaggedView", "view stale")):
+    """A :class:`ContentView` as read back, and whether it is stale: recorded
+    for other bytes than the file holds now."""
+
+    __slots__ = ()
 
 
 def encode_views(views: list[ContentView]) -> bytes:
@@ -500,12 +492,13 @@ def get_trust(store: AttributeStore, file: int | str | Path) -> TrustState:
     return trust_from(attrs, content_identity(file) if TRUST_KEY in attrs else None)
 
 
-class Provenance(NamedTuple):
-    """Download provenance read from conventional attributes, uninterpreted."""
+class Provenance(namedtuple("Provenance", "origin_url referrer_url quarantine",
+                            defaults=(None, None, None))):
+    """Download provenance read from conventional attributes, uninterpreted:
+    the two URLs as strings and the quarantine value as bytes, each ``None``
+    where its attribute is absent."""
 
-    origin_url: str | None = None
-    referrer_url: str | None = None
-    quarantine: bytes | None = None
+    __slots__ = ()
 
 
 def provenance_from(attrs: dict[str, bytes]) -> Provenance:

@@ -23,6 +23,9 @@ import shutil
 import zipfile
 from pathlib import Path
 
+import pytest
+
+from contentoracle import cli
 from contentoracle.cli import main
 from contentoracle.config import DATA_DIR
 
@@ -146,3 +149,29 @@ def transcript(http_server) -> str:
 def test_report_bytes_are_golden(tmp_path, monkeypatch, http_server):
     monkeypatch.chdir(tmp_path)
     assert transcript(http_server) == GOLDEN.read_text("utf-8")
+
+
+@pytest.mark.parametrize("step", ["check doc.pdf", "scan inbox",
+                                  "browser diff firefox-like opera-like", "db stats mime.types"])
+def test_emit_prints_what_json_dumps_prints(tmp_path, monkeypatch, step):
+    """``emit`` keeps one encoder of each kind; what it prints for each kind
+    of document is what ``json.dumps`` with the same options prints."""
+    monkeypatch.chdir(tmp_path)
+    Path("config.json").write_text(json.dumps({"sidecar_path": "sidecar.sqlite3",
+                                               "backend": "sidecar"}))
+    Path("doc.pdf").write_bytes(PDF)
+    for name, data in INBOX.items():
+        Path("inbox", name).parent.mkdir(parents=True, exist_ok=True)
+        Path("inbox", name).write_bytes(data)
+    shutil.copyfile(DATA_DIR / "mime.snapshot.types", "mime.types")
+    docs = []
+    emit = cli.emit
+    monkeypatch.setattr(cli, "emit", lambda doc, compact=False: (docs.append((doc, compact)),
+                                                                 emit(doc, compact)))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main([*COMMON, *step.split()]) in (0, 1, 2)
+    options = {True: {"separators": (",", ":")}, False: {"indent": 2}}
+    assert len(docs) == (len(INBOX) if step == "scan inbox" else 1)
+    assert out.getvalue() == "".join(json.dumps(doc, sort_keys=True, **options[compact]) + "\n"
+                                     for doc, compact in docs)

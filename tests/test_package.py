@@ -3,12 +3,14 @@ the HTTP stack and the browser models load only where they are used."""
 
 from __future__ import annotations
 
+import importlib
 import json
 import os
 import subprocess
 import sys
 import textwrap
 from pathlib import Path
+from unittest.mock import ANY
 
 import pytest
 
@@ -178,8 +180,44 @@ class TestImportGuard:
             "False", "True", "True", "False", "True"]
 
 
+#: Counts the ``typing.ForwardRef`` and ``argparse.ArgumentParser`` objects
+#: that importing the CLI and running it in this interpreter create, then
+#: prints them and the exit code.
+_COUNT_CLI = """
+    import argparse, contextlib, io, json, sys, typing
+    counts = {"code": None, "ForwardRef": 0, "ArgumentParser": 0}
+    for cls in (typing.ForwardRef, argparse.ArgumentParser):
+        def counting(self, *args, _init=cls.__init__, _name=cls.__name__, **kwargs):
+            counts[_name] += 1
+            _init(self, *args, **kwargs)
+        cls.__init__ = counting
+    from contentoracle.cli import main
+    with contextlib.redirect_stdout(io.StringIO()):
+        counts["code"] = main(sys.argv[1:])
+    print(json.dumps(counts))
+"""
+
+
+class TestColdCheck:
+    """A ``check`` in a fresh process creates only what it uses."""
+
+    @pytest.fixture
+    def counts(self, tmp_path) -> dict:
+        (tmp_path / "a.pdf").write_bytes(b"%PDF-1.7\n1 0 obj\n<<>>\nendobj\n%%EOF\n")
+        out = _python(tmp_path, "-c", textwrap.dedent(_COUNT_CLI), "check", "a.pdf")
+        counts = json.loads(out.splitlines()[-1])
+        assert counts["code"] == 0
+        return counts
+
+    def test_records_compile_no_annotation(self, counts):
+        assert counts["ForwardRef"] == 0
+
+    def test_only_the_parser_of_the_command_is_created(self, counts):
+        assert counts["ArgumentParser"] == 2  # the top-level parser and check's
+
+
 def _records() -> list:
-    """One instance of each value record that is a ``typing.NamedTuple``."""
+    """One instance of each value record: a subclass of a ``collections.namedtuple``."""
     from contentoracle.browser_model import Action, DecisionTree, Leaf, Predicate, RequestContext
     from contentoracle.config import Config
     from contentoracle.discrepancy_engine import (
@@ -193,7 +231,9 @@ def _records() -> list:
     )
     from contentoracle.runtime import Runtime
     from contentoracle.sniffer import EMPTY_REPORT, Candidate, Signature, _ScanPlan, load_signatures
-    from contentoracle.view_registry import ContentView, FlaggedView, Provenance, SidecarStore
+    from contentoracle.view_registry import (
+        VERSION, ContentView, FlaggedView, Provenance, SidecarStore,
+    )
 
     mime = parse_mime_type("text/plain")
     name = analyze_name("a.txt", frozenset({"txt"}))
@@ -212,8 +252,94 @@ def _records() -> list:
                 SidecarStore("sidecar.sqlite3"), Path("models")),
         RequestContext(), leaf, Predicate("nosniff", "is", True, leaf, leaf),
         DecisionTree("tree", leaf),
-        FetchRecord("http://h/f", "http://h/f", 200, {}, Path("f"), 0),
+        FetchRecord("http://h/f", "http://h/f", 200, {}, Path("f"), 0), VERSION,
     ]
+
+
+def _record_fields() -> dict[str, tuple[str, dict]]:
+    """Each record's fields, and the defaults of those that have one."""
+    from contentoracle.browser_model import Disposition
+    from contentoracle.config import DATA_DIR
+    from contentoracle.view_registry import TrustState
+
+    return {
+        "MalformedLine": ("line_no line reason", {}),
+        "FamilyStats": ("official unofficial_subtype unknown_family",
+                        {"official": 0, "unofficial_subtype": 0, "unknown_family": 0}),
+        "_ScanPlan": ("header groups credits carry", {}),
+        "Candidate": ("mime signature weight offset", {}),
+        "SniffReport": ("candidates is_polyglot text_fallback bytes_examined", {}),
+        "NameReport": ("display_name logical_extension extension_chain anomalies", {}),
+        "FlaggedView": ("view stale", {}),
+        "Provenance": ("origin_url referrer_url quarantine",
+                       {"origin_url": None, "referrer_url": None, "quarantine": None}),
+        "Discrepancy": ("kind severity detail sources", {"sources": ()}),
+        "Evidence": ("extension_mime sniff declared_mime views name_report provenance "
+                     "content_hash trust policy",
+                     {"content_hash": None, "trust": TrustState.UNSET, "policy": None}),
+        "DiscrepancyReport": ("discrepancies resolved_mime", {}),
+        "ActiveRegistry": ("base_active", {"base_active": frozenset()}),
+        "HandlerPolicy": ("allowed deny_all", {"allowed": (), "deny_all": False}),
+        "PolicyDecision": ("verdict reasons", {}),
+        "MimeType": ("family subtype parameters", {}),
+        "ExtensionMap": ("entries type_set", {"entries": {}, "type_set": frozenset()}),
+        "Signature": ("name mime offset pattern mask weight polyglot_relevant", {}),
+        "ContentView": ("app_id mime active content_hash recorded_at note", {}),
+        "Config": ("mime_types_path magic_path active_types_path models_dir sidecar_path backend",
+                   {"mime_types_path": DATA_DIR / "mime.snapshot.types",
+                    "magic_path": DATA_DIR / "magic.signatures",
+                    "active_types_path": DATA_DIR / "active.types",
+                    "models_dir": DATA_DIR / "models", "sidecar_path": None, "backend": "auto"}),
+        "Runtime": ("ext_map sig_db active store models_dir", {}),
+        "RequestContext": ("sniffed_mime extension_mime content_type content_disposition "
+                           "nosniff auto_download auto_open",
+                           {"sniffed_mime": None, "extension_mime": None, "content_type": None,
+                            "content_disposition": Disposition.NONE, "nosniff": False,
+                            "auto_download": False, "auto_open": False}),
+        "Leaf": ("action", {}),
+        "Predicate": ("field op value yes no", {}),
+        "DecisionTree": ("name root", {}),
+        "FetchRecord": ("url final_url status headers body_path fetched_at sanitizations",
+                        {"sanitizations": ()}),
+        "Field": ("must_be accepts load dump required",
+                  {"load": ANY, "dump": ANY, "required": True}),
+    }
+
+
+class TestRecordContract:
+    """What code may rely on of every record, whichever way it is defined."""
+
+    @pytest.mark.parametrize("record", _records(), ids=lambda r: type(r).__name__)
+    def test_fields_and_defaults(self, record):
+        fields, defaults = _record_fields()[type(record).__name__]
+        assert record._fields == tuple(fields.split())
+        assert type(record)._field_defaults == defaults
+
+    @pytest.mark.parametrize("record", _records(), ids=lambda r: type(r).__name__)
+    def test_replace_and_asdict_round_trip(self, record):
+        copy = record._replace(**record._asdict())
+        assert type(copy) is type(record)
+        assert tuple(copy) == tuple(record)
+        assert list(record._asdict()) == list(record._fields)
+
+    @pytest.mark.parametrize("record", _records(), ids=lambda r: type(r).__name__)
+    def test_equals_and_hashes_as_a_plain_tuple(self, record):
+        values = tuple(record)
+        assert record == values and values == record
+        try:
+            expected = hash(values)
+        except TypeError:  # a dict or a mapping among the values
+            with pytest.raises(TypeError):
+                hash(record)
+        else:
+            assert hash(record) == expected
+
+    @pytest.mark.parametrize("record", _records(), ids=lambda r: type(r).__name__)
+    def test_module_names_it_and_it_has_a_docstring(self, record):
+        cls = type(record)
+        assert cls.__module__.startswith("contentoracle.")
+        assert getattr(importlib.import_module(cls.__module__), cls.__name__) is cls
+        assert cls.__doc__ and cls.__doc__.strip()
 
 
 class TestRecords:
