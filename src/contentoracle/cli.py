@@ -341,14 +341,19 @@ _COMMANDS = {
 
 
 def build_parser() -> _Parser:
-    parser = _Parser(prog="contentoracle", description=__doc__)
+    # spelled out as argparse wraps it before 3.13, which leaves "..." on the line above
+    usage = ("\n" + " " * len("usage: contentoracle ")).join(
+        ["%(prog)s [-h] [--config CONFIG] [--now NOW]", "{" + ",".join(_COMMANDS) + "}", "..."])
+    parser = _Parser(prog="contentoracle", description=__doc__, usage=usage)
     parser.add_argument("--config", type=_path, help="path to a config file")
     parser.add_argument("--now", type=int, help="timestamp override for deterministic output")
     # what a command is handed; view, trust and policy use the store alone,
     # browser the models directory and db stats nothing of the
     # configuration, and override this to open only that
     parser.set_defaults(load=Runtime.load)
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Command)
+    # a command's prog is "contentoracle <name>", not the usage above
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Command,
+                                prog=parser.prog)
     for name, (help_text, build) in _COMMANDS.items():
         sub.add_parser(name, help=help_text, build=build)
     return parser

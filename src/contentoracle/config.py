@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import Any, Callable
 
 from .errors import ConfigError, ContentOracleError
-from .view_registry import opened
+from .view_registry import CHUNK_SIZE, opened
 
 ENV_VAR = "CONTENTORACLE_CONFIG"
 
@@ -46,13 +46,20 @@ class Config(namedtuple(
         return config
 
 
+def _read_text(path: Path) -> str:
+    """The UTF-8 text of the regular file at ``path`` (a FIFO fails at once), read raw."""
+    chunks = []
+    with opened(path) as fd:
+        while chunk := os.read(fd, CHUNK_SIZE):
+            chunks.append(chunk)
+    return b"".join(chunks).decode("utf-8")
+
+
 def read_data_file(path: Path, parse: Callable[[str], Any]) -> Any:
-    """``parse`` of the text of a data file, a regular file (a FIFO fails at
-    once): a file that is not UTF-8, or that ``parse`` rejects, is a
-    configuration error whose message names it."""
+    """``parse`` of the text of a data file: a file that is not UTF-8, or
+    that ``parse`` rejects, is a configuration error whose message names it."""
     try:
-        with opened(path) as fd, open(fd, "rb", closefd=False) as fh:
-            return parse(fh.read().decode("utf-8"))
+        return parse(_read_text(path))
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path} is not UTF-8 text: {exc}") from None
     except ContentOracleError as exc:
@@ -86,8 +93,7 @@ def load_config(explicit_path: str | Path | None = None) -> Config:
     if path is None:
         return config
     try:
-        with opened(path) as fd, open(fd, "rb", closefd=False) as fh:  # a FIFO fails at once
-            doc = json.loads(fh.read().decode("utf-8"))
+        doc = json.loads(_read_text(path))
     except FileNotFoundError:
         if required:
             raise ConfigError(f"config file not found: {path}") from None

@@ -6,6 +6,7 @@ values, so shared instances are safe for unsynchronized concurrent reads.
 
 from __future__ import annotations
 
+import re
 import unicodedata
 from collections import Counter, namedtuple
 from enum import Enum
@@ -22,12 +23,12 @@ IANA_FAMILIES = frozenset({
 
 # Token characters for family/subtype/parameter-name fields. Deliberately the
 # HTTP tchar set: concrete enough to test against without a full grammar.
-_TOKEN_STR = (
-    "!#$%&'*+-.^_`|~"
-    "0123456789"
-    "abcdefghijklmnopqrstuvwxyz"
-    "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
-)
+_LOWER_TOKEN_STR = "!#$%&'*+-.^_`|~0123456789abcdefghijklmnopqrstuvwxyz"
+_TOKEN_STR = _LOWER_TOKEN_STR + "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
+
+# A lower-cased type without parameters that every check passes, decided in
+# one C call (fullmatch: "$" would also take a trailing "\n").
+_PLAIN_TYPE = re.compile("[{0}]+/[{0}]+".format(re.escape(_LOWER_TOKEN_STR)))
 
 # Parameter-value characters: printable ASCII except the ";" separator.
 _VALUE_STR = "".join(chr(c) for c in range(0x20, 0x7F) if c != ord(";"))
@@ -112,6 +113,10 @@ def parse_mime_type(text: str) -> MimeType:
     parameter order is preserved. Raises :class:`MalformedMime` on a missing
     "/" separator, empty tokens, or illegal characters.
     """
+    plain = text.strip().lower()
+    if _PLAIN_TYPE.fullmatch(plain):  # passes every check of MimeType.__new__
+        family, _, subtype = plain.partition("/")
+        return tuple.__new__(MimeType, (family, subtype, ()))  # as _make builds it
     type_part, _, param_part = text.strip().partition(";")
     family, slash, subtype = type_part.lower().partition("/")
     if not slash:
@@ -210,7 +215,7 @@ def load_extension_map(source: str) -> tuple[ExtensionMap, list[MalformedLine]]:
     field that starts with "#" begins a comment. Later lines append and never
     overwrite earlier ones. Bad lines are skipped and reported with their line number.
     """
-    entries: dict[str, list[MimeType]] = {}
+    entries: dict[str, tuple[MimeType, ...]] = {}
     distinct: set[MimeType] = set()  # add keeps the first equal type seen
     errors: list[MalformedLine] = []
     for line_no, raw in data_lines(source):
@@ -224,24 +229,17 @@ def load_extension_map(source: str) -> tuple[ExtensionMap, list[MalformedLine]]:
             continue
         distinct.add(mime)
         for token in fields[1:]:
-            ext = normalize_extension(token)
+            # as normalize_extension: split() leaves no whitespace, NFC leaves ASCII as it is
+            ext = token.removeprefix(".").lower() if token.isascii() else normalize_extension(token)
             if not ext:
                 errors.append(MalformedLine(line_no, raw, f"empty extension token {token!r}"))
                 continue
             # each line's own type object: an equal one from an earlier
             # line may differ in the case of its parameter names
-            bucket = entries.get(ext)
-            if bucket is None:
-                entries[ext] = [mime]
-            elif mime not in bucket:
-                bucket.append(mime)
-    return (
-        ExtensionMap(
-            entries={ext: tuple(types) for ext, types in entries.items()},
-            type_set=frozenset(distinct),
-        ),
-        errors,
-    )
+            types = entries.get(ext, ())
+            if mime not in types:
+                entries[ext] = types + (mime,)
+    return ExtensionMap(entries, frozenset(distinct)), errors
 
 
 class FamilyStats(namedtuple("FamilyStats", "official unofficial_subtype unknown_family",

@@ -192,7 +192,7 @@ def load_signatures(source: str) -> SignatureDb:
 
 def _signature(line: str, taken: Container[str]) -> Signature:
     """The signature one record line describes; its name must not be ``taken``."""
-    fields = [f.strip() for f in line.split("|")]
+    fields = [*map(str.strip, line.split("|"))]
     if len(fields) != 7:
         raise MalformedSignature(f"expected 7 fields, got {len(fields)}")
     name, mime_text, offset_text, pattern_hex, mask_hex, weight_text, poly_text = fields

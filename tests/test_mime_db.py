@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from contentoracle.browser_model import load_tree
+from contentoracle.config import Config
 from contentoracle.errors import MalformedMime
 from contentoracle.mime_db import (
     ExtensionMap,
@@ -18,6 +19,7 @@ from contentoracle.mime_db import (
     RegistrationClass,
     _check_token,
     classify_registration,
+    data_lines,
     db_stats,
     load_extension_map,
     parse_mime_type,
@@ -367,6 +369,11 @@ _type_field = st.one_of(
         # malformed: no "/", empty or illegal tokens, bad parameters
         "badline", "text/", "/html", "a/b/c", "t\u00e9xt/plain", "text/pl@in",
         "a/b;x", "a/b;=1", "a/b;n\u00e4me=1", "a/b;x=\x7f", "a/b;x=\u00e9",
+        # where one compiled match of a plain type could differ from the checks:
+        # "$" takes a trailing newline, KELVIN SIGN lower-cases to ASCII "k",
+        # U+0130 to "i" and a combining dot
+        "text/plain\n;", "text/\u212a", "\u0130/x", "text/ plain", "\u2003text/plain\u00a0",
+        "text/plain;", "TEXT/PLAIN",
     ]),
     st.text(alphabet="aB/;=x\u00e9-.@", min_size=1, max_size=8),
 )
@@ -424,6 +431,28 @@ class TestLoaderMatchesReference:
             return None
 
         assert outcome(_check_token) == outcome(reference_check_token)
+
+
+def test_bundled_data_parses_as_the_reference_parses():
+    """The data that ships, where the properties above draw from small pools:
+    the extension map as the reference loads it, and every type field of the
+    signatures and the active types parsed and spelled as the reference does."""
+    config = Config()
+    source = config.mime_types_path.read_text("utf-8")
+    ext_map, errors = load_extension_map(source)
+    entries, reverse, reference_errors = reference_load_extension_map(source)
+    assert errors == reference_errors == []
+    assert {ext: [_spelled(m) for m in types] for ext, types in ext_map.entries.items()} \
+        == {ext: [_spelled(m) for m in types] for ext, types in entries.items()}
+    assert list(ext_map.entries) == list(entries)
+    assert {_spelled(m) for m in ext_map.types()} == {_spelled(m) for m, _ in reverse}
+    fields = [line.split("|")[1].strip()
+              for _, line in data_lines(config.magic_path.read_text("utf-8"))]
+    fields += [line.strip() for _, line in data_lines(config.active_types_path.read_text("utf-8"))]
+    assert len(fields) > 50
+    for text in fields:
+        outcome = _parse_outcome(parse_mime_type, text)
+        assert outcome[0] != "error" and outcome == _parse_outcome(reference_parse_mime_type, text)
 
 
 _small_type = st.builds(
