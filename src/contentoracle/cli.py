@@ -223,8 +223,8 @@ def cmd_fetch(args, runtime: Runtime) -> int:
     # imported here: the other subcommands never load the HTTP, e-mail and TLS stack
     from . import ingest
 
-    record = ingest.fetch(args.url, args.out, runtime.store, referrer=args.referrer, now=args.now)
-    evidence, report, decision = ingest.assess_record(record, runtime, now=args.now)
+    with ingest.download(args.url, args.out, runtime.store, args.referrer, args.now) as (record, fd):
+        evidence, report, decision = ingest.assess_record(record, runtime, args.now, body=fd)
     emit(build_report(record.body_path, evidence, report, decision, url=record.url))
     return _VERDICT_CODE[decision.verdict]
 

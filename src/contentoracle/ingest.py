@@ -1,10 +1,10 @@
 """Fetch content over HTTP, persist provenance, and run the full pipeline.
 
 The fetch step captures the three identification-relevant response headers
-byte-verbatim, saves the body under a sanitized name derived from the URL,
-and stamps the file with origin/referrer attributes. Assessment then treats
-the saved artifact like any local file, plus what only the response says:
-its declared type and its nosniff header.
+byte-verbatim, then writes the body and stamps its origin and referrer
+through one descriptor. Assessment reads it through that descriptor like any
+local file, plus the response's declared type and nosniff header, before the
+body takes a sanitized name derived from the URL.
 """
 
 from __future__ import annotations
@@ -16,6 +16,8 @@ import time
 import urllib.error
 import urllib.request
 from collections import namedtuple
+from collections.abc import Iterator
+from contextlib import contextmanager
 from pathlib import Path
 from urllib.parse import quote, unquote, urlsplit, urlunsplit
 
@@ -32,6 +34,7 @@ from .view_registry import (
     ContentView,
     ORIGIN_KEY,
     REFERRER_KEY,
+    opened,
     record_view,
 )
 
@@ -124,21 +127,23 @@ def _request_uri(url: str) -> str:
     return urlunsplit(parts._replace(path=path, query=query))
 
 
-def fetch(
+@contextmanager
+def download(
     url: str,
     dest_dir: str | Path,
     store: AttributeStore,
     referrer: str | None = None,
     now: int | None = None,
-) -> FetchRecord:
+) -> Iterator[tuple[FetchRecord, int]]:
     """Download ``url`` into ``dest_dir`` and stamp provenance attributes.
 
-    Only http and https URLs are fetched, after redirects too (to depth 5;
-    the final URL is recorded as the origin). Non-success statuses raise
-    :class:`HttpError`; a redirect elsewhere, a response that is not HTTP,
-    a body short of its Content-Length or over :data:`MAX_BODY` bytes
-    :class:`NetworkError`; and a failed stamp its ``OSError``. None
-    of them leaves a file. A ``url`` that cannot be sent is a usage error."""
+    Yields the record and the body's descriptor, at offset 0; the body takes
+    its name when the block ends. Only http and https URLs are fetched, also
+    after redirects (to depth 5; the final URL is the origin). An error
+    status raises :class:`HttpError`; a redirect elsewhere, a non-HTTP
+    response, or a body short of its Content-Length or over :data:`MAX_BODY`
+    bytes :class:`NetworkError`. These, a failed stamp's ``OSError`` and an
+    error in the block leave no file; an unsendable ``url`` is a usage error."""
     dest_dir = Path(dest_dir)
     opener = urllib.request.build_opener(_BoundedRedirects())
     try:
@@ -192,6 +197,10 @@ def fetch(
                 store.set(fd, ORIGIN_KEY, final_url.encode("utf-8"))
                 if referrer:
                     store.set(fd, REFERRER_KEY, referrer.encode("utf-8", "surrogateescape"))
+                out.seek(0)  # written out; mkstemp opened the descriptor for reading too
+                yield FetchRecord(url=url, final_url=final_url, status=status, headers=headers,
+                                  body_path=dest, sanitizations=notes,
+                                  fetched_at=int(time.time()) if now is None else now), fd
             os.replace(partial, dest)
         except BaseException as exc:
             os.unlink(partial)
@@ -199,15 +208,12 @@ def fetch(
                 raise NetworkError(f"cannot fetch {url}: {exc!r}") from exc
             raise
 
-    return FetchRecord(
-        url=url,
-        final_url=final_url,
-        status=status,
-        headers=headers,
-        body_path=dest,
-        fetched_at=int(time.time()) if now is None else now,
-        sanitizations=notes,
-    )
+
+def fetch(url: str, dest_dir: str | Path, store: AttributeStore,
+          referrer: str | None = None, now: int | None = None) -> FetchRecord:
+    """The record of a :func:`download` whose body took its name unread."""
+    with download(url, dest_dir, store, referrer, now) as (record, _):
+        return record
 
 
 def declared_mime(record: FetchRecord) -> MimeType | None:
@@ -230,29 +236,32 @@ def assess_record(
     record: FetchRecord,
     runtime: Runtime,
     now: int | None = None,
+    body: int | None = None,
 ) -> tuple[Evidence, DiscrepancyReport, PolicyDecision]:
     """Evaluate a fetched artifact and record this pipeline's own view.
 
     The file's evidence gains what the response adds: its Content-Type as
     the declared type, and, under a nosniff header, an empty sniff report,
     mirroring the browser models. The resulting opinion is written back as
-    a content view under the ingest application id; the returned evidence
-    is the pre-recording snapshot the report was computed from, and the
-    view is bound to the digest of the bytes that were assessed, not to
-    whatever the file holds by the time it is written.
+    a content view under the ingest application id, through the descriptor
+    the bytes were read through: ``body`` (a :func:`download`'s, at offset
+    0), else ``record.body_path`` opened once. The returned evidence is the
+    pre-recording snapshot the report was computed from, and the view is
+    bound to the digest of the bytes that were assessed.
     """
-    evidence = build_evidence(runtime, record.body_path, always_hash=True)
-    evidence = evidence._replace(declared_mime=declared_mime(record))
-    if nosniff(record):
-        evidence = evidence._replace(sniff=EMPTY_REPORT)
-    report, decision = judge(runtime, evidence)
-    resolved = report.resolved_mime or MimeType("application", "octet-stream")
-    view = ContentView(
-        app_id=INGEST_APP_ID,
-        mime=resolved,
-        active=runtime.active.is_active(resolved),
-        content_hash=evidence.content_hash,
-        recorded_at=int(time.time()) if now is None else now,
-    )
-    record_view(runtime.store, record.body_path, view)
+    with opened(record.body_path if body is None else body) as fd:
+        evidence = build_evidence(runtime, record.body_path, fd, always_hash=True)
+        evidence = evidence._replace(declared_mime=declared_mime(record))
+        if nosniff(record):
+            evidence = evidence._replace(sniff=EMPTY_REPORT)
+        report, decision = judge(runtime, evidence)
+        resolved = report.resolved_mime or MimeType("application", "octet-stream")
+        view = ContentView(
+            app_id=INGEST_APP_ID,
+            mime=resolved,
+            active=runtime.active.is_active(resolved),
+            content_hash=evidence.content_hash,
+            recorded_at=int(time.time()) if now is None else now,
+        )
+        record_view(runtime.store, fd, view)
     return evidence, report, decision

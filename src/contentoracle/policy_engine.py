@@ -7,6 +7,7 @@ from enum import Enum
 from pathlib import Path
 
 from .discrepancy_engine import DiscrepancyReport, Severity
+from .errors import MalformedMime
 from .mime_db import MimeType, data_lines, parse_mime_type
 from .view_registry import AttributeStore, POLICY_KEY, TrustState, decode_record, encode_record
 
@@ -25,9 +26,14 @@ class ActiveRegistry(namedtuple("ActiveRegistry", "base_active", defaults=(froze
 
 
 def load_active_registry(source: str) -> ActiveRegistry:
-    """Load the base active set: one type per line, "#" comments."""
-    return ActiveRegistry(frozenset(parse_mime_type(line.strip()).key
-                                    for _, line in data_lines(source)))
+    """Load the base active set: one type per line, "#" comments. A fault names its line."""
+    active = set()
+    for line_no, line in data_lines(source):
+        try:
+            active.add(parse_mime_type(line.strip()).key)
+        except MalformedMime as exc:
+            raise MalformedMime(f"line {line_no}: {exc}") from None
+    return ActiveRegistry(frozenset(active))
 
 
 class HandlerPolicy(namedtuple("HandlerPolicy", "allowed deny_all", defaults=((), False))):

@@ -75,18 +75,19 @@ class Runtime(namedtuple("Runtime", "ext_map sig_db active store models_dir")):
         )
 
 
-def build_evidence(runtime: Runtime, path: str | Path, *, always_hash: bool = False) -> Evidence:
+def build_evidence(runtime: Runtime, path: str | Path, fd: int | None = None, *,
+                   always_hash: bool = False) -> Evidence:
     """Gather every evidence source for one on-disk file.
 
-    The file's attributes are read once, then its bytes through the same
-    descriptor. Its digest, taken if ``always_hash`` is set or they hold
-    views or trust, is ``Evidence.content_hash``. Only a download has a
-    declared type (``ingest`` adds it). ``path`` is opened as spelled.
+    Its attributes are read once, then its bytes, through one descriptor:
+    ``fd`` from its offset, else ``path`` opened as spelled. The bytes'
+    digest, taken if ``always_hash`` is set or the attributes hold views or
+    trust, is ``Evidence.content_hash``. Only a download has a declared type.
     """
     scan = SniffScan(runtime.sig_db)
     # opened before the name is analysed: "." and "/" have no name, and
     # fail here as the directories they are
-    with opened(path) as fd:
+    with opened(path if fd is None else fd) as fd:
         attrs = runtime.store.read(fd, ATTRIBUTE_KEYS)
         hashed = always_hash or VIEWS_KEY in attrs or TRUST_KEY in attrs
         digest = new_sha256() if hashed else None

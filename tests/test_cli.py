@@ -23,7 +23,7 @@ import jsonschema
 import pytest
 
 import contentoracle
-from contentoracle import cli, view_registry
+from contentoracle import cli, ingest, view_registry
 from contentoracle.cli import (
     EX_CONFIG,
     EX_IOERR,
@@ -679,8 +679,10 @@ class TestFetchCommand:
         opens = []
 
         def counting(real):
+            # the body under its final name, or under the partial name it is written to
             def opener(file, *args, **kwargs):
-                if not isinstance(file, int) and Path(os.fsdecode(file)).resolve() == body:
+                path = None if isinstance(file, int) else Path(os.fsdecode(file)).resolve()
+                if path == body or path and path.parent == body.parent and path.suffix == ".part":
                     opens.append(file)
                 return real(file, *args, **kwargs)
             return opener
@@ -723,6 +725,64 @@ class TestFetchCommand:
                           "fetch", url, "--out", str(tmp_path / "downloads"))
         assert code == 0
         assert (calls["read"], calls["evaluate"]) == (2, 1)
+
+    def test_fetch_judges_the_received_body_not_a_file_renamed_over_its_name(
+            self, capsys, config_file, tmp_path, http_server, monkeypatch):
+        body = b"%PDF-1.4 received"
+        url = http_server.add("/cli/decoyed.pdf", body,
+                              headers=[("Content-Type", "application/pdf")])
+        out_dir = tmp_path / "downloads"
+        received, decoy = tmp_path / "received.pdf", tmp_path / "decoy.pdf"
+        replace = os.replace
+
+        def replace_then_plant_a_decoy(src, dst):
+            replace(src, dst)
+            os.link(dst, received)  # the received inode, kept after the decoy takes its name
+            decoy.write_bytes(b"\x7fELF\x02\x01\x01\x00" + bytes(56))
+            os.rename(decoy, dst)
+
+        monkeypatch.setattr(ingest.os, "replace", replace_then_plant_a_decoy)
+        code, out = run_cli(capsys, "--config", config_file, "--now", "123",
+                            "fetch", url, "--out", str(out_dir))
+        monkeypatch.undo()
+        doc = report_of(out)
+        assert code == 0
+        assert [c["mime"] for c in doc["sniff"]["candidates"]] == ["application/pdf"]
+        assert doc["sniff"]["bytes_examined"] == len(body)
+        assert (out_dir / "decoyed.pdf").read_bytes().startswith(b"\x7fELF")
+        _, out = run_cli(capsys, "--config", config_file, "view", "list", str(received))
+        (view,) = json.loads(out)["views"]
+        assert view["app"] == ingest.INGEST_APP_ID
+        assert view["hash"] == hashlib.sha256(body).hexdigest()
+        assert view["stale"] is False
+        _, out = run_cli(capsys, "--config", config_file, "view", "list", doc["path"])
+        assert json.loads(out)["views"] == []
+
+    def test_failed_assessment_leaves_no_file(self, capsys, config_file, tmp_path, http_server,
+                                              monkeypatch):
+        url = http_server.add("/cli/unjudged.pdf", b"%PDF-1.4 unjudged")
+
+        def failing_judge(*args):
+            raise RuntimeError("judge failed")
+
+        monkeypatch.setattr(ingest, "judge", failing_judge)
+        out_dir = tmp_path / "downloads"
+        code = main(["--config", config_file, "fetch", url, "--out", str(out_dir)])
+        captured = capsys.readouterr()
+        assert code == EX_SOFTWARE
+        assert captured.out == "" and "RuntimeError: judge failed" in captured.err
+        assert list(out_dir.iterdir()) == []
+
+    def test_denied_download_keeps_its_name(self, capsys, config_file, tmp_path, http_server):
+        body = b"\x7fELF\x02\x01\x01\x00" + bytes(56)
+        url = http_server.add("/cli/denied.pdf", body,
+                              headers=[("Content-Type", "application/pdf")])
+        out_dir = tmp_path / "downloads"
+        code, out = run_cli(capsys, "--config", config_file, "--now", "123",
+                            "fetch", url, "--out", str(out_dir))
+        assert (code, report_of(out)["verdict"]) == (2, "deny")
+        assert [p.name for p in out_dir.iterdir()] == ["denied.pdf"]
+        assert (out_dir / "denied.pdf").read_bytes() == body
 
     def test_fetch_records_a_view_of_the_body_on_either_backend(self, capsys, backend,
                                                                 http_server):
@@ -957,7 +1017,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("key,text,reason", [
         ("magic_path", "# signatures\nbroken line\n", "line 2: expected 7 fields, got 1"),
-        ("active_types_path", "not a type\n", "missing '/' separator in 'not a type'"),
+        ("active_types_path", "not a type\n", "line 1: missing '/' separator in 'not a type'"),
     ])
     def test_data_file_that_does_not_parse_is_78(self, capsys, tmp_path, key, text, reason):
         bad = tmp_path / "data.txt"

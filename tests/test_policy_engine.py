@@ -12,6 +12,7 @@ from contentoracle.discrepancy_engine import (
     DiscrepancyReport,
     Severity,
 )
+from contentoracle.errors import MalformedMime
 from contentoracle.mime_db import MimeType, parse_mime_type
 from contentoracle.policy_engine import (
     DENY_ALL,
@@ -42,6 +43,11 @@ class TestActiveRegistry:
     def test_loader_ignores_comments(self):
         reg = load_active_registry("# c\n\ntext/javascript\n")
         assert reg.base_active == frozenset({("text", "javascript")})
+
+    def test_malformed_line_names_its_number(self):
+        with pytest.raises(MalformedMime) as excinfo:
+            load_active_registry("text/html\n\ntext/\n")
+        assert str(excinfo.value) == "line 3: empty token in '' (while parsing 'text/')"
 
     def test_default_set_covers_spec_families(self, runtime):
         for text in ("text/javascript", "application/x-executable",
